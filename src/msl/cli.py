@@ -194,6 +194,9 @@ def execute_source(state, source, out=None, err=None):
     except SourceError as exc:
         print(f"error: {exc.format()}", file=err)
         return True, False
+    except RecursionError:
+        print("error: expression too deeply nested", file=err)
+        return True, False
     had_error = had_divergence = False
     for item in items:
         try:

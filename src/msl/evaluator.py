@@ -53,9 +53,6 @@ class Mode(enum.Enum):
     LOWER = "lower"
     UPPER = "upper"
 
-    def flip(self):
-        return Mode.UPPER if self is Mode.LOWER else Mode.LOWER
-
 
 LOWER = Mode.LOWER
 UPPER = Mode.UPPER
@@ -169,8 +166,41 @@ def real_approx(e, env, mode):
     raise EvalError(f"real_approx: {type(e).__name__} is not normal")
 
 
+class ClosedEnv(dict):
+    """The environment of closed nodes during one refinement sweep.
+
+    It binds no variable.  Its ``memo`` maps (id(node), mode) to the
+    approximants the sweep has computed, so a closed node is decided
+    once per sweep rather than once per ancestor.  The approximant of a
+    closed node depends on the node alone; ``And``/``Or``/``Join``
+    children share the env and so the memo, while quantifier bodies get
+    a plain dict that binds their variable and are never cached.  Keys
+    use ``id`` because the dataclass hash walks the whole tree, so one
+    ClosedEnv serves one tree while that tree (which holds every keyed
+    node, so no id is reused) is alive: ``refine_step`` makes a new one
+    per sweep.
+    """
+
+    __slots__ = ("memo",)
+
+    def __init__(self):
+        super().__init__()
+        self.memo = {}
+
+
 def prop_approx(e, env, mode):
     """The lower (mode=LOWER) or upper (mode=UPPER) approximant of a prop."""
+    if type(env) is ClosedEnv:
+        key = (id(e), mode)
+        memo = env.memo
+        value = memo.get(key)
+        if value is None:
+            value = memo[key] = _prop_approx(e, env, mode)
+        return value
+    return _prop_approx(e, env, mode)
+
+
+def _prop_approx(e, env, mode):
     if isinstance(e, TrueLit):
         return True
     if isinstance(e, FalseLit):
@@ -218,14 +248,16 @@ SWEEP_VISIT_CAP = 10_000
 
 
 class _Sweep:
-    """Mutable per-sweep state: probe pacing, witness log, work budget."""
+    """Mutable per-sweep state: probe pacing, witness log, work budget
+    and the environment (with its memo) of the closed nodes."""
 
-    __slots__ = ("n", "wlog", "visits")
+    __slots__ = ("n", "wlog", "visits", "closed")
 
     def __init__(self, n, wlog):
         self.n = n
         self.wlog = wlog
         self.visits = 0
+        self.closed = ClosedEnv()
 
     def may_split(self):
         return self.visits < SWEEP_VISIT_CAP
@@ -252,11 +284,11 @@ def _refine(e, st, scope):
     if st.visits > SWEEP_VISIT_CAP:
         return e  # past the sweep horizon: left for a later round
     if isinstance(e, _PROP_NODES) and not _uses(e, scope):
-        if prop_approx(e, {}, LOWER):
+        if prop_approx(e, st.closed, LOWER):
             if st.wlog is not None:
-                _log_witnesses(e, {}, st.wlog)
+                _log_witnesses(e, st.closed, st.wlog)
             return TrueLit()
-        if not prop_approx(e, {}, UPPER):
+        if not prop_approx(e, st.closed, UPPER):
             return FalseLit()
     if isinstance(e, (TrueLit, FalseLit, RatLit, Var, Lambda)):
         return e
@@ -374,7 +406,10 @@ def _split_quantifier(e, node, combine, st, scope):
 
 def _refine_cut(e, st, scope):
     lo, hi = e.range.lo, e.range.hi
-    probeable = not _uses(e.left, scope) and not _uses(e.right, scope)
+    # The cut's own variable is bound here even when an enclosing binder
+    # of the same name is in scope.
+    outer = scope - {e.var}
+    probeable = not _uses(e.left, outer) and not _uses(e.right, outer)
     if probeable:
         if lo.is_finite and hi.is_finite:
             a, b = lo.q, hi.q
@@ -387,7 +422,7 @@ def _refine_cut(e, st, scope):
             lo, hi = XRat(a), XRat(b)
         else:
             # Establish finite bounds by probing doubling candidates.
-            step = Fraction(2) ** min(st.n, 256)
+            step = Fraction(2) ** st.n
             if not lo.is_finite:
                 cand = -step if (not hi.is_finite or -step < hi.q) \
                     else hi.q - step

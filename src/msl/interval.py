@@ -74,17 +74,33 @@ class XRat:
             return NotImplemented
         return self._key() == other._key()
 
+    # When either operand is infinite, the order is that of the signs.
+    # Finite operands compare by cross-multiplication (denominators are
+    # positive), which skips building the _key tuples.
+
     def __lt__(self, other):
-        return self._key() < other._key()
+        if self.sign or other.sign:
+            return self.sign < other.sign
+        a, b = self.q, other.q
+        return a.numerator * b.denominator < b.numerator * a.denominator
 
     def __le__(self, other):
-        return self._key() <= other._key()
+        if self.sign or other.sign:
+            return self.sign <= other.sign
+        a, b = self.q, other.q
+        return a.numerator * b.denominator <= b.numerator * a.denominator
 
     def __gt__(self, other):
-        return self._key() > other._key()
+        if self.sign or other.sign:
+            return self.sign > other.sign
+        a, b = self.q, other.q
+        return a.numerator * b.denominator > b.numerator * a.denominator
 
     def __ge__(self, other):
-        return self._key() >= other._key()
+        if self.sign or other.sign:
+            return self.sign >= other.sign
+        a, b = self.q, other.q
+        return a.numerator * b.denominator >= b.numerator * a.denominator
 
     def __hash__(self):
         return hash(self._key())
@@ -92,11 +108,11 @@ class XRat:
     def __neg__(self):
         if self.sign:
             return NEG_INF if self.sign > 0 else POS_INF
-        return XRat(-self.q)
+        return _finite(-self.q)
 
     def __add__(self, other):
         if self.sign == 0 and other.sign == 0:
-            return XRat(self.q + other.q)
+            return _finite(self.q + other.q)
         if self.sign == 0:
             return other
         if other.sign == 0 or other.sign == self.sign:
@@ -108,7 +124,7 @@ class XRat:
 
     def __mul__(self, other):
         if self.sign == 0 and other.sign == 0:
-            return XRat(self.q * other.q)
+            return _finite(self.q * other.q)
         # inf * 0 == 0 so products against exact zeros stay informative.
         if self.sign == 0 and self.q == 0:
             return ZERO
@@ -124,7 +140,7 @@ class XRat:
         if k == 0:
             return ONE
         if self.sign == 0:
-            return XRat(self.q ** k)
+            return _finite(self.q ** k)
         if self.sign > 0 or k % 2 == 0:
             return POS_INF
         return NEG_INF
@@ -132,7 +148,7 @@ class XRat:
     def reciprocal(self):
         if self.sign or self.q == 0:
             raise ZeroDivisionError("reciprocal needs a finite nonzero value")
-        return XRat(1 / self.q)
+        return _finite(1 / self.q)
 
     def __str__(self):
         if self.sign > 0:
@@ -150,6 +166,21 @@ POS_INF = XRat(sign=1)
 ZERO = XRat(0)
 ONE = XRat(1)
 
+# Results built from values that are already exact skip the checks and
+# conversions of the public constructors: the slot descriptors fill a
+# bare instance directly.
+_new = object.__new__
+_set_sign = XRat.sign.__set__
+_set_q = XRat.q.__set__
+
+
+def _finite(q):
+    """The finite XRat of a Fraction ``q``."""
+    x = _new(XRat)
+    _set_sign(x, 0)
+    _set_q(x, q)
+    return x
+
 
 def _as_xrat(v):
     return v if isinstance(v, XRat) else XRat(v)
@@ -162,7 +193,9 @@ _P, _N, _Z, _ZD = range(4)
 
 
 def _sign_class(i):
-    a_nonneg, b_nonneg = i.lo >= ZERO, i.hi >= ZERO
+    lo, hi = i.lo, i.hi
+    a_nonneg = lo.sign > 0 if lo.sign else lo.q.numerator >= 0
+    b_nonneg = hi.sign > 0 if hi.sign else hi.q.numerator >= 0
     if a_nonneg and b_nonneg:
         return _P
     if not a_nonneg and not b_nonneg:
@@ -188,10 +221,10 @@ class GInterval:
     def __setattr__(self, name, value):
         raise AttributeError("GInterval is immutable")
 
-    @classmethod
-    def point(cls, q):
+    @staticmethod
+    def point(q):
         q = _as_xrat(q)
-        return cls(q, q)
+        return _interval(q, q)
 
     @property
     def is_proper(self):
@@ -202,7 +235,7 @@ class GInterval:
         return self.lo.is_finite and self.hi.is_finite
 
     def dual(self):
-        return GInterval(self.hi, self.lo)
+        return _interval(self.hi, self.lo)
 
     def width(self):
         """hi - lo; negative for improper intervals, +-inf when one end
@@ -234,14 +267,14 @@ class GInterval:
 
     def __add__(self, other):
         try:
-            return GInterval(self.lo + other.lo, self.hi + other.hi)
+            return _interval(self.lo + other.lo, self.hi + other.hi)
         except IndeterminateSum:
             # No-information fallback; only reachable when mixing
             # opposite-orientation unbounded intervals directly.
             return ENTIRE
 
     def __neg__(self):
-        return GInterval(-self.hi, -self.lo)
+        return _interval(-self.hi, -self.lo)
 
     def __sub__(self, other):
         return self + (-other)
@@ -251,36 +284,36 @@ class GInterval:
         ca, cb = _sign_class(self), _sign_class(other)
         if ca == _P:
             if cb == _P:
-                return GInterval(a * c, b * d)
+                return _interval(a * c, b * d)
             if cb == _Z:
-                return GInterval(b * c, b * d)
+                return _interval(b * c, b * d)
             if cb == _N:
-                return GInterval(b * c, a * d)
-            return GInterval(a * c, a * d)
+                return _interval(b * c, a * d)
+            return _interval(a * c, a * d)
         if ca == _Z:
             if cb == _P:
-                return GInterval(a * d, b * d)
+                return _interval(a * d, b * d)
             if cb == _Z:
-                return GInterval(min(a * d, b * c), max(a * c, b * d))
+                return _interval(min(a * d, b * c), max(a * c, b * d))
             if cb == _N:
-                return GInterval(b * c, a * c)
-            return GInterval(ZERO, ZERO)
+                return _interval(b * c, a * c)
+            return _interval(ZERO, ZERO)
         if ca == _N:
             if cb == _P:
-                return GInterval(a * d, b * c)
+                return _interval(a * d, b * c)
             if cb == _Z:
-                return GInterval(a * d, a * c)
+                return _interval(a * d, a * c)
             if cb == _N:
-                return GInterval(b * d, a * c)
-            return GInterval(b * d, b * c)
+                return _interval(b * d, a * c)
+            return _interval(b * d, b * c)
         # ca == _ZD
         if cb == _P:
-            return GInterval(a * c, b * c)
+            return _interval(a * c, b * c)
         if cb == _Z:
-            return GInterval(ZERO, ZERO)
+            return _interval(ZERO, ZERO)
         if cb == _N:
-            return GInterval(b * d, a * d)
-        return GInterval(max(a * c, b * d), min(a * d, b * c))
+            return _interval(b * d, a * d)
+        return _interval(max(a * c, b * d), min(a * d, b * c))
 
     def __truediv__(self, other):
         lo, hi = other.lo, other.hi
@@ -288,15 +321,15 @@ class GInterval:
             raise DivisionIndeterminate("unbounded divisor")
         if lo.q == 0 or hi.q == 0 or (lo.q > 0) != (hi.q > 0):
             raise DivisionIndeterminate("divisor touches zero")
-        return self * GInterval(hi.reciprocal(), lo.reciprocal())
+        return self * _interval(hi.reciprocal(), lo.reciprocal())
 
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a natural number")
         if k == 0:
-            return GInterval(ONE, ONE)
+            return _interval(ONE, ONE)
         if k % 2 == 1:
-            return GInterval(self.lo ** k, self.hi ** k)
+            return _interval(self.lo ** k, self.hi ** k)
         if not self.is_proper:
             return (self.dual() ** k).dual()
         lo_k, hi_k = self.lo ** k, self.hi ** k
@@ -304,13 +337,25 @@ class GInterval:
             m = ZERO
         else:
             m = min(lo_k, hi_k)
-        return GInterval(m, max(lo_k, hi_k))
+        return _interval(m, max(lo_k, hi_k))
 
     def __str__(self):
         return f"<{self.lo}, {self.hi}>"
 
     def __repr__(self):
         return f"GInterval({self.lo!r}, {self.hi!r})"
+
+
+_set_lo = GInterval.lo.__set__
+_set_hi = GInterval.hi.__set__
+
+
+def _interval(lo, hi):
+    """The GInterval of two XRat endpoints."""
+    g = _new(GInterval)
+    _set_lo(g, lo)
+    _set_hi(g, hi)
+    return g
 
 
 #: The mode-agnostic no-information interval.

@@ -131,6 +131,14 @@ def test_parse_error_reports_location():
     assert had_error and "error:" in err
 
 
+def test_deep_nesting_is_reported_not_raised():
+    _, out, err, had_error, had_div = run_script(
+        "(" * 80 + "1" + ")" * 80 + ";;")
+    assert (had_error, had_div) == (True, False)
+    assert out == ""
+    assert err == "error: expression too deeply nested\n"
+
+
 def test_divergence_is_flagged():
     _, out, _, had_error, had_div = run_script(
         "#precision 1;; (2 < 1) ~> 1;;")

@@ -4,16 +4,18 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
+import msl.evaluator
 from msl.evaluator import (
-    BoolFF, BoolTT, Diverged, FunctionValue, LOWER, PRUNED, PropFalseProven,
-    PropTrue, RealBall, TupleOf, UPPER, evaluate_step, prop_approx,
-    real_approx, refine_step, run,
+    BoolFF, BoolTT, ClosedEnv, Diverged, FunctionValue, LOWER, PRUNED,
+    PropFalseProven, PropTrue, RealBall, TupleOf, UPPER, evaluate_step,
+    prop_approx, real_approx, refine_step, run,
 )
 from msl.interval import ENTIRE, GInterval, XRat
 from msl.syntax import (
     And, Arith, BOOL, Exists, FalseLit, Forall, Less, Or, PROP,
-    ProductTy, RatLit, REAL, TrueLit, Var, parse_expression,
+    ProductTy, Range, RatLit, REAL, TrueLit, Var, parse_expression,
 )
 
 F = Fraction
@@ -218,6 +220,80 @@ def test_refine_witness_log():
     assert log == [("x", F(0), F(2))]
 
 
+# --- the per-sweep memo of closed approximants -------------------------------------
+
+SMALL = st.fractions(min_value=F(-3), max_value=F(3), max_denominator=4)
+
+
+def closed_props(data, names=(), depth=3):
+    """A prop over the quantified ``names``; And/Or items may share one
+    subtree object, so a memo sees the same node twice."""
+    def real(d):
+        kind = data.draw(st.sampled_from(
+            ("lit", "var", "arith") if d > 0 else ("lit", "var")))
+        if kind == "var" and names:
+            return Var(data.draw(st.sampled_from(names)))
+        if kind == "arith":
+            return Arith(data.draw(st.sampled_from("+-*")), real(d - 1),
+                         real(d - 1))
+        return RatLit(data.draw(SMALL))
+
+    kind = data.draw(st.sampled_from(
+        ("less", "and", "or", "forall", "exists") if depth > 0 else ("less",)))
+    if kind == "less":
+        return Less(real(2), real(2))
+    if kind in ("and", "or"):
+        first = closed_props(data, names, depth - 1)
+        second = first if data.draw(st.booleans()) \
+            else closed_props(data, names, depth - 1)
+        return (And if kind == "and" else Or)((first, second, first))
+    lo = data.draw(SMALL)
+    hi = lo + data.draw(SMALL.map(abs))
+    var = f"x{len(names)}"
+    node = Forall if kind == "forall" else Exists
+    return node(var, Range(XRat(lo), XRat(hi)),
+                closed_props(data, names + (var,), depth - 1))
+
+
+@given(st.data())
+def test_memoized_approximants_match_plain_ones(data):
+    e = closed_props(data)
+    env = ClosedEnv()
+    for mode in (LOWER, UPPER, LOWER, UPPER):  # the second round hits
+        assert prop_approx(e, env, mode) == prop_approx(e, {}, mode)
+    assert env.memo
+
+
+def test_sweep_decides_each_closed_node_once(monkeypatch):
+    seen = []
+    plain = msl.evaluator._prop_approx
+
+    def counting(e, env, mode):
+        if type(env) is ClosedEnv:
+            seen.append((id(e), mode))
+        return plain(e, env, mode)
+
+    monkeypatch.setattr(msl.evaluator, "_prop_approx", counting)
+    e = pe(f"((1 < 2) /\\ ({UNDECIDED})) /\\ ((3 < 2) \\/ ({UNDECIDED}))")
+    refine_step(e)
+    assert seen and len(seen) == len(set(seen))
+
+
+def test_approximants_keep_their_three_argument_shape(monkeypatch):
+    # Callers that wrap prop_approx/real_approx as (e, env, mode), such
+    # as perfbench's tracer, see every internal call go through them.
+    source = (f"(exists x : [0,2], x * x < 1) /\\ ({SQRT2_CUT}) < 3/2 "
+              "/\\ (forall y : [0,1], y < 2)")
+    expected_log, log = [], []
+    expected = run(pe(source), witness_log=expected_log)
+    for name in ("prop_approx", "real_approx"):
+        fn = getattr(msl.evaluator, name)
+        monkeypatch.setattr(msl.evaluator, name,
+                            lambda e, env, mode, fn=fn: fn(e, env, mode))
+    assert run(pe(source), witness_log=log) == expected == PropTrue()
+    assert log == expected_log
+
+
 # --- evaluate_step ----------------------------------------------------------------
 
 def test_evaluate_step_spec_examples():
@@ -282,6 +358,30 @@ def test_run_divergence_is_a_normal_outcome():
     out = run(pe("(2 < 1) ~> 1"), max_steps=40)
     assert isinstance(out, Diverged)
     assert out.steps == 1  # pruned immediately; the join is empty
+
+
+SQRT_FN = ("fun a : real => cut y : [0, 64] left (y < 0 \\/ y * y < a) "
+           "right (y > 0 /\\ y * y > a)")
+
+
+def test_run_nested_cuts_binding_the_same_name():
+    # The inner cut binds y while the outer one's y is in scope.
+    out = run(pe(f"let sqrt = {SQRT_FN} in sqrt (sqrt 16)"),
+              precision=F(1, 1000), max_steps=300)
+    assert isinstance(out, RealBall)
+    assert out.radius < F(1, 1000)
+    assert out.center - out.radius <= 2 <= out.center + out.radius
+
+
+@pytest.mark.parametrize("target", ["2 ^ 300", "-(2 ^ 300)"])
+def test_run_unbounded_cut_beyond_two_to_the_256(target):
+    value = 2 ** 300 if target.startswith("2") else -2 ** 300
+    out = run(pe(f"cut x : (-inf, inf) left (x < {target}) "
+                 f"right (x > {target})"),
+              precision=F(1, 10 ** 6), max_steps=1000)
+    assert isinstance(out, RealBall)
+    assert out.radius < F(1, 10 ** 6)
+    assert out.center - out.radius <= value <= out.center + out.radius
 
 
 def test_run_join_prefers_defined_branch():

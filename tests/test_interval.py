@@ -206,3 +206,40 @@ def test_dual_width_midpoint():
 def test_midpoint_unbounded():
     with pytest.raises(UnboundedInterval):
         I(0, POS_INF).midpoint()
+
+
+# --- comparison and sign-class fast paths --------------------------------------
+
+def xrats():
+    return st.one_of(rationals().map(XRat), st.sampled_from([NEG_INF, POS_INF]))
+
+
+@given(xrats(), xrats(), st.booleans())
+def test_xrat_order_matches_key_order(a, b, same):
+    if same:
+        b = XRat(a.q) if a.is_finite else a  # equal values, distinct objects
+    ka, kb = a._key(), b._key()
+    assert (a < b) == (ka < kb)
+    assert (a <= b) == (ka <= kb)
+    assert (a > b) == (ka > kb)
+    assert (a >= b) == (ka >= kb)
+
+
+@given(st.one_of(intervals(), st.builds(I, xrats(), xrats())))
+def test_sign_class_matches_nonnegative_endpoints(i):
+    from msl.interval import _N, _P, _Z, _ZD, _sign_class
+    zero = ZERO._key()
+    a_nonneg, b_nonneg = i.lo._key() >= zero, i.hi._key() >= zero
+    expected = {(True, True): _P, (False, False): _N,
+                (False, True): _Z, (True, False): _ZD}[a_nonneg, b_nonneg]
+    assert _sign_class(i) == expected
+
+
+def test_computed_values_stay_immutable():
+    x = XRat(1) + XRat(F(1, 2))
+    assert x == XRat(F(3, 2)) and x.is_finite
+    with pytest.raises(AttributeError):
+        x.q = F(0)
+    i = I(1, 2) * I(3, 4)
+    with pytest.raises(AttributeError):
+        i.lo = ZERO
