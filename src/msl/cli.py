@@ -43,6 +43,7 @@ class SessionState:
     fmt: str = "decimal"
     base_dirs: tuple = (os.curdir,)
     use_depth: int = 0
+    divergences: int = 0  # Diverged outcomes, #use'd files included
 
     def type_context(self):
         return {name: ty for name, (_, ty) in self.definitions.items()}
@@ -66,6 +67,8 @@ def execute_item(state, item):
     witnesses = [] if state.trace else None
     outcome = run(wrapped, precision=state.precision,
                   max_steps=state.step_budget, witness_log=witnesses)
+    if isinstance(outcome, Diverged):
+        state.divergences += 1
     label = item.expr.name + " : " if isinstance(item.expr, Var) else ""
     lines = []
     if witnesses:
@@ -197,7 +200,8 @@ def execute_source(state, source, out=None, err=None):
     except RecursionError:
         print("error: expression too deeply nested", file=err)
         return True, False
-    had_error = had_divergence = False
+    had_error = False
+    divergences = state.divergences
     for item in items:
         try:
             state, rendered = execute_item(state, item)
@@ -211,9 +215,7 @@ def execute_source(state, source, out=None, err=None):
             continue
         if rendered is not None:
             print(rendered, file=out)
-            if "no result within" in rendered:
-                had_divergence = True
-    return had_error, had_divergence
+    return had_error, state.divergences > divergences
 
 
 def repl(state, stdin=None, out=None, err=None):

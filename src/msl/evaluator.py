@@ -21,6 +21,23 @@ the ranges so the same endpoint test becomes the optimistic reading,
 refuting an existential only when the whole range fails and a universal
 only when some subrange fails everywhere.
 
+Naive interval evaluation suffers the dependency problem: ``x*(1-x)``
+over a box of width w is overestimated by about w, so near an extremum
+the range splitting needs many leaves.  A comparison inside a quantifier
+body whose sides are polynomials in the bound variables (only literals,
+variables, ``+ - *`` and ``^``) over finite boxes therefore gets a second
+test when the naive one leaves it undecided: the centred (mean-value)
+form f(m) + sum_i d_i f(X) * (X_i - m_i) of f = lhs - rhs over the
+boxes X with midpoint m, which overestimates by O(w^2).  It may only add
+decisions -- "true" in lower mode, "false" in upper mode -- and is tried
+only when f(m) already lies on the deciding side.  It is taken over the
+undualized boxes.  That is sound in upper mode as well: there every
+quantified variable is bound to a dual box, and every interval operation
+is dual-homomorphic, so the upper-mode enclosure of a polynomial is
+exactly the dual of its enclosure over the proper boxes, and any tighter
+outer enclosure may stand in for it.  Cuts, restrictions, division,
+unbounded boxes, cut probes and closed nodes keep the naive test.
+
 Refinement rewrites an expression without changing its meaning: decided
 props collapse to literals, cut ranges narrow by trisection probes,
 quantifiers split at range midpoints, proven guards unwrap and refuted
@@ -31,6 +48,7 @@ form until one disjunct is precise enough to answer.
 
 from __future__ import annotations
 
+import contextvars
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
@@ -174,18 +192,44 @@ class ClosedEnv(dict):
     once per sweep rather than once per ancestor.  The approximant of a
     closed node depends on the node alone; ``And``/``Or``/``Join``
     children share the env and so the memo, while quantifier bodies get
-    a plain dict that binds their variable and are never cached.  Keys
+    a ``BoxEnv`` that binds their variable and are never cached.  Keys
     use ``id`` because the dataclass hash walks the whole tree, so one
     ClosedEnv serves one tree while that tree (which holds every keyed
     node, so no id is reused) is alive: ``refine_step`` makes a new one
-    per sweep.
+    per sweep.  ``polys`` is the run's cache of compiled comparisons,
+    handed on to the quantifier bodies below.
     """
 
-    __slots__ = ("memo",)
+    __slots__ = ("memo", "polys")
 
-    def __init__(self):
+    def __init__(self, polys=None):
         super().__init__()
         self.memo = {}
+        self.polys = {} if polys is None else polys
+
+
+class BoxEnv(dict):
+    """The environment of a quantifier body under a refinement sweep.
+
+    It binds each quantified variable to its box, and its comparisons
+    may use the centred test (see ``_centred_decides``).  ``polys`` maps
+    id(Less) to (node, compiled form) for the whole run.
+    Quantifiers reached from a plain dict (a cut probe, or
+    ``evaluate_step``) bind their variables in a plain dict and keep the
+    naive test alone.
+    """
+
+    __slots__ = ("polys",)
+
+
+def _bind(env, var, box):
+    """The environment of a quantifier body that binds ``var``."""
+    if type(env) is dict:
+        return {**env, var: box}
+    inner = BoxEnv(env)
+    inner[var] = box
+    inner.polys = env.polys
+    return inner
 
 
 def prop_approx(e, env, mode):
@@ -212,15 +256,23 @@ def _prop_approx(e, env, mode):
     if isinstance(e, Less):
         lhs = real_approx(e.lhs, env, mode)
         rhs = real_approx(e.rhs, env, mode)
-        return lhs.hi < rhs.lo
+        holds = lhs.hi < rhs.lo
+        if type(env) is BoxEnv:
+            # The centred test may only add decisions: a proof in lower
+            # mode, a refutation in upper mode.
+            if mode is LOWER and not holds:
+                return _centred_decides(e, env, LOWER)
+            if mode is UPPER and holds:
+                return not _centred_decides(e, env, UPPER)
+        return holds
     if isinstance(e, Forall):
         r = e.range
         box = GInterval(r.lo, r.hi) if mode is LOWER else GInterval(r.hi, r.lo)
-        return prop_approx(e.body, {**env, e.var: box}, mode)
+        return prop_approx(e.body, _bind(env, e.var, box), mode)
     if isinstance(e, Exists):
         r = e.range
         box = GInterval(r.lo, r.lo) if mode is LOWER else GInterval(r.hi, r.lo)
-        return prop_approx(e.body, {**env, e.var: box}, mode)
+        return prop_approx(e.body, _bind(env, e.var, box), mode)
     if isinstance(e, Restrict):
         # Restriction at prop is conjunction with the guard.
         return prop_approx(e.guard, env, mode) and prop_approx(e.body, env, mode)
@@ -233,6 +285,272 @@ def _prop_approx(e, env, mode):
             return prop_approx(e.arg.if_false, env, mode)
         raise EvalError("is_false over an unreduced boolean")
     raise EvalError(f"prop_approx: {type(e).__name__} is not normal")
+
+
+# ---------------------------------------------------------------------------
+# The centred form of a polynomial comparison
+
+
+class _NotPolynomial(Exception):
+    pass
+
+
+class Polynomial:
+    """``lhs - rhs`` of a comparison whose sides are polynomials.
+
+    The sides may use only ``RatLit``, ``Var``, ``Arith`` with ``+ - *``
+    and ``Pow``.  The difference is compiled, with constant subterms
+    folded, to a straight-line program ``code`` over the variables
+    ``names``.  Each instruction ``(op, x, y, ranged)`` appends one
+    value: ``("v", i, None)`` variable i; ``(op, j, k)`` for op in
+    ``+ - *`` values j and k combined; ``("c+", j, c)``, ``("c-", j,
+    c)`` and ``("c*", j, c)`` value j plus c, c minus value j, and value
+    j times c for a constant c; ``("^", j, n)`` value j to the power
+    n >= 2; and, only when the whole difference is constant, ``("q", c,
+    None)``.  ``ranged`` marks the values whose range ``spread`` needs:
+    those a product or a power reads, directly or through sums.
+    Evaluation uses raw ``Fraction``s; boxes are proper ``(lo, hi)``
+    pairs, one per name.
+    """
+
+    __slots__ = ("names", "code")
+
+    def __init__(self, less):
+        index, code = {}, []
+
+        def push(op, x, y):
+            code.append((op, x, y))
+            return len(code) - 1
+
+        def emit(t):
+            """A constant subterm as its Fraction, else the slot of its
+            value."""
+            if isinstance(t, RatLit):
+                return t.value
+            if isinstance(t, Var):
+                return push("v", index.setdefault(t.name, len(index)), None)
+            if isinstance(t, Pow):
+                base = emit(t.base)
+                if isinstance(base, Fraction):
+                    return base ** t.exp
+                if t.exp < 2:
+                    return base if t.exp else Fraction(1)
+                return push("^", base, t.exp)
+            if not isinstance(t, Arith) or t.op == "/":
+                raise _NotPolynomial
+            return combine(t.op, emit(t.lhs), emit(t.rhs))
+
+        def combine(op, u, w):
+            cu, cw = isinstance(u, Fraction), isinstance(w, Fraction)
+            if cu and cw:
+                return u + w if op == "+" else u - w if op == "-" else u * w
+            if op == "-" and cu:
+                return push("c-", w, u)
+            if op == "-" and cw:
+                return push("c+", u, -w)
+            if cu:
+                u, w = w, u  # + and * commute
+            return push("c" + op, u, w) if cu or cw else push(op, u, w)
+
+        diff = combine("-", emit(less.lhs), emit(less.rhs))
+        if isinstance(diff, Fraction):
+            push("q", diff, None)
+        ranged = [False] * len(code)
+        for i in range(len(code) - 1, -1, -1):
+            op, x, y = code[i]
+            if op in ("*", "^") or (ranged[i] and op not in ("v", "q")):
+                ranged[x] = True
+                if op in ("*", "+", "-"):
+                    ranged[y] = True
+        self.names = tuple(index)
+        self.code = [(*ins, r) for ins, r in zip(code, ranged)]
+
+    def at_midpoint(self, boxes):
+        """f(m): the exact value at the midpoint m of the boxes."""
+        point = [(a + b) / 2 for a, b in boxes]
+        vals = []
+        for op, x, y, _ in self.code:
+            if op == "v":
+                v = point[x]
+            elif op == "c*":
+                v = vals[x] * y
+            elif op == "c+":
+                v = vals[x] + y
+            elif op == "c-":
+                v = y - vals[x]
+            elif op == "*":
+                v = vals[x] * vals[y]
+            elif op == "+":
+                v = vals[x] + vals[y]
+            elif op == "-":
+                v = vals[x] - vals[y]
+            elif op == "^":
+                v = vals[x] ** y
+            else:
+                v = x
+            vals.append(v)
+        return vals[-1]
+
+    def spread(self, boxes):
+        """The sum over i of r_i * max|d_i f(X)|, r_i the half-width of
+        box i: f(m) +- spread encloses f over the boxes.
+
+        Forward-mode differentiation in interval arithmetic: each value
+        carries its range when it is ``ranged`` and, unless it is
+        constant, its gradient, one (lo, hi) pair per variable.
+        Variables bound to a point count as constants.
+        """
+        vals = []  # (lo, hi, gradient or None)
+        for op, x, y, ranged in self.code:
+            if op == "v":
+                a, b = boxes[x]
+                grad = None
+                if a != b:
+                    grad = [(0, 0)] * len(boxes)
+                    grad[x] = (1, 1)
+                vals.append((a, b, grad))
+                continue
+            if op == "q":
+                vals.append((x, x, None))
+                continue
+            lo = hi = None
+            a, b, gu = vals[x]
+            if op == "c*":
+                if ranged:
+                    lo, hi = _iscale(a, b, y)
+                if gu is not None:
+                    gu = [_iscale(g0, g1, y) for g0, g1 in gu]
+                vals.append((lo, hi, gu))
+                continue
+            if op == "c+":
+                if ranged:
+                    lo, hi = a + y, b + y
+                vals.append((lo, hi, gu))
+                continue
+            if op == "c-":
+                if ranged:
+                    lo, hi = y - b, y - a
+                if gu is not None:
+                    gu = [(-g1, -g0) for g0, g1 in gu]
+                vals.append((lo, hi, gu))
+                continue
+            if op == "^":
+                # d(u^k) = k * u^(k-1) * du
+                if ranged:
+                    lo, hi = _ipow(a, b, y)
+                if gu is not None:
+                    c, d = _ipow(a, b, y - 1)
+                    gu = [_imul(y * c, y * d, *g) for g in gu]
+                vals.append((lo, hi, gu))
+                continue
+            c, d, gw = vals[y]
+            if op == "*":
+                # d(u*w) = du * w + u * dw
+                if ranged:
+                    lo, hi = _imul(a, b, c, d)
+                if gu is not None:
+                    gu = [_imul(*g, c, d) for g in gu]
+                if gw is not None:
+                    gw = [_imul(a, b, *g) for g in gw]
+            elif op == "+":
+                if ranged:
+                    lo, hi = a + c, b + d
+            else:
+                if ranged:
+                    lo, hi = a - d, b - c
+                if gw is not None:
+                    gw = [(-g1, -g0) for g0, g1 in gw]
+            if gu is None or gw is None:
+                grad = gw if gu is None else gu
+            else:
+                grad = [(g0 + h0, g1 + h1)
+                        for (g0, g1), (h0, h1) in zip(gu, gw)]
+            vals.append((lo, hi, grad))
+        spread = Fraction(0)
+        grad = vals[-1][2]
+        if grad is not None:
+            for (a, b), (g0, g1) in zip(boxes, grad):
+                spread += (b - a) / 2 * max(-g0, g1)
+        return spread
+
+    def enclosure(self, boxes):
+        """The centred form f(m) + sum_i d_i f(X) * (X_i - m_i) as a
+        (lo, hi) pair: it contains f at every point of the boxes."""
+        mid, spread = self.at_midpoint(boxes), self.spread(boxes)
+        return mid - spread, mid + spread
+
+
+def _iscale(a, b, c):
+    """The proper interval [a, b] times the number c."""
+    return (a * c, b * c) if c >= 0 else (b * c, a * c)
+
+
+def _imul(a, b, c, d):
+    """Product of the proper intervals [a, b] and [c, d]."""
+    if c == d:
+        return _iscale(a, b, c)
+    if a == b:
+        return _iscale(c, d, a)
+    ps = (a * c, a * d, b * c, b * d)
+    return min(ps), max(ps)
+
+
+def _ipow(a, b, k):
+    """The proper interval [a, b] to the power k >= 1."""
+    if k % 2 or a >= 0:
+        return a ** k, b ** k
+    if b <= 0:
+        return b ** k, a ** k
+    return 0, max(a ** k, b ** k)
+
+
+def compile_polynomial(less, polys):
+    """The ``Polynomial`` of a comparison, or None when a side is not a
+    polynomial.  ``polys`` caches the compiled forms of one run by node
+    id; an entry holds its node, so no id is reused while it lives.
+    Comparisons that do not compile are not cached: one over a cut is
+    rebuilt by every sweep that narrows the cut, and entries for them
+    would keep every old tree alive."""
+    entry = polys.get(id(less))
+    if entry is not None:
+        return entry[1]
+    try:
+        poly = Polynomial(less)
+    except _NotPolynomial:
+        return None
+    polys[id(less)] = (less, poly)
+    return poly
+
+
+def _centred_decides(e, env, mode):
+    """Does the centred form of ``lhs - rhs`` over the undualized boxes
+    of ``env`` prove ``e`` (LOWER) or refute it (UPPER)?
+
+    The module docstring gives the soundness argument for both modes.
+    Its premise is checked here: every box has the orientation its mode
+    binds (proper or a point in LOWER, dual or a point in UPPER).
+    Unbounded boxes keep the naive test.
+    """
+    poly = compile_polynomial(e, env.polys)
+    if poly is None:
+        return False
+    boxes, points = [], True
+    for name in poly.names:
+        box = env[name]
+        lo, hi = box.lo, box.hi
+        if lo.sign or hi.sign:
+            return False
+        a, b = (lo.q, hi.q) if mode is LOWER else (hi.q, lo.q)
+        if a > b:
+            return False
+        boxes.append((a, b))
+        points = points and a == b
+    if points:
+        return False  # the naive test was exact
+    mid = poly.at_midpoint(boxes)
+    if mode is LOWER:
+        return mid < 0 and mid + poly.spread(boxes) < 0
+    return mid >= 0 and mid - poly.spread(boxes) >= 0
 
 
 # ---------------------------------------------------------------------------
@@ -253,11 +571,11 @@ class _Sweep:
 
     __slots__ = ("n", "wlog", "visits", "closed")
 
-    def __init__(self, n, wlog):
+    def __init__(self, n, wlog, polys):
         self.n = n
         self.wlog = wlog
         self.visits = 0
-        self.closed = ClosedEnv()
+        self.closed = ClosedEnv(polys)
 
     def may_split(self):
         return self.visits < SWEEP_VISIT_CAP
@@ -270,9 +588,19 @@ def refine_step(e, round_index=0, witness_log=None):
     proven bottom (a refuted restriction guard or a boolean whose both
     components are refuted).  ``round_index`` paces the probe sequence
     for unbounded cut ranges; ``witness_log`` collects (var, lo, hi)
-    entries whenever an existential is affirmed.
+    entries whenever an existential is affirmed.  Inside ``run`` the
+    sweep uses the run's cache of compiled comparisons; a call on its
+    own compiles afresh.
     """
-    return _refine(e, _Sweep(round_index, witness_log), frozenset())
+    st = _Sweep(round_index, witness_log, _RUN_POLYS.get())
+    return _refine(e, st, frozenset())
+
+
+#: The cache of compiled comparisons of the ``run`` in progress, if any.
+#: ``run`` sets it and drops it when it returns, so no compiled form
+#: outlives its run; it rides in a context variable because
+#: ``refine_step`` keeps its three-argument signature.
+_RUN_POLYS = contextvars.ContextVar("msl_run_polys", default=None)
 
 
 _PROP_NODES = (TrueLit, FalseLit, And, Or, Less, Exists, Forall, IsTrue,
@@ -300,15 +628,25 @@ def _refine(e, st, scope):
     if isinstance(e, Or):
         items = _refine_all(e.items, st, scope)
         return PRUNED if items is PRUNED else mk_or(items)
+    # Less, Arith and Pow come back as the same object when no child
+    # changed, so the run's compiled comparisons stay valid.
     if isinstance(e, Less):
         sides = _refine_all((e.lhs, e.rhs), st, scope)
-        return PRUNED if sides is PRUNED else Less(*sides)
+        if sides is PRUNED:
+            return PRUNED
+        lhs, rhs = sides
+        return e if lhs is e.lhs and rhs is e.rhs else Less(lhs, rhs)
     if isinstance(e, Arith):
         sides = _refine_all((e.lhs, e.rhs), st, scope)
-        return PRUNED if sides is PRUNED else Arith(e.op, *sides)
+        if sides is PRUNED:
+            return PRUNED
+        lhs, rhs = sides
+        return e if lhs is e.lhs and rhs is e.rhs else Arith(e.op, lhs, rhs)
     if isinstance(e, Pow):
         base = _refine(e.base, st, scope)
-        return PRUNED if base is PRUNED else Pow(base, e.exp)
+        if base is PRUNED:
+            return PRUNED
+        return e if base is e.base else Pow(base, e.exp)
     if isinstance(e, Cut):
         return _refine_cut(e, st, scope)
     if isinstance(e, Exists):
@@ -371,7 +709,8 @@ def _log_witnesses(e, env, wlog):
     if isinstance(e, Exists):
         r = e.range
         wlog.append((e.var, r.lo.q, r.hi.q))
-        _log_witnesses(e.body, {**env, e.var: GInterval(r.lo, r.lo)}, wlog)
+        _log_witnesses(e.body, _bind(env, e.var, GInterval(r.lo, r.lo)),
+                       wlog)
     elif isinstance(e, Or):
         for item in e.items:
             if prop_approx(item, env, LOWER):
@@ -382,7 +721,8 @@ def _log_witnesses(e, env, wlog):
             _log_witnesses(item, env, wlog)
     elif isinstance(e, Forall):
         r = e.range
-        _log_witnesses(e.body, {**env, e.var: GInterval(r.lo, r.hi)}, wlog)
+        _log_witnesses(e.body, _bind(env, e.var, GInterval(r.lo, r.hi)),
+                       wlog)
     elif isinstance(e, Restrict):
         _log_witnesses(e.guard, env, wlog)
         _log_witnesses(e.body, env, wlog)
@@ -545,25 +885,29 @@ def run(e, precision=DEFAULT_PRECISION, max_steps=DEFAULT_MAX_STEPS,
     if not is_base(ty):
         return FunctionValue()
     live = list(normalize(e))
-    for step in range(max_steps):
-        sole = len(live) == 1
-        for d in live:
-            out = evaluate_step(d, precision, ty)
-            if out is not None and (sole or not _contains_false(out)):
-                return out
-        nxt = []
-        for d in live:
-            rd = refine_step(d, step, witness_log)
-            if rd is PRUNED:
-                continue
-            if ty == PROP and isinstance(rd, FalseLit) and not sole:
-                continue  # a refuted disjunct adds nothing to the join
-            nxt.append(rd)
-        live = nxt
-        if not live:
-            # Every disjunct proven bottom.  For a prop that *is* the
-            # proof of falsity; elsewhere the value is undefined.
-            if ty == PROP:
-                return PropFalseProven()
-            return Diverged(step + 1)
-    return Diverged(max_steps)
+    token = _RUN_POLYS.set({})
+    try:
+        for step in range(max_steps):
+            sole = len(live) == 1
+            for d in live:
+                out = evaluate_step(d, precision, ty)
+                if out is not None and (sole or not _contains_false(out)):
+                    return out
+            nxt = []
+            for d in live:
+                rd = refine_step(d, step, witness_log)
+                if rd is PRUNED:
+                    continue
+                if ty == PROP and isinstance(rd, FalseLit) and not sole:
+                    continue  # a refuted disjunct adds nothing to the join
+                nxt.append(rd)
+            live = nxt
+            if not live:
+                # Every disjunct proven bottom.  For a prop that *is* the
+                # proof of falsity; elsewhere the value is undefined.
+                if ty == PROP:
+                    return PropFalseProven()
+                return Diverged(step + 1)
+        return Diverged(max_steps)
+    finally:
+        _RUN_POLYS.reset(token)

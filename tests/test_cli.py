@@ -228,6 +228,24 @@ def test_main_divergence_exit_two(tmp_path):
     assert "no result within" in out
 
 
+def test_main_divergence_in_used_file_exit_two(tmp_path):
+    (tmp_path / "diverges.msl").write_text("(2 < 1) ~> 1;;\n",
+                                           encoding="utf-8")
+    code, out, _ = _run_main(["--max-steps", "25"], tmp_path,
+                             '#use "diverges.msl";;\n1 + 1;;')
+    assert code == 2
+    assert out == "real = no result within 1 steps\nreal = 2 ± 0\n"
+
+
+def test_execute_source_reports_divergence_from_outcomes():
+    state, out, _, had_error, had_div = run_script("(2 < 1) ~> 1;;")
+    assert (had_error, had_div) == (False, True)
+    assert state.divergences == 1
+    # A later call reports only its own items.
+    _, _, _, _, had_div = run_script("1 + 1;;", state)
+    assert not had_div
+
+
 def test_main_flags(tmp_path):
     code, out, _ = _run_main(["--precision", "1/100000", "--format",
                               "interval"], tmp_path, "1/3;;")

@@ -8,15 +8,16 @@ from hypothesis import given, strategies as st
 
 import msl.evaluator
 from msl.evaluator import (
-    BoolFF, BoolTT, ClosedEnv, Diverged, FunctionValue, LOWER, PRUNED,
-    PropFalseProven, PropTrue, RealBall, TupleOf, UPPER, evaluate_step,
-    prop_approx, real_approx, refine_step, run,
+    BoolFF, BoolTT, BoxEnv, ClosedEnv, Diverged, FunctionValue, LOWER, PRUNED,
+    PropFalseProven, PropTrue, RealBall, TupleOf, UPPER, compile_polynomial,
+    evaluate_step, prop_approx, real_approx, refine_step, run,
 )
-from msl.interval import ENTIRE, GInterval, XRat
+from msl.interval import ENTIRE, GInterval, POS_INF, XRat
 from msl.syntax import (
     And, Arith, BOOL, Exists, FalseLit, Forall, Less, Or, PROP,
     ProductTy, Range, RatLit, REAL, TrueLit, Var, parse_expression,
 )
+from test_interval import polynomial_terms
 
 F = Fraction
 I = GInterval
@@ -140,9 +141,10 @@ def test_approximant_ordering_lower_implies_upper():
     rng = random.Random(1130)
     for _ in range(300):
         e = _random_quantified_prop(rng)
-        lower = prop_approx(e, {}, LOWER)
-        upper = prop_approx(e, {}, UPPER)
-        assert not (lower and not upper), e
+        for make_env in (dict, ClosedEnv):  # naive alone; centred too
+            lower = prop_approx(e, make_env(), LOWER)
+            upper = prop_approx(e, make_env(), UPPER)
+            assert not (lower and not upper), e
 
 
 # --- refine_step -----------------------------------------------------------------
@@ -255,12 +257,23 @@ def closed_props(data, names=(), depth=3):
                 closed_props(data, names + (var,), depth - 1))
 
 
+def sweep_env_without_memo():
+    """A sweep's environment (the centred test on) with no memo."""
+    env = BoxEnv()
+    env.polys = {}
+    return env
+
+
 @given(st.data())
 def test_memoized_approximants_match_plain_ones(data):
     e = closed_props(data)
     env = ClosedEnv()
     for mode in (LOWER, UPPER, LOWER, UPPER):  # the second round hits
-        assert prop_approx(e, env, mode) == prop_approx(e, {}, mode)
+        memoized = prop_approx(e, env, mode)
+        assert memoized == prop_approx(e, sweep_env_without_memo(), mode)
+        # A sweep may only decide more than the naive test alone.
+        naive = prop_approx(e, {}, mode)
+        assert memoized == naive or memoized is (mode is LOWER)
     assert env.memo
 
 
@@ -446,3 +459,159 @@ def test_run_refinement_preserves_meaning_across_precisions():
 def test_run_rejects_bad_precision():
     with pytest.raises(ValueError):
         run(pe("1"), precision=F(0))
+
+
+# --- the centred form of polynomial comparisons ---------------------------------
+
+def poly_less_and_boxes(data):
+    """A polynomial comparison over one or two variables and proper
+    boxes for them.  The right side is a free polynomial, or a constant
+    between the naive and the centred bound of the left side's range, so
+    that the centred test has a decision to add."""
+    names = data.draw(st.sampled_from((("x",), ("x", "y"))))
+    lhs = data.draw(polynomial_terms(names))
+    for v in names:  # every variable occurs, most often more than once
+        lhs = Arith(data.draw(st.sampled_from("+-*")), lhs,
+                    Arith("*", Var(v), data.draw(polynomial_terms(names))))
+    boxes = {}
+    for v in names:
+        lo = data.draw(st.fractions(min_value=-2, max_value=2,
+                                    max_denominator=8))
+        width = data.draw(st.sampled_from((F(1, 64), F(1, 8), F(1, 2))))
+        boxes[v] = I(lo, lo + width)
+    rhs = data.draw(st.sampled_from(("free", "above", "below")))
+    if rhs == "free":
+        return Less(lhs, data.draw(polynomial_terms(names))), boxes
+    naive = real_approx(lhs, boxes, LOWER)
+    poly = compile_polynomial(Less(lhs, RatLit(F(0))), {})
+    lo, hi = poly.enclosure([(boxes[v].lo.q, boxes[v].hi.q)
+                             for v in poly.names])
+    t = data.draw(st.fractions(min_value=F(1, 16), max_value=1,
+                               max_denominator=16))
+    if rhs == "above":  # above the maximum: a proof to find
+        c = hi + t * (naive.hi.q - hi)
+    else:  # below the minimum: a refutation to find
+        c = naive.lo.q + t * (lo - naive.lo.q)
+    return Less(lhs, RatLit(c)), boxes
+
+
+def difference(less, point):
+    """lhs - rhs at an exact point, by the naive evaluator on points."""
+    env = {v: I(q, q) for v, q in point.items()}
+    lhs = real_approx(less.lhs, env, LOWER)
+    rhs = real_approx(less.rhs, env, LOWER)
+    return lhs.lo.q - rhs.lo.q
+
+
+def sample_points(data, boxes):
+    """Every combination of each box's endpoints, midpoint and one
+    drawn point."""
+    points = [{}]
+    for v, box in boxes.items():
+        a, b = box.lo.q, box.hi.q
+        drawn = a + (b - a) * data.draw(st.fractions(
+            min_value=0, max_value=1, max_denominator=256))
+        points = [dict(p, **{v: q}) for p in points
+                  for q in (a, b, (a + b) / 2, drawn)]
+    return points
+
+
+def sweep_env(boxes):
+    env = sweep_env_without_memo()
+    env.update(boxes)
+    return env
+
+
+@given(st.data())
+def test_centred_enclosure_contains_the_difference(data):
+    less, boxes = poly_less_and_boxes(data)
+    poly = compile_polynomial(less, {})
+    lo, hi = poly.enclosure([(boxes[v].lo.q, boxes[v].hi.q)
+                             for v in poly.names])
+    for point in sample_points(data, boxes):
+        assert lo <= difference(less, point) <= hi
+
+
+@given(st.data())
+def test_centred_test_only_adds_sound_decisions(data):
+    less, boxes = poly_less_and_boxes(data)
+    values = [difference(less, p) for p in sample_points(data, boxes)]
+    duals = {v: box.dual() for v, box in boxes.items()}
+    for mode, bound in ((LOWER, boxes), (UPPER, duals)):
+        naive = prop_approx(less, dict(bound), mode)
+        centred = prop_approx(less, sweep_env(bound), mode)
+        decided = mode is LOWER  # a proof in lower mode, else a refutation
+        if naive is decided:
+            assert centred is decided
+        if centred is decided:
+            assert all((v < 0) is decided for v in values)
+
+
+def test_centred_test_stays_off_the_naive_environments():
+    # A cut probe binds its variable in a plain dict: no centred test.
+    e = pe("forall x : [9/20, 11/20], x * (1 - x) < 1/4 + 1/100")
+    assert prop_approx(e, {}, LOWER) is False
+    assert prop_approx(e, ClosedEnv(), LOWER) is True
+
+
+def test_centred_test_keeps_naive_path_for_cuts_and_unbounded_boxes():
+    assert compile_polynomial(pe(f"x * ({SQRT2_CUT}) < 1"), {}) is None
+    assert compile_polynomial(pe("x / 2 < 1"), {}) is None
+    body = pe("x * (1 - x) < 1/4 + 1/100")
+    unbounded = sweep_env({"x": I(F(1, 4), POS_INF)})
+    assert prop_approx(body, unbounded, LOWER) is False
+
+
+def test_refine_returns_unchanged_nodes_by_identity():
+    e = pe("forall x : [0, 1], x * (1 - x) < 1/4")
+    halves = refine_step(e)
+    assert isinstance(halves, And) and len(halves.items) == 2
+    assert all(half.body is e.body for half in halves.items)
+
+
+def test_run_compiles_each_comparison_once(monkeypatch):
+    compiled = []
+
+    class Counting(msl.evaluator.Polynomial):
+        __slots__ = ()
+
+        def __init__(self, less):
+            compiled.append(less)
+            super().__init__(less)
+
+    monkeypatch.setattr(msl.evaluator, "Polynomial", Counting)
+    e = pe("forall x : [0, 1], x * (1 - x) < 1/4 + 1/1000000")
+    assert run(e) == PropTrue()
+    assert len(compiled) == 1
+    assert msl.evaluator._RUN_POLYS.get() is None  # dropped with the run
+
+
+def test_run_decides_two_variable_cap_bound_existential():
+    e = pe("exists x : [0, 1], exists y : [0, 1], "
+           "x * (1 - x) + y * (1 - y) > 1/2 + 1/1000")
+    assert run(e, max_steps=8) == PropFalseProven()
+
+
+@pytest.mark.parametrize("delta,visits", [
+    ("1/100", 120), ("1/1000000", 400), ("1/1000000000000", 800)])
+def test_run_decides_margin_near_extremum_in_few_visits(monkeypatch, delta,
+                                                        visits):
+    # Naive interval evaluation overestimates x * (1 - x) by about the
+    # box width, so visits grew like delta^-1/2 (186 at 1/100, 22 505 at
+    # 1/1000000).  The centred form overestimates by its square.
+    count = [0]
+    refine = msl.evaluator._refine
+
+    def counting(e, st, scope):
+        count[0] += 1
+        return refine(e, st, scope)
+
+    monkeypatch.setattr(msl.evaluator, "_refine", counting)
+    e = pe(f"forall x : [0, 1], x * (1 - x) < 1/4 + {delta}")
+    assert run(e, max_steps=400) == PropTrue()
+    assert count[0] <= visits
+
+
+def test_run_boundary_degenerate_forall_never_answers_true():
+    e = pe("forall x : [0, 1], x * (1 - x) < 1/4")
+    assert run(e, max_steps=20) == Diverged(20)

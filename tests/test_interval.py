@@ -9,6 +9,8 @@ from msl.interval import (
     DivisionIndeterminate, ENTIRE, GInterval, NEG_INF, POS_INF,
     UnboundedInterval, XRat, ZERO,
 )
+from msl.evaluator import LOWER, UPPER, real_approx
+from msl.syntax import Arith, Pow, RatLit, Var
 
 I = GInterval
 F = Fraction
@@ -126,6 +128,30 @@ def test_neg_dual_homomorphism(x):
 @given(intervals(), st.integers(min_value=0, max_value=5))
 def test_pow_dual_homomorphism(x, k):
     assert (x ** k).dual() == x.dual() ** k
+
+
+def polynomial_terms(names):
+    """Real terms over ``names`` with no Cut, Restrict or division."""
+    variables = st.sampled_from(names).map(Var)
+    leaves = st.one_of(variables, variables, rationals().map(RatLit))
+    return st.recursive(leaves, lambda kids: st.one_of(
+        st.builds(Arith, st.sampled_from("+-*"), kids, kids),
+        st.builds(Pow, kids, st.integers(min_value=0, max_value=3))),
+        max_leaves=8)
+
+
+@given(st.data())
+def test_polynomial_upper_enclosure_is_dual_of_lower(data):
+    # Upper mode binds every quantified variable to a dual box, so by the
+    # dual homomorphisms above the upper-mode enclosure of a polynomial
+    # is the dual of its enclosure over the proper boxes.  This is what
+    # makes any tighter proper enclosure (the centred form) usable in
+    # upper mode.
+    names = data.draw(st.sampled_from((("x",), ("x", "y"))))
+    t = data.draw(polynomial_terms(names))
+    boxes = {v: data.draw(proper_intervals()) for v in names}
+    duals = {v: box.dual() for v, box in boxes.items()}
+    assert real_approx(t, duals, UPPER) == real_approx(t, boxes, LOWER).dual()
 
 
 @given(proper_intervals(), proper_intervals(), st.data())
