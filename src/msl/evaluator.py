@@ -44,6 +44,20 @@ quantifiers split at range midpoints, proven guards unwrap and refuted
 guards prune their branch.  The run loop alternates evaluation attempts
 with one fair refinement sweep over all live disjuncts of the normal
 form until one disjunct is precise enough to answer.
+
+A sweep does each distinct piece of work once.  A closed prop is decided
+once per approximant mode (``ClosedEnv``).  A settled subtree -- only
+variables, literals, ``+ - * /`` and powers, under comparisons and
+connectives that have free variables and that ``mk_and``/``mk_or``
+would not fold -- cannot change, so it comes back by identity without
+a walk.  ``normalize`` makes equal closed cuts one object, and a sweep
+refines each once and hands the result to its other occurrences.  Work
+is metered in node visits, and a sweep stops refining after
+``SWEEP_VISIT_CAP`` of them.  Skipped work still counts: a settled
+subtree adds its node count, and a shared cut adds the visits of its
+first walk and logs its witnesses again.  A shared cut is reused only
+when a walk of it would run in full below the cap.  So the cap binds
+exactly where a full walk of every copy would make it bind.
 """
 
 from __future__ import annotations
@@ -58,7 +72,7 @@ from .normalize import mk_and, mk_or, normalize
 from .syntax import (
     And, App, Arith, BOOL, Cut, Exists, FalseLit, Forall, IsFalse, IsTrue,
     Join, Lambda, Less, MkBool, Or, PROP, Pow, ProductTy, Proj, Range, RatLit,
-    Restrict, Tuple, TrueLit, Var,
+    Restrict, Tuple, TrueLit, Var, free_vars, keep,
 )
 from .typecheck import infer_type, is_base
 
@@ -151,7 +165,10 @@ PRUNED = _PrunedType()
 def real_approx(e, env, mode):
     """Interval approximation of a join-free real expression."""
     if isinstance(e, RatLit):
-        return GInterval.point(e.value)
+        point = e._point
+        if point is None:
+            point = keep(e, "_point", GInterval.point(e.value))
+        return point
     if isinstance(e, Var):
         try:
             return env[e.name]
@@ -566,16 +583,18 @@ SWEEP_VISIT_CAP = 10_000
 
 
 class _Sweep:
-    """Mutable per-sweep state: probe pacing, witness log, work budget
-    and the environment (with its memo) of the closed nodes."""
+    """Mutable per-sweep state: probe pacing, witness log, work budget,
+    the environment (with its memo) of the closed nodes and the kept
+    walks of closed cuts (see ``_refine_shared``)."""
 
-    __slots__ = ("n", "wlog", "visits", "closed")
+    __slots__ = ("n", "wlog", "visits", "closed", "cuts")
 
     def __init__(self, n, wlog, polys):
         self.n = n
         self.wlog = wlog
         self.visits = 0
         self.closed = ClosedEnv(polys)
+        self.cuts = {}
 
     def may_split(self):
         return self.visits < SWEEP_VISIT_CAP
@@ -611,7 +630,14 @@ def _refine(e, st, scope):
     st.visits += 1
     if st.visits > SWEEP_VISIT_CAP:
         return e  # past the sweep horizon: left for a later round
-    if isinstance(e, _PROP_NODES) and not _uses(e, scope):
+    fv = free_vars(e)
+    size = _settled_size(e)
+    if size and fv <= scope:
+        # Walking it would visit every node and change none.  Coming back
+        # by identity also keeps the run's compiled comparisons valid.
+        st.visits += size - 1
+        return e
+    if isinstance(e, _PROP_NODES) and fv.isdisjoint(scope):
         if prop_approx(e, st.closed, LOWER):
             if st.wlog is not None:
                 _log_witnesses(e, st.closed, st.wlog)
@@ -628,27 +654,19 @@ def _refine(e, st, scope):
     if isinstance(e, Or):
         items = _refine_all(e.items, st, scope)
         return PRUNED if items is PRUNED else mk_or(items)
-    # Less, Arith and Pow come back as the same object when no child
-    # changed, so the run's compiled comparisons stay valid.
     if isinstance(e, Less):
         sides = _refine_all((e.lhs, e.rhs), st, scope)
-        if sides is PRUNED:
-            return PRUNED
-        lhs, rhs = sides
-        return e if lhs is e.lhs and rhs is e.rhs else Less(lhs, rhs)
+        return PRUNED if sides is PRUNED else Less(*sides)
     if isinstance(e, Arith):
         sides = _refine_all((e.lhs, e.rhs), st, scope)
-        if sides is PRUNED:
-            return PRUNED
-        lhs, rhs = sides
-        return e if lhs is e.lhs and rhs is e.rhs else Arith(e.op, lhs, rhs)
+        return PRUNED if sides is PRUNED else Arith(e.op, *sides)
     if isinstance(e, Pow):
         base = _refine(e.base, st, scope)
-        if base is PRUNED:
-            return PRUNED
-        return e if base is e.base else Pow(base, e.exp)
+        return PRUNED if base is PRUNED else Pow(base, e.exp)
     if isinstance(e, Cut):
-        return _refine_cut(e, st, scope)
+        if fv:
+            return _refine_cut(e, st, scope)
+        return _refine_shared(e, st, scope)
     if isinstance(e, Exists):
         return _split_quantifier(e, Exists, mk_or, st, scope)
     if isinstance(e, Forall):
@@ -701,6 +719,34 @@ def _refine_all(items, st, scope):
     return out
 
 
+def _settled_size(e):
+    """The node count of ``e`` if refinement returns it unchanged, else 0.
+
+    That holds for a tree of ``Var``, ``RatLit``, ``Arith`` and ``Pow``
+    nodes and of ``Less``/``And``/``Or`` nodes that have free variables
+    (so ``_refine`` never decides them once their variables are in
+    scope) and that ``mk_and``/``mk_or`` would rebuild as they are.  The
+    count is kept on the node.
+    """
+    n = e._settled
+    if n is not None:
+        return n
+    n = 0
+    if isinstance(e, (Var, RatLit)):
+        n = 1
+    elif isinstance(e, Pow):
+        n = _settled_size(e.base) and 1 + _settled_size(e.base)
+    elif isinstance(e, (Arith, Less, And, Or)):
+        kids = e.items if isinstance(e, (And, Or)) else (e.lhs, e.rhs)
+        sizes = [_settled_size(kid) for kid in kids]
+        # mk_and/mk_or fold a connective of one item or of its own kind.
+        folds = isinstance(e, (And, Or)) and (
+            len(kids) < 2 or any(type(kid) is type(e) for kid in kids))
+        if all(sizes) and not folds and (isinstance(e, Arith) or free_vars(e)):
+            n = 1 + sum(sizes)
+    return keep(e, "_settled", n)
+
+
 def _log_witnesses(e, env, wlog):
     """Record the range of every existential along a positive certificate.
 
@@ -744,13 +790,38 @@ def _split_quantifier(e, node, combine, st, scope):
                     node(e.var, Range(XRat(m), XRat(b)), body)])
 
 
+def _refine_shared(e, st, scope):
+    """Refine a closed cut once per sweep.
+
+    ``normalize`` makes equal closed cuts one object, and the refinement
+    of a closed cut depends on the sweep alone, not on where the cut
+    occurs.  The first walk is kept.  A later occurrence takes its result
+    only when it would be walked in full below the cap too (then so was
+    the first, which ended before it began), and adds the same visits
+    and logs the same witnesses.  Otherwise it is walked as before.
+    """
+    start = st.visits
+    kept = st.cuts.get(id(e))
+    if kept is not None:
+        out, visits, entries = kept
+        if start + visits < SWEEP_VISIT_CAP:
+            st.visits += visits
+            if entries:
+                st.wlog.extend(entries)
+            return out
+        return _refine_cut(e, st, scope)
+    mark = None if st.wlog is None else len(st.wlog)
+    out = _refine_cut(e, st, scope)
+    entries = () if mark is None else st.wlog[mark:]
+    st.cuts[id(e)] = (out, st.visits - start, entries)
+    return out
+
+
 def _refine_cut(e, st, scope):
     lo, hi = e.range.lo, e.range.hi
     # The cut's own variable is bound here even when an enclosing binder
-    # of the same name is in scope.
-    outer = scope - {e.var}
-    probeable = not _uses(e.left, outer) and not _uses(e.right, outer)
-    if probeable:
+    # of the same name is in scope, so only its free variables count.
+    if free_vars(e).isdisjoint(scope):
         if lo.is_finite and hi.is_finite:
             a, b = lo.q, hi.q
             q1 = (2 * a + b) / 3
@@ -779,40 +850,6 @@ def _refine_cut(e, st, scope):
     if sides is PRUNED:
         return PRUNED  # a cut over an undefined predicate cannot converge
     return Cut(e.var, rng, *sides)
-
-
-def _uses(e, scope):
-    """Does ``e`` mention any of the names in ``scope`` as a free variable?"""
-    if not scope:
-        return False
-    if isinstance(e, Var):
-        return e.name in scope
-    if isinstance(e, (TrueLit, FalseLit, RatLit)):
-        return False
-    if isinstance(e, (And, Or, Join, Tuple)):
-        return any(_uses(item, scope) for item in e.items)
-    if isinstance(e, (Less, Arith)):
-        return _uses(e.lhs, scope) or _uses(e.rhs, scope)
-    if isinstance(e, Pow):
-        return _uses(e.base, scope)
-    if isinstance(e, App):
-        return _uses(e.fn, scope) or _uses(e.arg, scope)
-    if isinstance(e, Proj):
-        return _uses(e.tuple_, scope)
-    if isinstance(e, Restrict):
-        return _uses(e.guard, scope) or _uses(e.body, scope)
-    if isinstance(e, MkBool):
-        return _uses(e.if_true, scope) or _uses(e.if_false, scope)
-    if isinstance(e, (IsTrue, IsFalse)):
-        return _uses(e.arg, scope)
-    if isinstance(e, Cut):
-        inner = scope - {e.var}
-        return _uses(e.left, inner) or _uses(e.right, inner)
-    if isinstance(e, (Exists, Forall)):
-        return _uses(e.body, scope - {e.var})
-    if isinstance(e, Lambda):
-        return _uses(e.body, scope - {e.var})
-    raise EvalError(f"_uses: {type(e).__name__}")
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,12 @@ projections and the boolean projections push through restriction
 ``g /\\ is_true b``), and a prop-typed restriction itself collapses to a
 conjunction.  Literal conjunctions and disjunctions are folded, and
 duplicate disjuncts of a join are dropped.
+
+Equal closed cuts denote the same real, so one ``normalize`` call makes
+them one object: every copy of a closed cut that substitution spreads
+through a term (``max (sqrt 2) (cbrt 3)`` holds each argument in both
+the left and the right predicate of its cut) is the same node, and a
+refinement sweep refines it once (see ``evaluator``).
 """
 
 from __future__ import annotations
@@ -48,7 +54,7 @@ class NormalForm:
 
 def normalize(e):
     """Normalize a closed, well-typed expression."""
-    return NormalForm(tuple(_nf(e, {})))
+    return NormalForm(tuple(_nf(e, {}, {})))
 
 
 # ---------------------------------------------------------------------------
@@ -182,78 +188,83 @@ def _dedup(disjuncts):
 
 
 # ---------------------------------------------------------------------------
-# The normalizer proper: returns the list of join-free disjuncts.
+# The normalizer proper: returns the list of join-free disjuncts.  ``cuts``
+# maps each closed cut built so far to itself, so equal ones are shared.
 
 
-def _nf(e, ctx):
+def _nf(e, ctx, cuts):
     if isinstance(e, (Var, TrueLit, FalseLit, RatLit)):
         return [e]
     if isinstance(e, Join):
         out = []
         for item in e.items:
-            out.extend(_nf(item, ctx))
+            out.extend(_nf(item, ctx, cuts))
         return _dedup(out)
     if isinstance(e, And):
-        return [mk_and([_embed(_nf(item, ctx)) for item in e.items])]
+        return [mk_and([_embed(_nf(item, ctx, cuts)) for item in e.items])]
     if isinstance(e, Or):
-        return [mk_or([_embed(_nf(item, ctx)) for item in e.items])]
+        return [mk_or([_embed(_nf(item, ctx, cuts)) for item in e.items])]
     if isinstance(e, Less):
         return [Less(a, b)
-                for a in _nf(e.lhs, ctx) for b in _nf(e.rhs, ctx)]
+                for a in _nf(e.lhs, ctx, cuts) for b in _nf(e.rhs, ctx, cuts)]
     if isinstance(e, Arith):
         return [Arith(e.op, a, b)
-                for a in _nf(e.lhs, ctx) for b in _nf(e.rhs, ctx)]
+                for a in _nf(e.lhs, ctx, cuts) for b in _nf(e.rhs, ctx, cuts)]
     if isinstance(e, Pow):
-        return [Pow(b, e.exp) for b in _nf(e.base, ctx)]
+        return [Pow(b, e.exp) for b in _nf(e.base, ctx, cuts)]
     if isinstance(e, Tuple):
         rows = [[]]
         for item in e.items:
-            rows = [row + [d] for row in rows for d in _nf(item, ctx)]
+            rows = [row + [d] for row in rows for d in _nf(item, ctx, cuts)]
         return [Tuple(tuple(row)) for row in rows]
     if isinstance(e, Proj):
-        return [_proj_reduce(d, e.index) for d in _nf(e.tuple_, ctx)]
+        return [_proj_reduce(d, e.index) for d in _nf(e.tuple_, ctx, cuts)]
     if isinstance(e, Lambda):
         inner = {**ctx, e.var: e.var_ty}
-        return [Lambda(e.var, e.var_ty, d) for d in _nf(e.body, inner)]
+        return [Lambda(e.var, e.var_ty, d) for d in _nf(e.body, inner, cuts)]
     if isinstance(e, App):
         out = []
-        for fn in _nf(e.fn, ctx):
-            for arg in _nf(e.arg, ctx):
+        for fn in _nf(e.fn, ctx, cuts):
+            for arg in _nf(e.arg, ctx, cuts):
                 if isinstance(fn, Lambda):
-                    out.extend(_nf(substitute(fn.var, arg, fn.body), ctx))
+                    body = substitute(fn.var, arg, fn.body)
+                    out.extend(_nf(body, ctx, cuts))
                 else:
                     out.append(App(fn, arg))
         return _dedup(out)
     if isinstance(e, Let):
         out = []
-        for bound in _nf(e.bound, ctx):
-            out.extend(_nf(substitute(e.var, bound, e.body), ctx))
+        for bound in _nf(e.bound, ctx, cuts):
+            out.extend(_nf(substitute(e.var, bound, e.body), ctx, cuts))
         return _dedup(out)
     if isinstance(e, Cut):
         inner = {**ctx, e.var: REAL}
-        left = _embed(_nf(e.left, inner))
-        right = _embed(_nf(e.right, inner))
-        return [Cut(e.var, e.range, left, right)]
+        left = _embed(_nf(e.left, inner, cuts))
+        right = _embed(_nf(e.right, inner, cuts))
+        cut = Cut(e.var, e.range, left, right)
+        if not free_vars(cut):
+            cut = cuts.setdefault(cut, cut)
+        return [cut]
     if isinstance(e, Exists):
-        body = _embed(_nf(e.body, {**ctx, e.var: REAL}))
+        body = _embed(_nf(e.body, {**ctx, e.var: REAL}, cuts))
         return [Exists(e.var, e.range, body)]
     if isinstance(e, Forall):
-        body = _embed(_nf(e.body, {**ctx, e.var: REAL}))
+        body = _embed(_nf(e.body, {**ctx, e.var: REAL}, cuts))
         return [Forall(e.var, e.range, body)]
     if isinstance(e, Restrict):
-        guard = _embed(_nf(e.guard, ctx))
+        guard = _embed(_nf(e.guard, ctx, cuts))
         if infer_type(ctx, e.body) == PROP:
             # Restriction at prop is conjunction with the guard.
-            return [mk_and([guard, _embed(_nf(e.body, ctx))])]
-        return [Restrict(guard, d) for d in _nf(e.body, ctx)]
+            return [mk_and([guard, _embed(_nf(e.body, ctx, cuts))])]
+        return [Restrict(guard, d) for d in _nf(e.body, ctx, cuts)]
     if isinstance(e, MkBool):
-        p = _embed(_nf(e.if_true, ctx))
-        q = _embed(_nf(e.if_false, ctx))
+        p = _embed(_nf(e.if_true, ctx, cuts))
+        q = _embed(_nf(e.if_false, ctx, cuts))
         return [MkBool(p, q)]
     if isinstance(e, IsTrue):
-        return _dedup([_bool_project(d, True) for d in _nf(e.arg, ctx)])
+        return _dedup([_bool_project(d, True) for d in _nf(e.arg, ctx, cuts)])
     if isinstance(e, IsFalse):
-        return _dedup([_bool_project(d, False) for d in _nf(e.arg, ctx)])
+        return _dedup([_bool_project(d, False) for d in _nf(e.arg, ctx, cuts)])
     raise TypeError(f"normalize: {type(e).__name__}")
 
 

@@ -76,6 +76,20 @@ class ParseError(SourceError):
 class Expr:
     loc: Loc | None = field(default=None, compare=False, repr=False, kw_only=True)
 
+    # Facts that depend on a node alone are computed on first use and
+    # kept on the node (see ``keep``).  They are class attributes, not
+    # dataclass fields, so equality, hashing, repr and
+    # ``dataclasses.fields`` ignore them, and ``dataclasses.replace``
+    # makes a node that has none yet.
+    _fv = None  # free_vars
+    _settled = None  # evaluator._settled_size
+
+
+def keep(e, attr, value):
+    """Keep ``value`` on node ``e`` as its cached ``attr``; return it."""
+    object.__setattr__(e, attr, value)
+    return value
+
 
 @dataclass(frozen=True)
 class Var(Expr):
@@ -95,6 +109,8 @@ class FalseLit(Expr):
 @dataclass(frozen=True)
 class RatLit(Expr):
     value: Fraction = Fraction(0)
+
+    _point = None  # evaluator.real_approx
 
 
 @dataclass(frozen=True)
@@ -904,39 +920,57 @@ def range_str(r):
 
 
 def free_vars(e):
-    """The free variable names of an expression."""
+    """The free variable names of an expression, as a frozenset.
+
+    The set is kept on the node and built from the kept sets of its
+    children, so each node's set is computed once.  A node whose set
+    equals a child's shares that child's set object.
+    """
+    fv = e._fv
+    if fv is not None:
+        return fv
     if isinstance(e, Var):
-        return {e.name}
-    if isinstance(e, (TrueLit, FalseLit, RatLit)):
-        return set()
-    if isinstance(e, Cut):
-        out = (free_vars(e.left) | free_vars(e.right)) - {e.var}
-        return out
-    if isinstance(e, (Exists, Forall)):
-        return free_vars(e.body) - {e.var}
-    if isinstance(e, Lambda):
-        return free_vars(e.body) - {e.var}
-    if isinstance(e, Let):
-        return free_vars(e.bound) | (free_vars(e.body) - {e.var})
-    if isinstance(e, (And, Or, Join, Tuple)):
-        out = set()
-        for item in e.items:
-            out |= free_vars(item)
-        return out
-    if isinstance(e, Less):
-        return free_vars(e.lhs) | free_vars(e.rhs)
-    if isinstance(e, Arith):
-        return free_vars(e.lhs) | free_vars(e.rhs)
-    if isinstance(e, Pow):
-        return free_vars(e.base)
-    if isinstance(e, App):
-        return free_vars(e.fn) | free_vars(e.arg)
-    if isinstance(e, Proj):
-        return free_vars(e.tuple_)
-    if isinstance(e, Restrict):
-        return free_vars(e.guard) | free_vars(e.body)
-    if isinstance(e, MkBool):
-        return free_vars(e.if_true) | free_vars(e.if_false)
-    if isinstance(e, (IsTrue, IsFalse)):
-        return free_vars(e.arg)
-    raise TypeError(f"free_vars: {type(e).__name__}")
+        fv = frozenset((e.name,))
+    elif isinstance(e, (TrueLit, FalseLit, RatLit)):
+        fv = _NO_VARS
+    elif isinstance(e, Cut):
+        fv = _bind_out(_union(free_vars(e.left), free_vars(e.right)), e.var)
+    elif isinstance(e, (Exists, Forall, Lambda)):
+        fv = _bind_out(free_vars(e.body), e.var)
+    elif isinstance(e, Let):
+        fv = _union(free_vars(e.bound), _bind_out(free_vars(e.body), e.var))
+    elif isinstance(e, (And, Or, Join, Tuple)):
+        fv = _union(*map(free_vars, e.items))
+    elif isinstance(e, (Less, Arith)):
+        fv = _union(free_vars(e.lhs), free_vars(e.rhs))
+    elif isinstance(e, Pow):
+        fv = free_vars(e.base)
+    elif isinstance(e, App):
+        fv = _union(free_vars(e.fn), free_vars(e.arg))
+    elif isinstance(e, Proj):
+        fv = free_vars(e.tuple_)
+    elif isinstance(e, Restrict):
+        fv = _union(free_vars(e.guard), free_vars(e.body))
+    elif isinstance(e, MkBool):
+        fv = _union(free_vars(e.if_true), free_vars(e.if_false))
+    elif isinstance(e, (IsTrue, IsFalse)):
+        fv = free_vars(e.arg)
+    else:
+        raise TypeError(f"free_vars: {type(e).__name__}")
+    return keep(e, "_fv", fv)
+
+
+_NO_VARS = frozenset()
+
+
+def _union(*sets):
+    """The union of frozensets, as one of them when it holds the rest."""
+    out = _NO_VARS
+    for s in sets:
+        if not s <= out:
+            out = s if out <= s else out | s
+    return out
+
+
+def _bind_out(fv, var):
+    return fv - {var} if var in fv else fv

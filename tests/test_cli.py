@@ -103,6 +103,24 @@ def test_trace_reports_subinterval_found_by_splitting():
     assert F(2, 5) < lo < F(3, 5)
 
 
+def test_trace_of_a_shared_cut_prints_each_occurrence():
+    # ``half`` is one object in each normal form, refined once per sweep;
+    # its witness is still printed once per occurrence, as when every
+    # occurrence was a separate copy.
+    script = """#use "prelude.msl";; #trace on;;
+let half = cut r : [0, 2]
+  left (r < 1 /\\ exists y : [0, 1], 1/3 < y /\\ y < 1/2)
+  right (1 < r \\/ forall y : [0, 1], y < 2/3);;
+half + half;;
+max half (half + 1/2);;
+"""
+    _, out, err, _, _ = run_script(script)
+    witness = "(witness y in [3/8, 1/2])\n"
+    assert err == ""
+    assert out == (2 * witness + "real = 3188600/1594323 ± 1024/4782969\n"
+                   + 4 * witness + "real = 797150/531441 ± 256/531441\n")
+
+
 def test_use_cycle_is_rejected(tmp_path):
     (tmp_path / "a.msl").write_text('#use "b.msl";;', encoding="utf-8")
     (tmp_path / "b.msl").write_text('#use "a.msl";;', encoding="utf-8")
