@@ -24,7 +24,10 @@ Equal closed cuts denote the same real, so one ``normalize`` call makes
 them one object: every copy of a closed cut that substitution spreads
 through a term (``max (sqrt 2) (cbrt 3)`` holds each argument in both
 the left and the right predicate of its cut) is the same node, and a
-refinement sweep refines it once (see ``evaluator``).
+refinement sweep refines it once (see ``evaluator``).  Substitution
+returns a subtree in which the name is not free as the same object, and
+a closed cut that ``normalize`` built is normal already, so it is not
+normalized again when substitution moves it into a body.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from dataclasses import dataclass
 from .syntax import (
     And, App, Arith, Cut, Exists, FalseLit, Forall, IsFalse, IsTrue, Join,
     Lambda, Less, Let, MkBool, Or, PROP, Pow, Proj, RatLit, REAL, Restrict,
-    Tuple, TrueLit, Var, free_vars,
+    Tuple, TrueLit, Var, free_vars, keep,
 )
 from .typecheck import infer_type
 
@@ -63,10 +66,10 @@ def normalize(e):
 
 def substitute(name, value, e):
     """Capture-avoiding substitution of ``value`` for ``name`` in ``e``."""
+    if name not in free_vars(e):
+        return e  # the same object: closed cuts in it stay shared
     if isinstance(e, Var):
-        return value if e.name == name else e
-    if isinstance(e, (TrueLit, FalseLit, RatLit)):
-        return e
+        return value
     if isinstance(e, (And, Or, Join, Tuple)):
         items = tuple(substitute(name, value, item) for item in e.items)
         return type(e)(items, loc=e.loc)
@@ -184,6 +187,8 @@ def _embed(disjuncts):
 
 
 def _dedup(disjuncts):
+    if len(disjuncts) < 2:
+        return disjuncts  # nothing to drop: skip hashing the tree
     return list(dict.fromkeys(disjuncts))
 
 
@@ -238,12 +243,16 @@ def _nf(e, ctx, cuts):
             out.extend(_nf(substitute(e.var, bound, e.body), ctx, cuts))
         return _dedup(out)
     if isinstance(e, Cut):
+        if e._normal:
+            # A closed cut built here before: it would normalize to itself.
+            return [cuts.setdefault(e, e)]
         inner = {**ctx, e.var: REAL}
         left = _embed(_nf(e.left, inner, cuts))
         right = _embed(_nf(e.right, inner, cuts))
         cut = Cut(e.var, e.range, left, right)
         if not free_vars(cut):
             cut = cuts.setdefault(cut, cut)
+            keep(cut, "_normal", True)
         return [cut]
     if isinstance(e, Exists):
         body = _embed(_nf(e.body, {**ctx, e.var: REAL}, cuts))

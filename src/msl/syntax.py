@@ -132,6 +132,19 @@ class Cut(Expr):
     left: Expr = None
     right: Expr = None
 
+    _hash = None
+    _normal = False  # normalize._nf: a closed cut it built
+
+    def __hash__(self):
+        # The structural hash, kept on the node: normalize interns
+        # closed cuts by equality, and a cut nested in another would
+        # otherwise be walked again by every enclosing cut's hash.
+        h = self._hash
+        if h is None:
+            h = keep(self, "_hash",
+                     hash((self.var, self.range, self.left, self.right)))
+        return h
+
 
 @dataclass(frozen=True)
 class And(Expr):

@@ -117,8 +117,8 @@ max half (half + 1/2);;
     _, out, err, _, _ = run_script(script)
     witness = "(witness y in [3/8, 1/2])\n"
     assert err == ""
-    assert out == (2 * witness + "real = 3188600/1594323 ± 1024/4782969\n"
-                   + 4 * witness + "real = 797150/531441 ± 256/531441\n")
+    assert out == (2 * witness + "real = 2 ± 0.000274658203125\n"
+                   + 4 * witness + "real = 1.5 ± 0.00001049041748046875\n")
 
 
 def test_use_cycle_is_rejected(tmp_path):

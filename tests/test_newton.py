@@ -1,0 +1,249 @@
+"""Cut probes at Newton-chosen dyadic points.
+
+An endpoint of a finite cut moves only where a lower-mode probe of
+``left``/``right`` holds, wherever the probe point comes from.  These
+tests check with exact ``Fraction`` arithmetic that every endpoint still
+brackets the cut's value, that the points a Newton step picks are
+dyadic, that no cut needs more sweeps than trisection would, and that
+the per-sweep precision ceiling bounds the bits of the endpoints.
+"""
+
+import dataclasses
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import msl.evaluator
+from msl.evaluator import (
+    PROBE_BITS_PER_SWEEP, _newton_points, evaluate_step, refine_step,
+)
+from msl.normalize import normalize
+from msl.prelude import load_prelude
+from msl.syntax import (
+    Cut, Def, Expr, Let, REAL, parse_expression, parse_program,
+)
+
+CUT_DEFS = """
+let sqrt = fun a : real =>
+  cut y : [0, 64] left (y < 0 \\/ y * y < a) right (y > 0 /\\ y * y > a);;
+let cbrt = fun a : real =>
+  cut y : [0, 16] left (y ^ 3 < a) right (y ^ 3 > a);;
+let golden = fun a : real =>
+  cut y : [0, 64] left (y < 0 \\/ y * y + y < a)
+                  right (y > 0 /\\ y * y + y > a);;
+let sqrt_of = fun a : real =>
+  cut r : [0, 64] left (r < 0 \\/ r * r < a) right (r > 0 /\\ r * r > a);;
+"""
+
+SOURCES = {
+    "sqrt": "sqrt {0}",
+    "cbrt": "cbrt {0}",
+    "golden": "golden {0}",
+    "sqrt4": "sqrt_of (sqrt {0})",
+    "max": "max (sqrt {0}) (cbrt {1})",
+    "min": "min (sqrt {0}) (cbrt {1})",
+}
+
+# Each cut computes the nonnegative root of P(y) = k for one of these P,
+# which all increase on y >= 0 from P(0) = 0.
+POLYS = {"sqrt": lambda y: y * y, "cbrt": lambda y: y ** 3,
+         "golden": lambda y: y * y + y, "sqrt4": lambda y: y ** 4}
+
+
+def below(x, p, k):
+    """Is x at most the nonnegative root of p(y) = k?"""
+    return x <= 0 or p(x) <= k
+
+
+def above(x, p, k):
+    """Is x at least the nonnegative root of p(y) = k?"""
+    return x >= 0 and p(x) >= k
+
+
+def sole_disjunct(source):
+    e = parse_expression(source)
+    defs = list(load_prelude()) + list(parse_program(CUT_DEFS))
+    for item in reversed(defs):
+        assert isinstance(item, Def)
+        e = Let(item.name, item.body, e)
+    (d,) = normalize(e)
+    return d
+
+
+def cuts_with_oracles(kind, d, a, b):
+    """Each cut of the sole disjunct ``d`` with a test of its endpoints:
+    (cut, brackets(lo, hi)).  Infinite endpoints bracket everything."""
+    square, cube = POLYS["sqrt"], POLYS["cbrt"]
+
+    def root(p, k):
+        return lambda lo, hi: ((lo is None or below(lo, p, k))
+                               and (hi is None or above(hi, p, k)))
+
+    if kind in ("sqrt", "cbrt", "golden"):
+        return [(d, root(POLYS[kind], a))]
+    if kind == "sqrt4":
+        inner = d.left.items[1].rhs  # r < 0 \/ r * r < sqrt a
+        return [(d, root(POLYS["sqrt4"], a)), (inner, root(square, a))]
+    sq, cb = (less.rhs for less in d.left.items)  # z < sqrt a, z < cbrt b
+    if kind == "max":
+        def outer(lo, hi):
+            return ((lo is None or below(lo, square, a) or below(lo, cube, b))
+                    and (hi is None
+                         or (above(hi, square, a) and above(hi, cube, b))))
+    else:
+        def outer(lo, hi):
+            return ((lo is None or (below(lo, square, a)
+                                    and below(lo, cube, b)))
+                    and (hi is None
+                         or above(hi, square, a) or above(hi, cube, b)))
+    return [(d, outer), (sq, root(square, a)), (cb, root(cube, b))]
+
+
+def endpoints(cut):
+    r = cut.range
+    return (r.lo.q if r.lo.is_finite else None,
+            r.hi.q if r.hi.is_finite else None)
+
+
+def is_dyadic(q):
+    den = q.denominator
+    return den & (den - 1) == 0
+
+
+def max_bits(e):
+    """The largest bit-length of a numerator or denominator of a cut
+    endpoint anywhere in ``e``."""
+    out = 0
+    if isinstance(e, Cut):
+        for q in endpoints(e):
+            if q is not None:
+                out = max(out, abs(q.numerator).bit_length(),
+                          q.denominator.bit_length())
+    for f in dataclasses.fields(e):
+        value = getattr(e, f.name)
+        for child in value if isinstance(value, tuple) else (value,):
+            if isinstance(child, Expr):
+                out = max(out, max_bits(child))
+    return out
+
+
+def sweeps_to(d, precision, limit=2000):
+    """The number of sweeps after which ``d`` evaluates at ``precision``."""
+    for n in range(limit):
+        if evaluate_step(d, precision, REAL) is not None:
+            return n
+        d = refine_step(d, n)
+    raise AssertionError(f"no answer within {limit} sweeps")
+
+
+KINDS = st.sampled_from(sorted(SOURCES))
+RADICANDS = st.integers(min_value=2, max_value=999)
+SWEEPS = 26
+
+
+@settings(max_examples=40, deadline=None)
+@given(KINDS, RADICANDS, RADICANDS)
+def test_every_endpoint_brackets_the_root_and_newton_points_are_dyadic(
+        kind, a, b):
+    d = sole_disjunct(SOURCES[kind].format(a, b))
+    newton_moves = 0
+    for n in range(SWEEPS):
+        before = [endpoints(c) for c, _ in cuts_with_oracles(kind, d, a, b)]
+        d = refine_step(d, n)
+        pairs = cuts_with_oracles(kind, d, a, b)
+        for (cut, brackets), (lo0, hi0) in zip(pairs, before):
+            lo, hi = endpoints(cut)
+            assert brackets(lo, hi), (kind, a, b, n, lo, hi)
+            if lo0 is None or hi0 is None:
+                continue
+            # An endpoint that moved anywhere but to its trisection
+            # point moved to a Newton point, which lies on a dyadic grid.
+            for new, old, third in ((lo, lo0, (2 * lo0 + hi0) / 3),
+                                    (hi, hi0, (lo0 + 2 * hi0) / 3)):
+                if new not in (old, third):
+                    assert is_dyadic(new), (kind, a, b, n, new)
+                    newton_moves += 1
+    assert newton_moves  # the property above is not vacuous
+    if kind in ("sqrt", "cbrt", "golden"):
+        # Near the root both sides take their Newton points.
+        assert all(map(is_dyadic, endpoints(d)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(KINDS, RADICANDS, RADICANDS, st.integers(min_value=1, max_value=24))
+def test_no_cut_needs_more_sweeps_than_trisection(kind, a, b, digits):
+    source = SOURCES[kind].format(a, b)
+    precision = Fraction(1, 10 ** digits)
+    newton = sweeps_to(sole_disjunct(source), precision)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(msl.evaluator, "_newton_points", lambda *args: ())
+        trisection = sweeps_to(sole_disjunct(source), precision)
+    assert newton <= trisection + 2, (source, digits, newton, trisection)
+
+
+def test_endpoint_bits_stay_under_the_sweep_ceiling():
+    # Without the ceiling the inner cuts double their endpoint bits every
+    # sweep while the outer max is still trisecting.
+    d = sole_disjunct(SOURCES["max"].format(713, 500))
+    precision = Fraction(1, 10 ** 32)
+    for n in range(60):
+        if evaluate_step(d, precision, REAL) is not None:
+            break
+        d = refine_step(d, n)
+        assert max_bits(d) <= PROBE_BITS_PER_SWEEP * (n + 1) + 16, n
+    else:
+        pytest.fail("no answer within 60 sweeps")
+    assert n <= 30  # trisection needs about 120
+
+
+def test_newton_points_straddle_the_root_on_a_dyadic_grid():
+    d = sole_disjunct("sqrt 2")
+    a, b = Fraction(7, 5), Fraction(3, 2)
+    points = _newton_points(d, a, b, 0)
+    assert len(points) == 2 and all(a < p < b and is_dyadic(p)
+                                    for p in points)
+    lo, hi = points
+    assert lo * lo < 2 < hi * hi
+    assert hi - lo < (b - a) / 3  # narrower than trisection can get
+    # Where 4 w^2 >= w the Newton step is skipped in favour of trisection.
+    assert _newton_points(d, Fraction(1), Fraction(3, 2), 0) == ()
+
+
+@settings(max_examples=60, deadline=None)
+@given(RADICANDS, st.integers(min_value=-1, max_value=1),
+       st.integers(min_value=1, max_value=60), st.booleans())
+def test_each_endpoint_moves_only_where_its_own_probe_holds(k, shift, gap,
+                                                             gap_above):
+    # A cut whose predicates leave a gap next to sqrt k: points the Newton
+    # step of one side picks may lie in the gap, where the other side's
+    # probe fails.  Each endpoint must still move only to a point where
+    # its own predicate holds, checked exactly.
+    s = Fraction(round(k ** 0.5 * 64) + shift, 64)
+    t = s + Fraction(gap, 1024) if gap_above else s - Fraction(gap, 1024)
+    a, b = s - Fraction(1, 16), s + Fraction(1, 16)
+    if gap_above:  # left: y < sqrt k; right: y > t, about sqrt k or more
+        source = (f"cut y : [{a}, {b}] left (y < 0 \\/ y * y < {k}) "
+                  f"right (({t}) < y)")
+
+        def left(x):
+            return x < 0 or x * x < k
+
+        def right(x):
+            return x > t
+    else:  # left: y < t, about sqrt k or less; right: y > sqrt k
+        source = (f"cut y : [{a}, {b}] left (y < ({t})) "
+                  f"right (0 < y /\\ {k} < y * y)")
+
+        def left(x):
+            return x < t
+
+        def right(x):
+            return x > 0 and x * x > k
+    d = parse_expression(source)
+    for n in range(4, 10):
+        lo0, hi0 = endpoints(d)
+        d = refine_step(d, n)
+        lo, hi = endpoints(d)
+        assert lo == lo0 or left(lo), (source, n, lo)
+        assert hi == hi0 or right(hi), (source, n, hi)

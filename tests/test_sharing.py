@@ -2,14 +2,16 @@
 closed cuts are one object, refined once per sweep, and settled subtrees
 come back by identity."""
 
+from fractions import Fraction
+
 import pytest
 
 import msl.evaluator
 from msl.evaluator import PRUNED, refine_step
-from msl.normalize import normalize
+from msl.normalize import normalize, substitute
 from msl.prelude import load_prelude
 from msl.syntax import (
-    And, Cut, Def, Forall, Let, Or, parse_expression, parse_program,
+    And, Cut, Def, Forall, Let, Or, RatLit, parse_expression, parse_program,
     pretty_print,
 )
 
@@ -59,6 +61,29 @@ def test_normalize_makes_equal_closed_cuts_one_object():
     (a, b), (a2, b2) = inner_cuts(out)
     assert a is a2 and b is b2
     assert a.range.hi.q - a.range.lo.q < 64  # refined, not left alone
+
+
+def test_normalize_returns_a_normal_closed_cut_itself():
+    # A closed cut that normalize built is normal: normalizing it again,
+    # as happens to every argument that substitution spreads into a
+    # body, gives back the same object.
+    d = sole_disjunct("max (sqrt 2) (cbrt 3)")
+    (again,) = normalize(d)
+    assert again is d
+    (a, b), _ = inner_cuts(d)
+    copy = unshared(d)
+    assert hash(copy) == hash(d) and hash(unshared(a)) == hash(a)
+    (renormalized,) = normalize(copy)
+    assert renormalized == d
+
+
+def test_substitute_returns_subtrees_without_the_name_by_identity():
+    e = parse_expression("x + y * 2 + cut r : [0, 2] left r < 1 right 1 < r")
+    one = RatLit(Fraction(1))
+    out = substitute("x", one, e)
+    assert out.lhs.lhs is one
+    assert out.lhs.rhs is e.lhs.rhs and out.rhs is e.rhs
+    assert substitute("z", one, e) is e
 
 
 def test_sweep_refines_each_shared_cut_once(monkeypatch):
