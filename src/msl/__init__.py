@@ -17,7 +17,7 @@ from .interval import (
     DivisionIndeterminate, ENTIRE, GInterval, IndeterminateSum, NEG_INF,
     POS_INF, UnboundedInterval, XRat,
 )
-from .normalize import NormalForm, normalize, substitute
+from .normalize import normalize, substitute
 from .prelude import Asset, car_controller_asset, load_prelude, roots_asset
 from .syntax import (
     LexError, ParseError, SourceError, parse_expression, parse_program,
@@ -28,7 +28,7 @@ from .typecheck import TypecheckError, infer_type, is_base
 __all__ = [
     "Asset", "BoolFF", "BoolTT", "Diverged", "DivisionIndeterminate",
     "ENTIRE", "FunctionValue", "GInterval", "IndeterminateSum", "LOWER",
-    "LexError", "Mode", "NEG_INF", "NormalForm", "Outcome", "POS_INF",
+    "LexError", "Mode", "NEG_INF", "Outcome", "POS_INF",
     "PRUNED", "ParseError", "PropFalseProven", "PropTrue", "RealBall",
     "SessionState", "SourceError", "TupleOf", "TypecheckError",
     "UPPER", "UnboundedInterval", "XRat", "car_controller_asset",

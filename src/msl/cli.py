@@ -104,8 +104,7 @@ def _directive(state, item):
     path = _resolve_use(state, item.arg)
     if path is None:
         raise SourceError(f'cannot find "{item.arg}"', item.loc)
-    with open(path, encoding="utf-8") as handle:
-        items = parse_program(handle.read())
+    items = parse_program(_read_source(path, item.arg, item.loc))
     saved_dirs, saved_depth = state.base_dirs, state.use_depth
     state.base_dirs = (os.path.dirname(path) or os.curdir,) + saved_dirs
     state.use_depth += 1
@@ -118,6 +117,16 @@ def _directive(state, item):
     finally:
         state.base_dirs, state.use_depth = saved_dirs, saved_depth
     return state, "\n".join(rendered) if rendered else None
+
+
+def _read_source(path, name, loc=None):
+    """The text of a UTF-8 source file, or a SourceError saying why not."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise SourceError(f'cannot read "{name}": {reason}', loc) from None
 
 
 def _resolve_use(state, name):
@@ -276,9 +285,8 @@ def main(argv=None):
     had_error = had_divergence = False
     for path in args.files:
         try:
-            with open(path, encoding="utf-8") as handle:
-                source = handle.read()
-        except OSError as exc:
+            source = _read_source(path, path)
+        except SourceError as exc:
             print(f"error: {exc}", file=sys.stderr)
             had_error = True
             continue

@@ -59,15 +59,16 @@ probes at its trisection point, (2a + b)/3 or (a + 2b)/3, which gains
 the cut that reads it and grow its endpoints beyond what the answer
 needs.
 
-A sweep does each distinct piece of work once.  A closed prop is decided
-once per approximant mode (``ClosedEnv``).  A settled subtree -- only
-variables, literals, ``+ - * /`` and powers, under comparisons and
-connectives that have free variables and that ``mk_and``/``mk_or``
-would not fold -- cannot change, so it comes back by identity without
-a walk.  ``normalize`` makes equal closed cuts one object, and a sweep
-refines each once and hands the result to its other occurrences.  Work
-is metered in node visits, and a sweep stops refining after
-``SWEEP_VISIT_CAP`` of them.  Skipped work still counts: a settled
+A sweep does each distinct piece of work once.  A closed prop's
+approximants depend on the node alone, so each is decided once and kept
+on the node, as is a comparison's compiled centred form.  A settled
+subtree -- only variables, literals, ``+ - * /`` and powers, under
+comparisons and connectives that have free variables and that
+``mk_and``/``mk_or`` would not fold -- cannot change, so it comes back
+by identity without a walk.  ``normalize`` makes equal closed cuts one
+object, and a sweep refines each once and hands the result to its other
+occurrences.  Work is metered in node visits, and a sweep stops refining
+after ``SWEEP_VISIT_CAP`` of them.  Skipped work still counts: a settled
 subtree adds its node count, and a shared cut adds the visits of its
 first walk and logs its witnesses again.  A shared cut is reused only
 when a walk of it would run in full below the cap.  So the cap binds
@@ -76,7 +77,6 @@ exactly where a full walk of every copy would make it bind.
 
 from __future__ import annotations
 
-import contextvars
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
@@ -84,9 +84,9 @@ from fractions import Fraction
 from .interval import DivisionIndeterminate, ENTIRE, GInterval, XRat
 from .normalize import mk_and, mk_or, normalize
 from .syntax import (
-    And, App, Arith, BOOL, Cut, Exists, FalseLit, Forall, IsFalse, IsTrue,
-    Join, Lambda, Less, MkBool, Or, PROP, Pow, ProductTy, Proj, Range, RatLit,
-    Restrict, Tuple, TrueLit, Var, free_vars, keep,
+    And, Arith, BOOL, Cut, Exists, FalseLit, Forall, Less, MkBool, Or, PROP,
+    Pow, ProductTy, Range, RatLit, Restrict, Tuple, TrueLit, Var, free_vars,
+    keep,
 )
 from .typecheck import infer_type, is_base
 
@@ -215,62 +215,32 @@ def real_approx(e, env, mode):
     raise EvalError(f"real_approx: {type(e).__name__} is not normal")
 
 
-class ClosedEnv(dict):
-    """The environment of closed nodes during one refinement sweep.
-
-    It binds no variable.  Its ``memo`` maps (id(node), mode) to the
-    approximants the sweep has computed, so a closed node is decided
-    once per sweep rather than once per ancestor.  The approximant of a
-    closed node depends on the node alone; ``And``/``Or``/``Join``
-    children share the env and so the memo, while quantifier bodies get
-    a ``BoxEnv`` that binds their variable and are never cached.  Keys
-    use ``id`` because the dataclass hash walks the whole tree, so one
-    ClosedEnv serves one tree while that tree (which holds every keyed
-    node, so no id is reused) is alive: ``refine_step`` makes a new one
-    per sweep.  ``polys`` is the run's cache of compiled comparisons,
-    handed on to the quantifier bodies below.
+class SweepEnv(dict):
+    """An environment of a refinement sweep.  Empty, it is that of the
+    closed nodes, whose approximants depend on the node alone and are
+    kept on it by ``prop_approx``.  Binding a quantifier body's
+    variables, it lets the body's comparisons use the centred test
+    (``_centred_decides``) and keeps nothing.  Plain dicts (a cut probe,
+    ``evaluate_step``) keep the naive test and ignore kept values.
     """
 
-    __slots__ = ("memo", "polys")
-
-    def __init__(self, polys=None):
-        super().__init__()
-        self.memo = {}
-        self.polys = {} if polys is None else polys
-
-
-class BoxEnv(dict):
-    """The environment of a quantifier body under a refinement sweep.
-
-    It binds each quantified variable to its box, and its comparisons
-    may use the centred test (see ``_centred_decides``).  ``polys`` maps
-    id(Less) to (node, compiled form) for the whole run.
-    Quantifiers reached from a plain dict (a cut probe, or
-    ``evaluate_step``) bind their variables in a plain dict and keep the
-    naive test alone.
-    """
-
-    __slots__ = ("polys",)
+    __slots__ = ()
 
 
 def _bind(env, var, box):
     """The environment of a quantifier body that binds ``var``."""
-    if type(env) is dict:
-        return {**env, var: box}
-    inner = BoxEnv(env)
+    inner = type(env)(env)
     inner[var] = box
-    inner.polys = env.polys
     return inner
 
 
 def prop_approx(e, env, mode):
     """The lower (mode=LOWER) or upper (mode=UPPER) approximant of a prop."""
-    if type(env) is ClosedEnv:
-        key = (id(e), mode)
-        memo = env.memo
-        value = memo.get(key)
+    if type(env) is SweepEnv and not env:
+        attr = "_lower" if mode is LOWER else "_upper"
+        value = getattr(e, attr)
         if value is None:
-            value = memo[key] = _prop_approx(e, env, mode)
+            value = keep(e, attr, _prop_approx(e, env, mode))
         return value
     return _prop_approx(e, env, mode)
 
@@ -282,13 +252,13 @@ def _prop_approx(e, env, mode):
         return False
     if isinstance(e, And):
         return all(prop_approx(item, env, mode) for item in e.items)
-    if isinstance(e, (Or, Join)):
+    if isinstance(e, Or):
         return any(prop_approx(item, env, mode) for item in e.items)
     if isinstance(e, Less):
         lhs = real_approx(e.lhs, env, mode)
         rhs = real_approx(e.rhs, env, mode)
         holds = lhs.hi < rhs.lo
-        if type(env) is BoxEnv:
+        if type(env) is SweepEnv and env:
             # The centred test may only add decisions: a proof in lower
             # mode, a refutation in upper mode.
             if mode is LOWER and not holds:
@@ -304,17 +274,6 @@ def _prop_approx(e, env, mode):
         r = e.range
         box = GInterval(r.lo, r.lo) if mode is LOWER else GInterval(r.hi, r.lo)
         return prop_approx(e.body, _bind(env, e.var, box), mode)
-    if isinstance(e, Restrict):
-        # Restriction at prop is conjunction with the guard.
-        return prop_approx(e.guard, env, mode) and prop_approx(e.body, env, mode)
-    if isinstance(e, IsTrue):
-        if isinstance(e.arg, MkBool):
-            return prop_approx(e.arg.if_true, env, mode)
-        raise EvalError("is_true over an unreduced boolean")
-    if isinstance(e, IsFalse):
-        if isinstance(e.arg, MkBool):
-            return prop_approx(e.arg.if_false, env, mode)
-        raise EvalError("is_false over an unreduced boolean")
     raise EvalError(f"prop_approx: {type(e).__name__} is not normal")
 
 
@@ -535,22 +494,18 @@ def _ipow(a, b, k):
     return 0, max(a ** k, b ** k)
 
 
-def compile_polynomial(less, polys):
+def compile_polynomial(less):
     """The ``Polynomial`` of a comparison, or None when a side is not a
-    polynomial.  ``polys`` caches the compiled forms of one run by node
-    id; an entry holds its node, so no id is reused while it lives.
-    Comparisons that do not compile are not cached: one over a cut is
-    rebuilt by every sweep that narrows the cut, and entries for them
-    would keep every old tree alive."""
-    entry = polys.get(id(less))
-    if entry is not None:
-        return entry[1]
-    try:
-        poly = Polynomial(less)
-    except _NotPolynomial:
-        return None
-    polys[id(less)] = (less, poly)
-    return poly
+    polynomial.  It depends on the node alone and is kept on it
+    (``_poly``, False when it does not compile)."""
+    poly = less._poly
+    if poly is None:
+        try:
+            poly = Polynomial(less)
+        except _NotPolynomial:
+            poly = False
+        keep(less, "_poly", poly)
+    return poly or None
 
 
 def _centred_decides(e, env, mode):
@@ -562,7 +517,7 @@ def _centred_decides(e, env, mode):
     binds (proper or a point in LOWER, dual or a point in UPPER).
     Unbounded boxes keep the naive test.
     """
-    poly = compile_polynomial(e, env.polys)
+    poly = compile_polynomial(e)
     if poly is None:
         return False
     boxes, points = [], True
@@ -604,17 +559,15 @@ PROBE_BITS_PER_SWEEP = 8
 
 
 class _Sweep:
-    """Mutable per-sweep state: probe pacing, witness log, work budget,
-    the environment (with its memo) of the closed nodes and the kept
-    walks of closed cuts (see ``_refine_shared``)."""
+    """Mutable per-sweep state: probe pacing, witness log, work budget
+    and the kept walks of closed cuts (see ``_refine_shared``)."""
 
-    __slots__ = ("n", "wlog", "visits", "closed", "cuts")
+    __slots__ = ("n", "wlog", "visits", "cuts")
 
-    def __init__(self, n, wlog, polys):
+    def __init__(self, n, wlog):
         self.n = n
         self.wlog = wlog
         self.visits = 0
-        self.closed = ClosedEnv(polys)
         self.cuts = {}
 
     def may_split(self):
@@ -628,23 +581,15 @@ def refine_step(e, round_index=0, witness_log=None):
     proven bottom (a refuted restriction guard or a boolean whose both
     components are refuted).  ``round_index`` paces the probe sequence
     for unbounded cut ranges; ``witness_log`` collects (var, lo, hi)
-    entries whenever an existential is affirmed.  Inside ``run`` the
-    sweep uses the run's cache of compiled comparisons; a call on its
-    own compiles afresh.
+    entries whenever an existential is affirmed.
     """
-    st = _Sweep(round_index, witness_log, _RUN_POLYS.get())
-    return _refine(e, st, frozenset())
+    return _refine(e, _Sweep(round_index, witness_log), frozenset())
 
 
-#: The cache of compiled comparisons of the ``run`` in progress, if any.
-#: ``run`` sets it and drops it when it returns, so no compiled form
-#: outlives its run; it rides in a context variable because
-#: ``refine_step`` keeps its three-argument signature.
-_RUN_POLYS = contextvars.ContextVar("msl_run_polys", default=None)
+#: The environment of a sweep's closed nodes: it binds nothing.
+_CLOSED = SweepEnv()
 
-
-_PROP_NODES = (TrueLit, FalseLit, And, Or, Less, Exists, Forall, IsTrue,
-               IsFalse)
+_PROP_NODES = (TrueLit, FalseLit, And, Or, Less, Exists, Forall)
 
 
 def _refine(e, st, scope):
@@ -655,17 +600,17 @@ def _refine(e, st, scope):
     size = _settled_size(e)
     if size and fv <= scope:
         # Walking it would visit every node and change none.  Coming back
-        # by identity also keeps the run's compiled comparisons valid.
+        # by identity also keeps the comparisons compiled on its nodes.
         st.visits += size - 1
         return e
     if isinstance(e, _PROP_NODES) and fv.isdisjoint(scope):
-        if prop_approx(e, st.closed, LOWER):
+        if prop_approx(e, _CLOSED, LOWER):
             if st.wlog is not None:
-                _log_witnesses(e, st.closed, st.wlog)
+                _log_witnesses(e, _CLOSED, st.wlog)
             return TrueLit()
-        if not prop_approx(e, st.closed, UPPER):
+        if not prop_approx(e, _CLOSED, UPPER):
             return FalseLit()
-    if isinstance(e, (TrueLit, FalseLit, RatLit, Var, Lambda)):
+    if isinstance(e, (TrueLit, FalseLit, RatLit, Var)):
         return e
     # A pruned subterm (its guard was refuted) makes the whole disjunct
     # undefined, so PRUNED propagates through every compound node.
@@ -715,18 +660,6 @@ def _refine(e, st, scope):
     if isinstance(e, Tuple):
         items = _refine_all(e.items, st, scope)
         return PRUNED if items is PRUNED else Tuple(tuple(items))
-    if isinstance(e, Proj):
-        inner = _refine(e.tuple_, st, scope)
-        return PRUNED if inner is PRUNED else Proj(inner, e.index)
-    if isinstance(e, App):
-        sides = _refine_all((e.fn, e.arg), st, scope)
-        return PRUNED if sides is PRUNED else App(*sides)
-    if isinstance(e, IsTrue):
-        arg = _refine(e.arg, st, scope)
-        return PRUNED if arg is PRUNED else IsTrue(arg)
-    if isinstance(e, IsFalse):
-        arg = _refine(e.arg, st, scope)
-        return PRUNED if arg is PRUNED else IsFalse(arg)
     raise EvalError(f"refine: {type(e).__name__} is not normal")
 
 
@@ -790,13 +723,6 @@ def _log_witnesses(e, env, wlog):
         r = e.range
         _log_witnesses(e.body, _bind(env, e.var, GInterval(r.lo, r.hi)),
                        wlog)
-    elif isinstance(e, Restrict):
-        _log_witnesses(e.guard, env, wlog)
-        _log_witnesses(e.body, env, wlog)
-    elif isinstance(e, IsTrue) and isinstance(e.arg, MkBool):
-        _log_witnesses(e.arg.if_true, env, wlog)
-    elif isinstance(e, IsFalse) and isinstance(e.arg, MkBool):
-        _log_witnesses(e.arg.if_false, env, wlog)
 
 
 def _split_quantifier(e, node, combine, st, scope):
@@ -993,7 +919,7 @@ def _value_and_slope(t, var, x):
 
 
 def evaluate_step(e, precision, ty):
-    """Produce an Outcome for one disjunct if it is refined enough."""
+    """An Outcome for one base-typed disjunct if it is refined enough."""
     if ty == PROP:
         if isinstance(e, TrueLit):
             return PropTrue()
@@ -1017,15 +943,13 @@ def evaluate_step(e, precision, ty):
                 return None
             items.append(out)
         return TupleOf(tuple(items))
-    if is_base(ty):  # real
-        box = real_approx(e, {}, LOWER)
-        if not (box.is_finite and box.is_proper):
-            return None
-        a, b = box.lo.q, box.hi.q
-        if b - a < precision:
-            return RealBall((a + b) / 2, (b - a) / 2)
+    box = real_approx(e, {}, LOWER)  # real
+    if not (box.is_finite and box.is_proper):
         return None
-    return FunctionValue()
+    a, b = box.lo.q, box.hi.q
+    if b - a < precision:
+        return RealBall((a + b) / 2, (b - a) / 2)
+    return None
 
 
 def _contains_false(outcome):
@@ -1057,30 +981,26 @@ def run(e, precision=DEFAULT_PRECISION, max_steps=DEFAULT_MAX_STEPS,
     ty = infer_type({}, e)
     if not is_base(ty):
         return FunctionValue()
-    live = list(normalize(e))
-    token = _RUN_POLYS.set({})
-    try:
-        for step in range(max_steps):
-            sole = len(live) == 1
-            for d in live:
-                out = evaluate_step(d, precision, ty)
-                if out is not None and (sole or not _contains_false(out)):
-                    return out
-            nxt = []
-            for d in live:
-                rd = refine_step(d, step, witness_log)
-                if rd is PRUNED:
-                    continue
-                if ty == PROP and isinstance(rd, FalseLit) and not sole:
-                    continue  # a refuted disjunct adds nothing to the join
-                nxt.append(rd)
-            live = nxt
-            if not live:
-                # Every disjunct proven bottom.  For a prop that *is* the
-                # proof of falsity; elsewhere the value is undefined.
-                if ty == PROP:
-                    return PropFalseProven()
-                return Diverged(step + 1)
-        return Diverged(max_steps)
-    finally:
-        _RUN_POLYS.reset(token)
+    live = normalize(e)
+    for step in range(max_steps):
+        sole = len(live) == 1
+        for d in live:
+            out = evaluate_step(d, precision, ty)
+            if out is not None and (sole or not _contains_false(out)):
+                return out
+        nxt = []
+        for d in live:
+            rd = refine_step(d, step, witness_log)
+            if rd is PRUNED:
+                continue
+            if ty == PROP and isinstance(rd, FalseLit) and not sole:
+                continue  # a refuted disjunct adds nothing to the join
+            nxt.append(rd)
+        live = nxt
+        if not live:
+            # Every disjunct proven bottom.  For a prop that *is* the
+            # proof of falsity; elsewhere the value is undefined.
+            if ty == PROP:
+                return PropFalseProven()
+            return Diverged(step + 1)
+    return Diverged(max_steps)

@@ -3,7 +3,8 @@
 Normalization eliminates local definitions and redexes (beta, tuple
 projection, the boolean projections is_true/is_false over mkbool) and
 hoists nondeterministic joins outward until a single top-level join of
-join-free disjuncts remains.  Reduction also happens under binders.
+join-free disjuncts remains; ``normalize`` returns them as a tuple.
+Reduction also happens under binders.
 
 Joins of real, bool, and tuple type distribute through the surrounding
 construct (arithmetic, comparison, tuples, projections, application,
@@ -32,8 +33,6 @@ normalized again when substitution moves it into a body.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .syntax import (
     And, App, Arith, Cut, Exists, FalseLit, Forall, IsFalse, IsTrue, Join,
     Lambda, Less, Let, MkBool, Or, PROP, Pow, Proj, RatLit, REAL, Restrict,
@@ -42,22 +41,10 @@ from .syntax import (
 from .typecheck import infer_type
 
 
-@dataclass(frozen=True)
-class NormalForm:
-    """A non-empty tuple of join-free disjuncts, any of which may answer."""
-
-    disjuncts: tuple
-
-    def __len__(self):
-        return len(self.disjuncts)
-
-    def __iter__(self):
-        return iter(self.disjuncts)
-
-
 def normalize(e):
-    """Normalize a closed, well-typed expression."""
-    return NormalForm(tuple(_nf(e, {}, {})))
+    """Normalize a closed, well-typed expression to a non-empty tuple of
+    join-free disjuncts, any of which may answer."""
+    return tuple(_nf(e, {}, {}))
 
 
 # ---------------------------------------------------------------------------

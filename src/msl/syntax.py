@@ -83,6 +83,8 @@ class Expr:
     # makes a node that has none yet.
     _fv = None  # free_vars
     _settled = None  # evaluator._settled_size
+    _lower = None  # evaluator.prop_approx of a closed prop in a sweep
+    _upper = None
 
 
 def keep(e, attr, value):
@@ -160,6 +162,8 @@ class Or(Expr):
 class Less(Expr):
     lhs: Expr = None
     rhs: Expr = None
+
+    _poly = None  # evaluator.compile_polynomial
 
 
 @dataclass(frozen=True)

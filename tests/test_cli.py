@@ -129,6 +129,20 @@ def test_use_cycle_is_rejected(tmp_path):
     assert had_error and "too deep" in err
 
 
+def test_unreadable_use_is_a_located_error(tmp_path):
+    (tmp_path / "adir").mkdir()
+    (tmp_path / "latin1.msl").write_bytes(b"(* caf\xe9 *) 1;;\n")
+    state = SessionState(base_dirs=(str(tmp_path),))
+    _, out, err, had_error, _ = run_script(
+        '#use "adir";;\n#use "latin1.msl";;\n1 + 1;;', state)
+    assert had_error
+    assert err.splitlines() == [
+        'error: 1:1: cannot read "adir": Is a directory',
+        'error: 2:1: cannot read "latin1.msl": \'utf-8\' codec can\'t '
+        'decode byte 0xe9 in position 6: invalid continuation byte']
+    assert out == "real = 2 ± 0\n"
+
+
 def test_nested_restrictions_unwrap():
     _, out, _, had_error, _ = run_script("(1 < 2) ~> ((3 < 4) ~> 7);;")
     assert not had_error
@@ -237,6 +251,20 @@ def test_main_success_exit_zero(tmp_path):
 def test_main_type_error_exit_one(tmp_path):
     code, _, err = _run_main([], tmp_path, "1 2;;")
     assert code == 1 and "error:" in err
+
+
+def test_main_reports_unreadable_files_and_goes_on(tmp_path, capsys):
+    bad = tmp_path / "latin1.msl"
+    bad.write_bytes(b"(* caf\xe9 *) 1;;\n")
+    good = tmp_path / "good.msl"
+    good.write_text("2;;\n", encoding="utf-8")
+    assert main([str(bad), str(tmp_path), str(good), "--no-repl"]) == 1
+    out, err = capsys.readouterr()
+    assert err.splitlines() == [
+        f'error: cannot read "{bad}": \'utf-8\' codec can\'t decode byte '
+        '0xe9 in position 6: invalid continuation byte',
+        f'error: cannot read "{tmp_path}": Is a directory']
+    assert out == "real = 2 ± 0\n"
 
 
 def test_main_divergence_exit_two(tmp_path):

@@ -8,8 +8,8 @@ from hypothesis import given, strategies as st
 
 import msl.evaluator
 from msl.evaluator import (
-    BoolFF, BoolTT, BoxEnv, ClosedEnv, Diverged, FunctionValue, LOWER, PRUNED,
-    PropFalseProven, PropTrue, RealBall, TupleOf, UPPER, compile_polynomial,
+    BoolFF, BoolTT, Diverged, FunctionValue, LOWER, PRUNED, PropFalseProven,
+    PropTrue, RealBall, SweepEnv, TupleOf, UPPER, compile_polynomial,
     evaluate_step, prop_approx, real_approx, refine_step, run,
 )
 from msl.interval import ENTIRE, GInterval, POS_INF, XRat
@@ -141,7 +141,7 @@ def test_approximant_ordering_lower_implies_upper():
     rng = random.Random(1130)
     for _ in range(300):
         e = _random_quantified_prop(rng)
-        for make_env in (dict, ClosedEnv):  # naive alone; centred too
+        for make_env in (dict, SweepEnv):  # naive alone; centred too
             lower = prop_approx(e, make_env(), LOWER)
             upper = prop_approx(e, make_env(), UPPER)
             assert not (lower and not upper), e
@@ -258,23 +258,22 @@ def closed_props(data, names=(), depth=3):
 
 
 def sweep_env_without_memo():
-    """A sweep's environment (the centred test on) with no memo."""
-    env = BoxEnv()
-    env.polys = {}
-    return env
+    """A sweep's environment (the centred test on) that keeps nothing on
+    the nodes: like a quantifier body's, it is not empty."""
+    return SweepEnv({"_": ENTIRE})
 
 
 @given(st.data())
 def test_memoized_approximants_match_plain_ones(data):
     e = closed_props(data)
-    env = ClosedEnv()
+    env = SweepEnv()
     for mode in (LOWER, UPPER, LOWER, UPPER):  # the second round hits
         memoized = prop_approx(e, env, mode)
         assert memoized == prop_approx(e, sweep_env_without_memo(), mode)
         # A sweep may only decide more than the naive test alone.
         naive = prop_approx(e, {}, mode)
         assert memoized == naive or memoized is (mode is LOWER)
-    assert env.memo
+    assert e._lower is not None and e._upper is not None
 
 
 def test_sweep_decides_each_closed_node_once(monkeypatch):
@@ -282,7 +281,7 @@ def test_sweep_decides_each_closed_node_once(monkeypatch):
     plain = msl.evaluator._prop_approx
 
     def counting(e, env, mode):
-        if type(env) is ClosedEnv:
+        if type(env) is SweepEnv and not env:
             seen.append((id(e), mode))
         return plain(e, env, mode)
 
@@ -293,18 +292,46 @@ def test_sweep_decides_each_closed_node_once(monkeypatch):
 
 
 def test_approximants_keep_their_three_argument_shape(monkeypatch):
-    # Callers that wrap prop_approx/real_approx as (e, env, mode), such
-    # as perfbench's tracer, see every internal call go through them.
+    # Callers that wrap prop_approx/real_approx as (e, env, mode) and
+    # refine_step/evaluate_step as below, such as perfbench's tracer, see
+    # every internal call go through them.  A compiled comparison is kept
+    # on its node, so each is compiled once, wrapped or not.
     source = (f"(exists x : [0,2], x * x < 1) /\\ ({SQRT2_CUT}) < 3/2 "
-              "/\\ (forall y : [0,1], y < 2)")
+              "/\\ (forall y : [0,1], y < 2) "
+              "/\\ (forall z : [0,1], z * (1 - z) < 1/4 + 1/1000000)")
+    compiled = []
+
+    class Counting(msl.evaluator.Polynomial):
+        __slots__ = ()
+
+        def __init__(self, less):
+            compiled.append(less)
+            super().__init__(less)
+
+    monkeypatch.setattr(msl.evaluator, "Polynomial", Counting)
     expected_log, log = [], []
-    expected = run(pe(source), witness_log=expected_log)
+    expected = run(pe(source), max_steps=60, witness_log=expected_log)
+    expected_compiled, compiled[:] = list(compiled), []
     for name in ("prop_approx", "real_approx"):
         fn = getattr(msl.evaluator, name)
         monkeypatch.setattr(msl.evaluator, name,
                             lambda e, env, mode, fn=fn: fn(e, env, mode))
-    assert run(pe(source), witness_log=log) == expected == PropTrue()
+    refine, evaluate = msl.evaluator.refine_step, msl.evaluator.evaluate_step
+
+    def refine_step(e, round_index=0, witness_log=None):
+        return refine(e, round_index, witness_log)
+
+    def evaluate_step(e, precision, ty):
+        return evaluate(e, precision, ty)
+
+    monkeypatch.setattr(msl.evaluator, "refine_step", refine_step)
+    monkeypatch.setattr(msl.evaluator, "evaluate_step", evaluate_step)
+    out = run(pe(source), max_steps=60, witness_log=log)
+    assert out == expected == PropTrue()
     assert log == expected_log
+    assert compiled == expected_compiled
+    assert len(compiled) == len(set(compiled))  # each comparison once
+    assert pe("z * (1 - z) < 1/4 + 1/1000000") in compiled
 
 
 # --- evaluate_step ----------------------------------------------------------------
@@ -483,7 +510,7 @@ def poly_less_and_boxes(data):
     if rhs == "free":
         return Less(lhs, data.draw(polynomial_terms(names))), boxes
     naive = real_approx(lhs, boxes, LOWER)
-    poly = compile_polynomial(Less(lhs, RatLit(F(0))), {})
+    poly = compile_polynomial(Less(lhs, RatLit(F(0))))
     lo, hi = poly.enclosure([(boxes[v].lo.q, boxes[v].hi.q)
                              for v in poly.names])
     t = data.draw(st.fractions(min_value=F(1, 16), max_value=1,
@@ -525,7 +552,7 @@ def sweep_env(boxes):
 @given(st.data())
 def test_centred_enclosure_contains_the_difference(data):
     less, boxes = poly_less_and_boxes(data)
-    poly = compile_polynomial(less, {})
+    poly = compile_polynomial(less)
     lo, hi = poly.enclosure([(boxes[v].lo.q, boxes[v].hi.q)
                              for v in poly.names])
     for point in sample_points(data, boxes):
@@ -548,15 +575,26 @@ def test_centred_test_only_adds_sound_decisions(data):
 
 
 def test_centred_test_stays_off_the_naive_environments():
-    # A cut probe binds its variable in a plain dict: no centred test.
+    # A cut probe binds its variable in a plain dict: no centred test,
+    # and no approximant that a sweep kept on the node.
     e = pe("forall x : [9/20, 11/20], x * (1 - x) < 1/4 + 1/100")
+    assert prop_approx(e, SweepEnv(), LOWER) is True
     assert prop_approx(e, {}, LOWER) is False
-    assert prop_approx(e, ClosedEnv(), LOWER) is True
+    # Kept per mode: undecided is lower False, upper True, whichever
+    # mode a sweep asks first.
+    for modes in ((LOWER, UPPER), (UPPER, LOWER)):
+        e = pe(UNDECIDED)
+        for mode in modes + modes:
+            assert prop_approx(e, SweepEnv(), mode) is (mode is UPPER)
+    # A quantifier body's value depends on its boxes: nothing is kept.
+    body = pe("x < 1")
+    assert prop_approx(body, SweepEnv(x=I(0, 0)), LOWER) is True
+    assert prop_approx(body, SweepEnv(x=I(2, 2)), LOWER) is False
 
 
 def test_centred_test_keeps_naive_path_for_cuts_and_unbounded_boxes():
-    assert compile_polynomial(pe(f"x * ({SQRT2_CUT}) < 1"), {}) is None
-    assert compile_polynomial(pe("x / 2 < 1"), {}) is None
+    assert compile_polynomial(pe(f"x * ({SQRT2_CUT}) < 1")) is None
+    assert compile_polynomial(pe("x / 2 < 1")) is None
     body = pe("x * (1 - x) < 1/4 + 1/100")
     unbounded = sweep_env({"x": I(F(1, 4), POS_INF)})
     assert prop_approx(body, unbounded, LOWER) is False
@@ -583,7 +621,6 @@ def test_run_compiles_each_comparison_once(monkeypatch):
     e = pe("forall x : [0, 1], x * (1 - x) < 1/4 + 1/1000000")
     assert run(e) == PropTrue()
     assert len(compiled) == 1
-    assert msl.evaluator._RUN_POLYS.get() is None  # dropped with the run
 
 
 def test_run_decides_two_variable_cap_bound_existential():

@@ -135,14 +135,21 @@ class TypedGen:
         return Lambda(x, ty.arg, self.leaf(ty.result, {**ctx, x: ty.arg}))
 
 
+#: The evaluator's whole input contract: the node kinds of a normal form.
+CORE_NODES = (RatLit, Var, Arith, Pow, Cut, Less, And, Or, TrueLit, FalseLit,
+              Exists, Forall, MkBool, Tuple, Restrict)
+PROP_NODES = (Less, And, Or, TrueLit, FalseLit, Exists, Forall)
+
+
 def _assert_join_free(e):
-    assert not isinstance(e, (Join, Let)), e
-    if isinstance(e, App):
-        assert not isinstance(e.fn, Lambda), e  # no beta redex survives
-    if isinstance(e, Proj):
-        assert not isinstance(e.tuple_, Tuple), e
-    if isinstance(e, (IsTrue, IsFalse)):
-        assert not isinstance(e.arg, MkBool), e
+    """Every node is a core node, and no restriction is at prop type (a
+    prop-typed one collapses to a conjunction)."""
+    assert isinstance(e, CORE_NODES), e
+    if isinstance(e, Restrict):
+        body = e.body
+        while isinstance(body, Restrict):
+            body = body.body
+        assert not isinstance(body, PROP_NODES), e
     for name in ("items",):
         if hasattr(e, name):
             for item in getattr(e, name):
