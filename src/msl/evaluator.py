@@ -73,6 +73,8 @@ subtree adds its node count, and a shared cut adds the visits of its
 first walk and logs its witnesses again.  A shared cut is reused only
 when a walk of it would run in full below the cap.  So the cap binds
 exactly where a full walk of every copy would make it bind.
+Comparisons, arithmetic, powers and tuples are refined through the node
+shapes of ``syntax``; ``rebuild`` keeps a node whose children all stay.
 """
 
 from __future__ import annotations
@@ -85,8 +87,8 @@ from .interval import DivisionIndeterminate, ENTIRE, GInterval, XRat
 from .normalize import mk_and, mk_or, normalize
 from .syntax import (
     And, Arith, BOOL, Cut, Exists, FalseLit, Forall, Less, MkBool, Or, PROP,
-    Pow, ProductTy, Range, RatLit, Restrict, Tuple, TrueLit, Var, free_vars,
-    keep,
+    Pow, ProductTy, Range, RatLit, Restrict, Tuple, TrueLit, Var, children,
+    free_vars, keep, rebuild,
 )
 from .typecheck import infer_type, is_base
 
@@ -620,15 +622,9 @@ def _refine(e, st, scope):
     if isinstance(e, Or):
         items = _refine_all(e.items, st, scope)
         return PRUNED if items is PRUNED else mk_or(items)
-    if isinstance(e, Less):
-        sides = _refine_all((e.lhs, e.rhs), st, scope)
-        return PRUNED if sides is PRUNED else Less(*sides)
-    if isinstance(e, Arith):
-        sides = _refine_all((e.lhs, e.rhs), st, scope)
-        return PRUNED if sides is PRUNED else Arith(e.op, *sides)
-    if isinstance(e, Pow):
-        base = _refine(e.base, st, scope)
-        return PRUNED if base is PRUNED else Pow(base, e.exp)
+    if isinstance(e, (Less, Arith, Pow, Tuple)):
+        kids = _refine_all(children(e), st, scope)
+        return PRUNED if kids is PRUNED else rebuild(e, kids)
     if isinstance(e, Cut):
         if fv:
             return _refine_cut(e, st, scope)
@@ -657,9 +653,6 @@ def _refine(e, st, scope):
         if isinstance(p, FalseLit) and isinstance(q, FalseLit):
             return PRUNED  # both branches refuted: the boolean is bottom
         return MkBool(p, q)
-    if isinstance(e, Tuple):
-        items = _refine_all(e.items, st, scope)
-        return PRUNED if items is PRUNED else Tuple(tuple(items))
     raise EvalError(f"refine: {type(e).__name__} is not normal")
 
 
@@ -688,15 +681,14 @@ def _settled_size(e):
     n = 0
     if isinstance(e, (Var, RatLit)):
         n = 1
-    elif isinstance(e, Pow):
-        n = _settled_size(e.base) and 1 + _settled_size(e.base)
-    elif isinstance(e, (Arith, Less, And, Or)):
-        kids = e.items if isinstance(e, (And, Or)) else (e.lhs, e.rhs)
+    elif isinstance(e, (Arith, Pow, Less, And, Or)):
+        kids = children(e)
         sizes = [_settled_size(kid) for kid in kids]
         # mk_and/mk_or fold a connective of one item or of its own kind.
         folds = isinstance(e, (And, Or)) and (
             len(kids) < 2 or any(type(kid) is type(e) for kid in kids))
-        if all(sizes) and not folds and (isinstance(e, Arith) or free_vars(e)):
+        if all(sizes) and not folds and (isinstance(e, (Arith, Pow))
+                                         or free_vars(e)):
             n = 1 + sum(sizes)
     return keep(e, "_settled", n)
 

@@ -29,14 +29,21 @@ refinement sweep refines it once (see ``evaluator``).  Substitution
 returns a subtree in which the name is not free as the same object, and
 a closed cut that ``normalize`` built is normal already, so it is not
 normalized again when substitution moves it into a body.
+
+Substitution, and the distribution of joins through comparisons,
+arithmetic, powers and tuples, reach children through the node shapes of
+``syntax`` (``children``, ``rebuild``); the other cases are written out.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+from itertools import product
+
 from .syntax import (
-    And, App, Arith, Cut, Exists, FalseLit, Forall, IsFalse, IsTrue, Join,
-    Lambda, Less, Let, MkBool, Or, PROP, Pow, Proj, RatLit, REAL, Restrict,
-    Tuple, TrueLit, Var, free_vars, keep,
+    And, App, Arith, BINDERS, Cut, Exists, FalseLit, Forall, IsFalse, IsTrue,
+    Join, Lambda, Less, Let, MkBool, Or, PROP, Pow, Proj, RatLit, REAL,
+    Restrict, Tuple, TrueLit, Var, children, free_vars, keep, rebuild,
 )
 from .typecheck import infer_type
 
@@ -57,50 +64,15 @@ def substitute(name, value, e):
         return e  # the same object: closed cuts in it stay shared
     if isinstance(e, Var):
         return value
-    if isinstance(e, (And, Or, Join, Tuple)):
-        items = tuple(substitute(name, value, item) for item in e.items)
-        return type(e)(items, loc=e.loc)
-    if isinstance(e, Less):
-        return Less(substitute(name, value, e.lhs),
-                    substitute(name, value, e.rhs), loc=e.loc)
-    if isinstance(e, Arith):
-        return Arith(e.op, substitute(name, value, e.lhs),
-                     substitute(name, value, e.rhs), loc=e.loc)
-    if isinstance(e, Pow):
-        return Pow(substitute(name, value, e.base), e.exp, loc=e.loc)
-    if isinstance(e, App):
-        return App(substitute(name, value, e.fn),
-                   substitute(name, value, e.arg), loc=e.loc)
-    if isinstance(e, Proj):
-        return Proj(substitute(name, value, e.tuple_), e.index, loc=e.loc)
-    if isinstance(e, Restrict):
-        return Restrict(substitute(name, value, e.guard),
-                        substitute(name, value, e.body), loc=e.loc)
-    if isinstance(e, MkBool):
-        return MkBool(substitute(name, value, e.if_true),
-                      substitute(name, value, e.if_false), loc=e.loc)
-    if isinstance(e, IsTrue):
-        return IsTrue(substitute(name, value, e.arg), loc=e.loc)
-    if isinstance(e, IsFalse):
-        return IsFalse(substitute(name, value, e.arg), loc=e.loc)
-    if isinstance(e, Lambda):
-        var, (body,) = _under_binder(name, value, e.var, (e.body,))
-        return Lambda(var, e.var_ty, body, loc=e.loc)
-    if isinstance(e, Cut):
-        var, (left, right) = _under_binder(name, value, e.var,
-                                           (e.left, e.right))
-        return Cut(var, e.range, left, right, loc=e.loc)
-    if isinstance(e, Exists):
-        var, (body,) = _under_binder(name, value, e.var, (e.body,))
-        return Exists(var, e.range, body, loc=e.loc)
-    if isinstance(e, Forall):
-        var, (body,) = _under_binder(name, value, e.var, (e.body,))
-        return Forall(var, e.range, body, loc=e.loc)
     if isinstance(e, Let):
         bound = substitute(name, value, e.bound)
         var, (body,) = _under_binder(name, value, e.var, (e.body,))
         return Let(var, bound, body, loc=e.loc)
-    raise TypeError(f"substitute: {type(e).__name__}")
+    if isinstance(e, BINDERS):
+        var, kids = _under_binder(name, value, e.var, children(e))
+        e = rebuild(e, kids)
+        return e if var == e.var else replace(e, var=var)
+    return rebuild(e, [substitute(name, value, kid) for kid in children(e)])
 
 
 def _under_binder(name, value, var, bodies):
@@ -196,19 +168,10 @@ def _nf(e, ctx, cuts):
         return [mk_and([_embed(_nf(item, ctx, cuts)) for item in e.items])]
     if isinstance(e, Or):
         return [mk_or([_embed(_nf(item, ctx, cuts)) for item in e.items])]
-    if isinstance(e, Less):
-        return [Less(a, b)
-                for a in _nf(e.lhs, ctx, cuts) for b in _nf(e.rhs, ctx, cuts)]
-    if isinstance(e, Arith):
-        return [Arith(e.op, a, b)
-                for a in _nf(e.lhs, ctx, cuts) for b in _nf(e.rhs, ctx, cuts)]
-    if isinstance(e, Pow):
-        return [Pow(b, e.exp) for b in _nf(e.base, ctx, cuts)]
-    if isinstance(e, Tuple):
-        rows = [[]]
-        for item in e.items:
-            rows = [row + [d] for row in rows for d in _nf(item, ctx, cuts)]
-        return [Tuple(tuple(row)) for row in rows]
+    if isinstance(e, (Less, Arith, Pow, Tuple)):
+        # Distribute the joins of the children: one node per choice.
+        return [rebuild(e, row) for row in
+                product(*[_nf(kid, ctx, cuts) for kid in children(e)])]
     if isinstance(e, Proj):
         return [_proj_reduce(d, e.index) for d in _nf(e.tuple_, ctx, cuts)]
     if isinstance(e, Lambda):
@@ -241,12 +204,9 @@ def _nf(e, ctx, cuts):
             cut = cuts.setdefault(cut, cut)
             keep(cut, "_normal", True)
         return [cut]
-    if isinstance(e, Exists):
+    if isinstance(e, (Exists, Forall)):
         body = _embed(_nf(e.body, {**ctx, e.var: REAL}, cuts))
-        return [Exists(e.var, e.range, body)]
-    if isinstance(e, Forall):
-        body = _embed(_nf(e.body, {**ctx, e.var: REAL}, cuts))
-        return [Forall(e.var, e.range, body)]
+        return [type(e)(e.var, e.range, body)]
     if isinstance(e, Restrict):
         guard = _embed(_nf(e.guard, ctx, cuts))
         if infer_type(ctx, e.body) == PROP:

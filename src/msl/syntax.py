@@ -34,12 +34,18 @@ forall, let-in) extend as far right as possible:
 Comments are "(* ... *)" and nest.  Decimal literals are exact
 rationals: 0.1 parses to 1/10.  A literal quotient such as 1/10 and a
 negated literal such as -3 are folded to single rational literals.
+
+The operator levels (``_JOIN`` ... ``_MUL``) drive both the parser and
+the printer.  The node shapes (``children``, ``rebuild``) serve every
+traversal that only needs to know where a node's children are:
+``free_vars``, ``substitute``, ``normalize._nf`` and ``evaluator._refine``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from operator import attrgetter, is_
 
 from .interval import NEG_INF, POS_INF, XRat
 
@@ -251,6 +257,61 @@ class IsFalse(Expr):
     arg: Expr = None
 
 
+# Node shapes.  A field annotated ``Expr`` holds a child and ``items`` a
+# tuple of children; every other field, ``loc`` included, is data.
+# ``_shape`` derives each class's shape once, as class attributes:
+# ``_kids`` holds the children, ``_kid_names`` and ``_data`` name fields.
+
+#: The nodes that bind ``var`` in all their children (``Let``: its body).
+BINDERS = (Lambda, Cut, Exists, Forall)
+
+_new = object.__new__
+_set = object.__setattr__
+
+
+#: ``children(e)``: the child expressions of node ``e`` in field order, as
+#: a tuple.  A getter, not a function: most nodes then need no Python frame.
+children = attrgetter("_kids")
+
+
+def rebuild(e, kids):
+    """A node of the same kind, data and ``loc`` as ``e`` with the
+    children ``kids``.  That is ``e`` itself, with what is kept on it,
+    when every child is the one it has; a new node keeps nothing."""
+    old = e._kids
+    if len(kids) == len(old) and all(map(is_, kids, old)):
+        return e
+    # Set each field as the constructor does, minus its argument handling;
+    # touching either node's ``__dict__`` would slow every later read of it.
+    cls = type(e)
+    new = _new(cls)
+    for name in cls._data:
+        _set(new, name, getattr(e, name))
+    if cls._kid_names == ("items",):
+        kids = (tuple(kids),)
+    for name, kid in zip(cls._kid_names, kids):
+        _set(new, name, kid)
+    return new
+
+
+def _shape(cls):
+    names = tuple(f.name for f in fields(cls)
+                  if f.type == "Expr" or f.name == "items")
+    cls._kid_names = names
+    cls._data = tuple(f.name for f in fields(cls) if f.name not in names)
+    if len(names) > 1 or names == ("items",):
+        cls._kids = property(attrgetter(*names))  # a tuple already
+    elif names:
+        get = attrgetter(*names)
+        cls._kids = property(lambda e: (get(e),))
+    else:
+        cls._kids = ()
+
+
+for _cls in Expr.__subclasses__():
+    _shape(_cls)
+
+
 # Types
 
 
@@ -432,6 +493,16 @@ def tokenize(source):
 # ---------------------------------------------------------------------------
 # Parser
 
+#: Operator levels, loosest first; the parser and the printer share them.
+_JOIN, _RESTRICT, _OR, _AND, _CMP, _ADD, _MUL, _UNARY, _POW, _APP, _ATOM = range(11)
+
+#: The level of each binary operator token.
+_BINARY = {"||": _JOIN, "~>": _RESTRICT, "\\/": _OR, "/\\": _AND,
+           "<": _CMP, ">": _CMP, "+": _ADD, "-": _ADD, "*": _MUL, "/": _MUL}
+
+#: The operators whose chains are one n-ary node.
+_CHAINS = {"||": Join, "\\/": Or, "/\\": And}
+
 _BINDER_STARTS = {"fun", "cut", "exists", "forall", "let"}
 _ATOM_STARTS = {"IDENT", "RAT", "True", "False", "(", "mkbool", "is_true",
                 "is_false"} | _BINDER_STARTS
@@ -525,97 +596,47 @@ class _Parser:
         return Directive(name, arg, loc=tok.loc)
 
     def rational_arg(self):
-        neg = False
         if self.peek().kind == "-":
             self.next()
-            neg = True
-        num = self.expect("RAT").value
-        if self.peek().kind == "/":
-            self.next()
-            den = self.expect("RAT").value
-            if den == 0:
-                raise ParseError("zero denominator", self.peek().loc)
-            num = num / den
-        return -num if neg else num
+            return -self.rational_limit()
+        return self.rational_limit()
 
-    # Expressions, loosest level first --------------------------------------
+    # Expressions -----------------------------------------------------------
 
-    def expr(self):
-        return self.join_expr()
-
-    def join_expr(self):
-        loc = self.peek().loc
-        first = self.restrict_expr()
-        if self.peek().kind != "||":
-            return first
-        items = [first]
-        while self.peek().kind == "||":
-            self.next()
-            items.append(self.restrict_expr())
-        return Join(tuple(items), loc=loc)
-
-    def restrict_expr(self):
-        loc = self.peek().loc
-        lhs = self.or_expr()
-        if self.peek().kind == "~>":
-            self.next()
-            return Restrict(lhs, self.restrict_expr(), loc=loc)
-        return lhs
-
-    def or_expr(self):
-        loc = self.peek().loc
-        first = self.and_expr()
-        if self.peek().kind != "\\/":
-            return first
-        items = [first]
-        while self.peek().kind == "\\/":
-            self.next()
-            items.append(self.and_expr())
-        return Or(tuple(items), loc=loc)
-
-    def and_expr(self):
-        loc = self.peek().loc
-        first = self.cmp_expr()
-        if self.peek().kind != "/\\":
-            return first
-        items = [first]
-        while self.peek().kind == "/\\":
-            self.next()
-            items.append(self.cmp_expr())
-        return And(tuple(items), loc=loc)
-
-    def cmp_expr(self):
-        loc = self.peek().loc
-        lhs = self.add_expr()
-        kind = self.peek().kind
-        if kind == "<":
-            self.next()
-            return Less(lhs, self.add_expr(), loc=loc)
-        if kind == ">":
-            self.next()
-            return Less(self.add_expr(), lhs, loc=loc)
-        return lhs
-
-    def add_expr(self):
-        loc = self.peek().loc
-        e = self.mul_expr()
-        while self.peek().kind in ("+", "-"):
-            op = self.next().kind
-            e = Arith(op, e, self.mul_expr(), loc=loc)
-        return e
-
-    def mul_expr(self):
+    def expr(self, level=_JOIN):
+        """An expression whose binary operators all bind at ``level`` or
+        tighter, by precedence climbing over ``_BINARY``.  Every node it
+        builds is located at the expression's first token."""
         loc = self.peek().loc
         e = self.unary_expr()
-        while self.peek().kind in ("*", "/"):
-            op = self.next().kind
-            rhs = self.unary_expr()
-            if (op == "/" and isinstance(e, RatLit) and isinstance(rhs, RatLit)
-                    and rhs.value != 0):
-                e = RatLit(e.value / rhs.value, loc=loc)
-            else:
-                e = Arith(op, e, rhs, loc=loc)
-        return e
+        top = _MUL  # the tightest level an operator here may still have
+        while True:
+            kind = self.peek().kind
+            op = _BINARY.get(kind)
+            if op is None or not level <= op <= top:
+                return e
+            self.next()
+            if op >= _ADD:  # + - * / group to the left
+                top = op
+                rhs = self.expr(op + 1)
+                if (kind == "/" and isinstance(e, RatLit)
+                        and isinstance(rhs, RatLit) and rhs.value != 0):
+                    e = RatLit(e.value / rhs.value, loc=loc)
+                else:
+                    e = Arith(kind, e, rhs, loc=loc)
+                continue
+            top = op - 1  # chains are n-ary, ~> nests right, < > never group
+            if op == _CMP:  # e < rhs, or e > rhs read as rhs < e
+                rhs = self.expr(_ADD)
+                e = Less(*((e, rhs) if kind == "<" else (rhs, e)), loc=loc)
+            elif op == _RESTRICT:  # groups to the right
+                e = Restrict(e, self.expr(_RESTRICT), loc=loc)
+            else:  # one n-ary node for the whole chain
+                items = [e, self.expr(op + 1)]
+                while self.peek().kind == kind:
+                    self.next()
+                    items.append(self.expr(op + 1))
+                e = _CHAINS[kind](tuple(items), loc=loc)
 
     def unary_expr(self):
         if self.peek().kind == "-":
@@ -821,8 +842,6 @@ def parse_expression(source):
 # ---------------------------------------------------------------------------
 # Printer
 
-_JOIN, _RESTRICT, _OR, _AND, _CMP, _ADD, _MUL, _UNARY, _POW, _APP, _ATOM = range(11)
-
 
 def pretty_print(e):
     """Render an expression as source text that re-parses to the same AST."""
@@ -884,11 +903,9 @@ def _pp(e, level):
         body = (f"cut {e.var} : {range_str(e.range)} left {_pp(e.left, _JOIN)} "
                 f"right {_pp(e.right, _JOIN)}")
         return _wrap(body, _JOIN, level)
-    if isinstance(e, Exists):
-        body = f"exists {e.var} : {range_str(e.range)}, {_pp(e.body, _JOIN)}"
-        return _wrap(body, _JOIN, level)
-    if isinstance(e, Forall):
-        body = f"forall {e.var} : {range_str(e.range)}, {_pp(e.body, _JOIN)}"
+    if isinstance(e, (Exists, Forall)):
+        word = "exists" if isinstance(e, Exists) else "forall"
+        body = f"{word} {e.var} : {range_str(e.range)}, {_pp(e.body, _JOIN)}"
         return _wrap(body, _JOIN, level)
     if isinstance(e, Let):
         body = f"let {e.var} = {_pp(e.bound, _JOIN)} in {_pp(e.body, _JOIN)}"
@@ -948,32 +965,12 @@ def free_vars(e):
         return fv
     if isinstance(e, Var):
         fv = frozenset((e.name,))
-    elif isinstance(e, (TrueLit, FalseLit, RatLit)):
-        fv = _NO_VARS
-    elif isinstance(e, Cut):
-        fv = _bind_out(_union(free_vars(e.left), free_vars(e.right)), e.var)
-    elif isinstance(e, (Exists, Forall, Lambda)):
-        fv = _bind_out(free_vars(e.body), e.var)
     elif isinstance(e, Let):
         fv = _union(free_vars(e.bound), _bind_out(free_vars(e.body), e.var))
-    elif isinstance(e, (And, Or, Join, Tuple)):
-        fv = _union(*map(free_vars, e.items))
-    elif isinstance(e, (Less, Arith)):
-        fv = _union(free_vars(e.lhs), free_vars(e.rhs))
-    elif isinstance(e, Pow):
-        fv = free_vars(e.base)
-    elif isinstance(e, App):
-        fv = _union(free_vars(e.fn), free_vars(e.arg))
-    elif isinstance(e, Proj):
-        fv = free_vars(e.tuple_)
-    elif isinstance(e, Restrict):
-        fv = _union(free_vars(e.guard), free_vars(e.body))
-    elif isinstance(e, MkBool):
-        fv = _union(free_vars(e.if_true), free_vars(e.if_false))
-    elif isinstance(e, (IsTrue, IsFalse)):
-        fv = free_vars(e.arg)
     else:
-        raise TypeError(f"free_vars: {type(e).__name__}")
+        fv = _union(*map(free_vars, children(e)))
+        if isinstance(e, BINDERS):
+            fv = _bind_out(fv, e.var)
     return keep(e, "_fv", fv)
 
 

@@ -165,10 +165,14 @@ def test_parse_error_reports_location():
 
 def test_deep_nesting_is_reported_not_raised():
     _, out, err, had_error, had_div = run_script(
-        "(" * 80 + "1" + ")" * 80 + ";;")
+        "(" * 10_000 + "1" + ")" * 10_000 + ";;")
     assert (had_error, had_div) == (True, False)
     assert out == ""
     assert err == "error: expression too deeply nested\n"
+    _, out, err, had_error, had_div = run_script(
+        "(" * 80 + "1" + ")" * 80 + ";;")
+    assert (had_error, had_div) == (False, False)
+    assert (out, err) == ("real = 1 ± 0\n", "")
 
 
 def test_divergence_is_flagged():

@@ -1,5 +1,7 @@
 """Approximation, refinement, and run-loop behavior."""
 
+import importlib
+import os
 import random
 from fractions import Fraction
 
@@ -332,6 +334,19 @@ def test_approximants_keep_their_three_argument_shape(monkeypatch):
     assert compiled == expected_compiled
     assert len(compiled) == len(set(compiled))  # each comparison once
     assert pe("z * (1 - z) < 1/4 + 1/1000000") in compiled
+
+
+def test_the_globals_perfbench_patches_exist(monkeypatch):
+    # perfbench's tracer replaces these module globals by name.  Without
+    # this check a refactor that drops one breaks only the traced run.
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    monkeypatch.syspath_prepend(os.path.join(root, "perfbench"))
+    from tracing import APPROX_POINTS, SPAN_POINTS
+    points = [(module, name) for module, name, _ in SPAN_POINTS]
+    points += [("msl.evaluator", name) for name in APPROX_POINTS]
+    for module, name in points:
+        fn = getattr(importlib.import_module(module), name, None)
+        assert callable(fn), f"{module}.{name}"
 
 
 # --- evaluate_step ----------------------------------------------------------------

@@ -1,6 +1,8 @@
-"""The free-variable sets kept on nodes agree with a plain recursion."""
+"""The free-variable sets kept on nodes, and the node shapes, agree with a
+plain recursion over the dataclass fields."""
 
 import dataclasses
+import operator
 from fractions import Fraction
 
 from hypothesis import given, strategies as st
@@ -9,11 +11,23 @@ from msl.interval import XRat
 from msl.syntax import (
     And, App, Arith, Cut, Exists, Expr, FalseLit, Forall, IsFalse, IsTrue,
     Join, Lambda, Less, Let, MkBool, Or, Pow, Proj, REAL, Range, RatLit,
-    Restrict, Tuple, TrueLit, Var, free_vars, parse_expression,
+    Restrict, Tuple, TrueLit, Var, children, free_vars, keep,
+    parse_expression, rebuild,
 )
 
 NAMES = ("x", "y", "z")  # few names, so binders often shadow each other
 UNIT = Range(XRat(0), XRat(1))
+
+
+def reference_children(e):
+    """The child expressions of ``e``, found among its dataclass fields."""
+    out = []
+    for f in dataclasses.fields(e):
+        value = getattr(e, f.name)
+        for child in value if isinstance(value, tuple) else (value,):
+            if isinstance(child, Expr):
+                out.append(child)
+    return out
 
 
 def reference_free_vars(e):
@@ -31,11 +45,8 @@ def reference_free_vars(e):
         return (reference_free_vars(e.bound)
                 | (reference_free_vars(e.body) - {e.var}))
     out = set()
-    for f in dataclasses.fields(e):
-        value = getattr(e, f.name)
-        for child in value if isinstance(value, tuple) else (value,):
-            if isinstance(child, Expr):
-                out |= reference_free_vars(child)
+    for child in reference_children(e):
+        out |= reference_free_vars(child)
     return out
 
 
@@ -145,3 +156,44 @@ def test_shadowing_binders():
         "let x = y in (fun y : real => x + y) (cut x : [0, 1] "
         "left (x < z /\\ exists z : [0, 1], z < x) right w < x)")
     assert free_vars(e) == reference_free_vars(e) == {"y", "z", "w"}
+
+
+#: What a node may keep (see ``Expr``), with stand-in values.
+KEPT = {"_settled": 1, "_lower": True, "_upper": True, "_poly": False,
+        "_normal": True, "_point": object()}
+
+
+@given(st.data())
+def test_shape_table_matches_the_dataclass_fields(data):
+    """``children`` reads the fields the reference reads, and ``rebuild``
+    makes what ``dataclasses.replace`` makes, keeping nothing of ``e``."""
+    pool = []
+    trees(data, pool, depth=3)
+    for k, node in enumerate(pool):
+        node = dataclasses.replace(node, loc=(1, k + 1))
+        kids = children(node)
+        assert isinstance(kids, tuple)
+        assert len(kids) == len(reference_children(node))
+        assert all(map(operator.is_, kids, reference_children(node)))
+        free_vars(node), hash(node)
+        for attr, value in KEPT.items():
+            keep(node, attr, value)
+        assert rebuild(node, kids) is node
+        if not kids:
+            continue
+        # Swap one child; the reference swaps the field that holds it.
+        i = data.draw(st.integers(0, len(kids) - 1))
+        new = data.draw(st.sampled_from(pool).filter(
+            lambda x: x is not kids[i]))
+        swapped = kids[:i] + (new,) + kids[i + 1:]
+        if hasattr(node, "items"):
+            want = dataclasses.replace(node, items=swapped)
+        else:
+            name = [f.name for f in dataclasses.fields(node)
+                    if isinstance(getattr(node, f.name), Expr)][i]
+            want = dataclasses.replace(node, **{name: new})
+        got = rebuild(node, swapped)
+        assert not set(vars(got)) & {"_fv", "_hash", *KEPT}
+        assert type(got) is type(want) and got == want
+        assert hash(got) == hash(want) and repr(got) == repr(want)
+        assert got.loc == want.loc == node.loc

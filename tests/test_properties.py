@@ -12,6 +12,7 @@ from msl.syntax import (
     Range, RatLit, REAL, Restrict, Tuple, TrueLit, Var,
 )
 from msl.typecheck import infer_type
+from test_free_vars import reference_children
 
 F = Fraction
 
@@ -78,6 +79,9 @@ class TypedGen:
             if roll < 0.8:
                 return Join((self.expr(PROP, ctx, depth - 1),
                              self.expr(PROP, ctx, depth - 1)))
+            if roll < 0.88:
+                return Restrict(self.expr(PROP, ctx, depth - 1),
+                                self.expr(PROP, ctx, depth - 1))
             return self.via_binding(PROP, ctx, depth)
         if ty == BOOL:
             if roll < 0.5:
@@ -150,15 +154,8 @@ def _assert_join_free(e):
         while isinstance(body, Restrict):
             body = body.body
         assert not isinstance(body, PROP_NODES), e
-    for name in ("items",):
-        if hasattr(e, name):
-            for item in getattr(e, name):
-                _assert_join_free(item)
-    for name in ("lhs", "rhs", "base", "body", "guard", "left", "right",
-                 "tuple_", "if_true", "if_false", "arg", "fn", "bound"):
-        child = getattr(e, name, None)
-        if child is not None and hasattr(child, "loc"):
-            _assert_join_free(child)
+    for child in reference_children(e):
+        _assert_join_free(child)
 
 
 def test_normalization_terminates_preserves_types_and_is_join_free():
