@@ -71,10 +71,13 @@ def execute_item(state, item):
         state.divergences += 1
     label = item.expr.name + " : " if isinstance(item.expr, Var) else ""
     lines = []
-    if witnesses:
-        for var, lo, hi in witnesses:
+    try:
+        for var, lo, hi in witnesses or ():
             lines.append(f"(witness {var} in [{lo}, {hi}])")
-    lines.append(f"{label}{type_str(ty)} = {render(outcome, state.fmt)}")
+        lines.append(f"{label}{type_str(ty)} = {render(outcome, state.fmt)}")
+    except ValueError:  # an integer past sys.get_int_max_str_digits()
+        raise SourceError("the result has too many digits to print",
+                          item.loc) from None
     return state, "\n".join(lines)
 
 

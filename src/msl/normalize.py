@@ -26,9 +26,21 @@ them one object: every copy of a closed cut that substitution spreads
 through a term (``max (sqrt 2) (cbrt 3)`` holds each argument in both
 the left and the right predicate of its cut) is the same node, and a
 refinement sweep refines it once (see ``evaluator``).  Substitution
-returns a subtree in which the name is not free as the same object, and
-a closed cut that ``normalize`` built is normal already, so it is not
-normalized again when substitution moves it into a body.
+returns a subtree in which the name is not free as the same object.
+
+The normal form of a closed node depends on the node alone: the
+context only types free variables, and the table of closed cuts only
+chooses which of equal objects to use.  So the disjuncts of a closed
+``let``-bound are kept on it (``_nform``) the first time they are built,
+and each disjunct, being normal, keeps itself, as does every closed cut
+``normalize`` builds.  A kept normal form is never built again.  The
+definitions a session stores are closed and are let-bound around each
+evaluation that uses them (see ``cli``), so each is normalized once per
+session, however often it is used.  A kept normal form may come from an
+earlier call, whose closed cuts were made one object in that call's
+table; on reuse each of its closed cuts, inner ones first, is entered in
+this call's table, and where an equal cut is there already the kept
+disjuncts are rebuilt around it, so equal closed cuts stay one object.
 
 Substitution, and the distribution of joins through comparisons,
 arithmetic, powers and tuples, reach children through the node shapes of
@@ -157,6 +169,8 @@ def _dedup(disjuncts):
 
 
 def _nf(e, ctx, cuts):
+    if e._nform is not None:
+        return _reuse(e, cuts)
     if isinstance(e, (Var, TrueLit, FalseLit, RatLit)):
         return [e]
     if isinstance(e, Join):
@@ -188,21 +202,24 @@ def _nf(e, ctx, cuts):
                     out.append(App(fn, arg))
         return _dedup(out)
     if isinstance(e, Let):
+        bounds = _nf(e.bound, ctx, cuts)
+        if e.bound._nform is None and not free_vars(e.bound):
+            keep(e.bound, "_nform", tuple(bounds))
+            for d in bounds:
+                if d._nform is None:
+                    keep(d, "_nform", (d,))  # normal already
         out = []
-        for bound in _nf(e.bound, ctx, cuts):
+        for bound in bounds:
             out.extend(_nf(substitute(e.var, bound, e.body), ctx, cuts))
         return _dedup(out)
     if isinstance(e, Cut):
-        if e._normal:
-            # A closed cut built here before: it would normalize to itself.
-            return [cuts.setdefault(e, e)]
         inner = {**ctx, e.var: REAL}
         left = _embed(_nf(e.left, inner, cuts))
         right = _embed(_nf(e.right, inner, cuts))
         cut = Cut(e.var, e.range, left, right)
         if not free_vars(cut):
             cut = cuts.setdefault(cut, cut)
-            keep(cut, "_normal", True)
+            keep(cut, "_nform", (cut,))  # normal already
         return [cut]
     if isinstance(e, (Exists, Forall)):
         body = _embed(_nf(e.body, {**ctx, e.var: REAL}, cuts))
@@ -222,6 +239,61 @@ def _nf(e, ctx, cuts):
     if isinstance(e, IsFalse):
         return _dedup([_bool_project(d, False) for d in _nf(e.arg, ctx, cuts)])
     raise TypeError(f"normalize: {type(e).__name__}")
+
+
+def _reuse(e, cuts):
+    """The kept normal form of ``e``, holding this call's closed cuts.
+
+    It was built in an earlier call, or earlier in this one.  Each
+    closed cut in it is entered in ``cuts``; where an equal one is there
+    already, that one replaces it, inner cuts first.
+    """
+    if isinstance(e, Cut):
+        shared = cuts.get(e)
+        if shared is not None:
+            return [shared]  # entered already, with the cuts inside it
+    swaps, changed = {}, False
+    for cut in _closed_cuts(e):
+        new = _swap(cut, swaps) if changed else cut
+        shared = cuts.setdefault(new, new)
+        if shared is new and new is not cut:
+            keep(new, "_nform", (new,))  # built here from kept cuts
+        if shared is not cut:
+            swaps[id(cut)], changed = shared, True
+    if not changed:
+        return e._nform
+    return [_swap(d, swaps) for d in e._nform]
+
+
+def _closed_cuts(e):
+    """The distinct closed cuts in the kept normal form of ``e``, each
+    after the closed cuts inside it.  The tuple is kept on ``e``."""
+    found = e._ncuts
+    if found is None:
+        found, seen = [], set()
+
+        def walk(x):
+            if id(x) not in seen:
+                seen.add(id(x))
+                for kid in children(x):
+                    walk(kid)
+                if isinstance(x, Cut) and not free_vars(x):
+                    found.append(x)
+
+        for d in e._nform:
+            walk(d)
+        found = keep(e, "_ncuts", tuple(found))
+    return found
+
+
+def _swap(e, swaps):
+    """``e`` with every node whose id ``swaps`` maps replaced by its
+    image; ``swaps`` also keeps the image of each node walked."""
+    new = swaps.get(id(e))
+    if new is None:
+        new = rebuild(e, [_swap(kid, swaps) for kid in children(e)])
+        swaps[id(e)] = new
+    return new
 
 
 def _proj_reduce(d, k):

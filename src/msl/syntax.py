@@ -91,6 +91,9 @@ class Expr:
     _settled = None  # evaluator._settled_size
     _lower = None  # evaluator.prop_approx of a closed prop in a sweep
     _upper = None
+    _ty = None  # typecheck.infer_type of a closed let-bound
+    _nform = None  # normalize._nf of a closed node: its disjuncts
+    _ncuts = None  # normalize._closed_cuts: the closed cuts in them
 
 
 def keep(e, attr, value):
@@ -141,7 +144,6 @@ class Cut(Expr):
     right: Expr = None
 
     _hash = None
-    _normal = False  # normalize._nf: a closed cut it built
 
     def __hash__(self):
         # The structural hash, kept on the node: normalize interns
@@ -451,7 +453,8 @@ def tokenize(source):
             if j < n and source[j].isdigit():
                 while j < n and source[j].isdigit():
                     j += 1
-                toks.append(Token("PROJ", int(source[i + 1:j]), loc))
+                toks.append(Token("PROJ", _number(int, source[i + 1:j], loc),
+                                  loc))
             elif j < n and (source[j].isalpha() or source[j] == "_"):
                 while j < n and (source[j].isalnum() or source[j] == "_"):
                     j += 1
@@ -468,7 +471,7 @@ def tokenize(source):
                 j += 1
                 while j < n and source[j].isdigit():
                     j += 1
-            toks.append(Token("RAT", Fraction(source[i:j]), loc))
+            toks.append(Token("RAT", _number(Fraction, source[i:j], loc), loc))
             advance(j - i)
             continue
         if ch.isalpha() or ch == "_":
@@ -488,6 +491,16 @@ def tokenize(source):
             raise LexError(f"illegal character {ch!r}", loc)
     toks.append(Token("EOF", None, (line, col)))
     return toks
+
+
+def _number(kind, text, loc):
+    """``kind(text)`` for a numeral, or a LexError where Python refuses to
+    convert that many digits (``sys.get_int_max_str_digits``)."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise LexError(f"number of {len(text)} characters is too long",
+                       loc) from None
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,12 @@ with no function arrow); quantifier and cut bodies type their bound
 variable at real.  Quantifier ranges must be finite closed intervals —
 exhaustive search needs a compact range — while cut ranges may be open
 or unbounded.
+
+The type of a closed node depends on the node alone, so that of a
+closed ``let``-bound is kept on it (``_ty``) once inferred and returned
+from then on.  The definitions a session stores are closed and
+let-bound around each evaluation that uses them, so each is
+type-checked once per session.
 """
 
 from __future__ import annotations
@@ -13,7 +19,8 @@ from __future__ import annotations
 from .syntax import (
     And, App, Arith, ArrowTy, BOOL, Cut, Exists, FalseLit, Forall, IsFalse,
     IsTrue, Join, Lambda, Less, Let, MkBool, Or, PROP, Pow, ProductTy, Proj,
-    RatLit, REAL, Restrict, SourceError, Tuple, TrueLit, Var, type_str,
+    RatLit, REAL, Restrict, SourceError, Tuple, TrueLit, Var, free_vars, keep,
+    type_str,
 )
 
 
@@ -32,6 +39,8 @@ def is_base(t):
 
 def infer_type(ctx, e):
     """Infer the unique type of ``e`` under ``ctx`` or raise TypecheckError."""
+    if e._ty is not None:
+        return e._ty
     if isinstance(e, Var):
         try:
             return ctx[e.name]
@@ -99,6 +108,8 @@ def infer_type(ctx, e):
         return REAL
     if isinstance(e, Let):
         bound_ty = infer_type(ctx, e.bound)
+        if not free_vars(e.bound):
+            keep(e.bound, "_ty", bound_ty)
         return infer_type({**ctx, e.var: bound_ty}, e.body)
     if isinstance(e, Restrict):
         _check(ctx, e.guard, PROP, "a restriction guard")

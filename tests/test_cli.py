@@ -322,3 +322,30 @@ def test_repl_via_subprocess():
              "PYTHONIOENCODING": "utf-8"})
     assert proc.returncode == 0, proc.stderr
     assert "two : real = 2 ± 0" in proc.stdout
+
+
+# --- numbers past Python's int/str conversion limit ------------------------------------
+
+BIG = "1" * (sys.get_int_max_str_digits() + 700)
+
+
+def test_overlong_numbers_are_located_errors():
+    for source, col in ((f"{BIG};;", 1), (f"#precision 1/{BIG};;", 14),
+                        (f"exists x : [0, {BIG}], x < 1;;", 16)):
+        state = SessionState()
+        _, out, err, had_error, _ = run_script(source, state)
+        assert had_error and out == ""
+        assert err == (f"error: 1:{col}: number of {len(BIG)} characters "
+                       "is too long\n")
+        _, out, err, had_error, _ = run_script("1 + 1;;", state)
+        assert (out, err, had_error) == ("real = 2 ± 0\n", "", False)
+
+
+def test_unprintable_result_is_a_located_error():
+    for fmt in ("decimal", "interval"):
+        _, out, err, had_error, _ = run_script(
+            "1;;\n2 ^ 100000;;\n1 + 1;;", SessionState(fmt=fmt))
+        assert had_error
+        assert err == "error: 2:1: the result has too many digits to print\n"
+        assert out.splitlines() == [render(RealBall(F(n), F(0)), fmt)
+                                    .join(("real = ", "")) for n in (1, 2)]

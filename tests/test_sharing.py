@@ -2,11 +2,13 @@
 closed cuts are one object, refined once per sweep, and settled subtrees
 come back by identity."""
 
+import io
 from fractions import Fraction
 
 import pytest
 
 import msl.evaluator
+from msl.cli import SessionState, _wrap_definitions, execute_source
 from msl.evaluator import PRUNED, refine_step
 from msl.normalize import normalize, substitute
 from msl.prelude import load_prelude
@@ -165,3 +167,30 @@ def test_settled_subtrees_never_change_a_sweep(monkeypatch, source):
                 m.setattr(msl.evaluator, "_settled_size", lambda e: 0)
                 walked = refine_step(walked, step)
             assert fast == walked, (cap, step)
+
+
+def test_a_kept_definition_shares_its_cut_with_equal_ones(monkeypatch):
+    # ``s2`` was normalized and kept by an earlier evaluation, so its cut
+    # was entered in that call's table.  In this call it is still one
+    # object with the equal cut that ``sqrt 2`` builds, and a sweep
+    # refines it once, as when nothing was kept.
+    state = SessionState()
+    execute_source(state, '#use "prelude.msl";;' + CUT_DEFS
+                   + "let s2 = sqrt 2;; s2;;", out=io.StringIO())
+    assert state.definitions["s2"][0]._nform is not None
+    wrapped = _wrap_definitions(state, parse_expression("max s2 (sqrt 2)"))
+    calls = []
+    refine_cut = msl.evaluator._refine_cut
+
+    def counting(e, st, scope):
+        calls.append(e)
+        return refine_cut(e, st, scope)
+
+    monkeypatch.setattr(msl.evaluator, "_refine_cut", counting)
+    for e in (wrapped, unshared(wrapped)):  # kept values, and none
+        (d,) = normalize(e)
+        (a, b), (a2, b2) = inner_cuts(d)
+        assert a == b and a is b is a2 is b2
+        calls.clear()
+        refine_step(d)
+        assert len(calls) == 2  # the outer cut and its one argument
