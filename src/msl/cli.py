@@ -9,7 +9,7 @@ Directives: #precision <rational>, #use "<path>", #trace on|off.
 Flags: --precision, --max-steps, --format {decimal,interval},
 --trace-witness, --no-repl, plus source files executed in order before
 the REPL starts.  Exit status: 1 after any parse/type error, else 2 if
-any batch evaluation diverged, else 0.
+any batch evaluation diverged, else 0; 130 when Ctrl-C stops the files.
 """
 
 from __future__ import annotations
@@ -209,9 +209,6 @@ def execute_source(state, source, out=None, err=None):
     except SourceError as exc:
         print(f"error: {exc.format()}", file=err)
         return True, False
-    except RecursionError:
-        print("error: expression too deeply nested", file=err)
-        return True, False
     had_error = False
     divergences = state.divergences
     for item in items:
@@ -222,7 +219,8 @@ def execute_source(state, source, out=None, err=None):
             had_error = True
             continue
         except RecursionError:
-            print("error: expression too deeply nested", file=err)
+            exc = SourceError("expression too deeply nested", item.loc)
+            print(f"error: {exc.format()}", file=err)
             had_error = True
             continue
         if rendered is not None:
@@ -286,17 +284,21 @@ def main(argv=None):
         state.step_budget = args.max_steps
 
     had_error = had_divergence = False
-    for path in args.files:
-        try:
-            source = _read_source(path, path)
-        except SourceError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            had_error = True
-            continue
-        state.base_dirs = (os.path.dirname(path) or os.curdir, os.curdir)
-        err, div = execute_source(state, source)
-        had_error = had_error or err
-        had_divergence = had_divergence or div
+    try:
+        for path in args.files:
+            try:
+                source = _read_source(path, path)
+            except SourceError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                had_error = True
+                continue
+            state.base_dirs = (os.path.dirname(path) or os.curdir, os.curdir)
+            err, div = execute_source(state, source)
+            had_error = had_error or err
+            had_divergence = had_divergence or div
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
     state.base_dirs = (os.curdir,)
 
     if not args.no_repl:

@@ -125,9 +125,6 @@ class RealBall(Outcome):
     center: Fraction
     radius: Fraction
 
-    def interval(self):
-        return GInterval(self.center - self.radius, self.center + self.radius)
-
 
 @dataclass(frozen=True)
 class PropTrue(Outcome):

@@ -21,26 +21,29 @@ projections and the boolean projections push through restriction
 conjunction.  Literal conjunctions and disjunctions are folded, and
 duplicate disjuncts of a join are dropped.
 
-Equal closed cuts denote the same real, so one ``normalize`` call makes
-them one object: every copy of a closed cut that substitution spreads
+Equal closed cuts denote the same real, so they are one object:
+``_intern`` picks the object for every closed cut ``normalize`` builds,
+and while a closed cut is alive every equal one that any call builds is
+that object.  Every copy of a closed cut that substitution spreads
 through a term (``max (sqrt 2) (cbrt 3)`` holds each argument in both
 the left and the right predicate of its cut) is the same node, and a
 refinement sweep refines it once (see ``evaluator``).  Substitution
 returns a subtree in which the name is not free as the same object.
+The table behind ``_intern`` is process-wide and holds its cuts weakly,
+as keys and as values.  It cannot change a meaning, because nodes are
+immutable and what is kept on one depends on the node alone (see
+``syntax.Expr``), so an equal object serves as well.  It cannot hold
+memory, because a cut leaves it once the cut is collected.
 
 The normal form of a closed node depends on the node alone: the
-context only types free variables, and the table of closed cuts only
-chooses which of equal objects to use.  So the disjuncts of a closed
+context only types free variables.  So the disjuncts of a closed
 ``let``-bound are kept on it (``_nform``) the first time they are built,
 and each disjunct, being normal, keeps itself, as does every closed cut
-``normalize`` builds.  A kept normal form is never built again.  The
-definitions a session stores are closed and are let-bound around each
-evaluation that uses them (see ``cli``), so each is normalized once per
-session, however often it is used.  A kept normal form may come from an
-earlier call, whose closed cuts were made one object in that call's
-table; on reuse each of its closed cuts, inner ones first, is entered in
-this call's table, and where an equal cut is there already the kept
-disjuncts are rebuilt around it, so equal closed cuts stay one object.
+``normalize`` builds.  A kept normal form is never built again, and the
+closed cuts in it stay in the table while it is kept.  The definitions a
+session stores are closed and are let-bound around each evaluation that
+uses them (see ``cli``), so each is normalized once per session, however
+often it is used.
 
 Substitution, and the distribution of joins through comparisons,
 arithmetic, powers and tuples, reach children through the node shapes of
@@ -49,6 +52,7 @@ arithmetic, powers and tuples, reach children through the node shapes of
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import replace
 from itertools import product
 
@@ -63,7 +67,7 @@ from .typecheck import infer_type
 def normalize(e):
     """Normalize a closed, well-typed expression to a non-empty tuple of
     join-free disjuncts, any of which may answer."""
-    return tuple(_nf(e, {}, {}))
+    return tuple(_nf(e, {}))
 
 
 # ---------------------------------------------------------------------------
@@ -164,45 +168,44 @@ def _dedup(disjuncts):
 
 
 # ---------------------------------------------------------------------------
-# The normalizer proper: returns the list of join-free disjuncts.  ``cuts``
-# maps each closed cut built so far to itself, so equal ones are shared.
+# The normalizer proper: returns the list of join-free disjuncts.
 
 
-def _nf(e, ctx, cuts):
+def _nf(e, ctx):
     if e._nform is not None:
-        return _reuse(e, cuts)
+        return e._nform
     if isinstance(e, (Var, TrueLit, FalseLit, RatLit)):
         return [e]
     if isinstance(e, Join):
         out = []
         for item in e.items:
-            out.extend(_nf(item, ctx, cuts))
+            out.extend(_nf(item, ctx))
         return _dedup(out)
     if isinstance(e, And):
-        return [mk_and([_embed(_nf(item, ctx, cuts)) for item in e.items])]
+        return [mk_and([_embed(_nf(item, ctx)) for item in e.items])]
     if isinstance(e, Or):
-        return [mk_or([_embed(_nf(item, ctx, cuts)) for item in e.items])]
+        return [mk_or([_embed(_nf(item, ctx)) for item in e.items])]
     if isinstance(e, (Less, Arith, Pow, Tuple)):
         # Distribute the joins of the children: one node per choice.
         return [rebuild(e, row) for row in
-                product(*[_nf(kid, ctx, cuts) for kid in children(e)])]
+                product(*[_nf(kid, ctx) for kid in children(e)])]
     if isinstance(e, Proj):
-        return [_proj_reduce(d, e.index) for d in _nf(e.tuple_, ctx, cuts)]
+        return [_proj_reduce(d, e.index) for d in _nf(e.tuple_, ctx)]
     if isinstance(e, Lambda):
         inner = {**ctx, e.var: e.var_ty}
-        return [Lambda(e.var, e.var_ty, d) for d in _nf(e.body, inner, cuts)]
+        return [Lambda(e.var, e.var_ty, d) for d in _nf(e.body, inner)]
     if isinstance(e, App):
         out = []
-        for fn in _nf(e.fn, ctx, cuts):
-            for arg in _nf(e.arg, ctx, cuts):
+        for fn in _nf(e.fn, ctx):
+            for arg in _nf(e.arg, ctx):
                 if isinstance(fn, Lambda):
                     body = substitute(fn.var, arg, fn.body)
-                    out.extend(_nf(body, ctx, cuts))
+                    out.extend(_nf(body, ctx))
                 else:
                     out.append(App(fn, arg))
         return _dedup(out)
     if isinstance(e, Let):
-        bounds = _nf(e.bound, ctx, cuts)
+        bounds = _nf(e.bound, ctx)
         if e.bound._nform is None and not free_vars(e.bound):
             keep(e.bound, "_nform", tuple(bounds))
             for d in bounds:
@@ -210,90 +213,48 @@ def _nf(e, ctx, cuts):
                     keep(d, "_nform", (d,))  # normal already
         out = []
         for bound in bounds:
-            out.extend(_nf(substitute(e.var, bound, e.body), ctx, cuts))
+            out.extend(_nf(substitute(e.var, bound, e.body), ctx))
         return _dedup(out)
     if isinstance(e, Cut):
         inner = {**ctx, e.var: REAL}
-        left = _embed(_nf(e.left, inner, cuts))
-        right = _embed(_nf(e.right, inner, cuts))
+        left = _embed(_nf(e.left, inner))
+        right = _embed(_nf(e.right, inner))
         cut = Cut(e.var, e.range, left, right)
-        if not free_vars(cut):
-            cut = cuts.setdefault(cut, cut)
-            keep(cut, "_nform", (cut,))  # normal already
-        return [cut]
+        return [cut if free_vars(cut) else _intern(cut)]
     if isinstance(e, (Exists, Forall)):
-        body = _embed(_nf(e.body, {**ctx, e.var: REAL}, cuts))
+        body = _embed(_nf(e.body, {**ctx, e.var: REAL}))
         return [type(e)(e.var, e.range, body)]
     if isinstance(e, Restrict):
-        guard = _embed(_nf(e.guard, ctx, cuts))
+        guard = _embed(_nf(e.guard, ctx))
         if infer_type(ctx, e.body) == PROP:
             # Restriction at prop is conjunction with the guard.
-            return [mk_and([guard, _embed(_nf(e.body, ctx, cuts))])]
-        return [Restrict(guard, d) for d in _nf(e.body, ctx, cuts)]
+            return [mk_and([guard, _embed(_nf(e.body, ctx))])]
+        return [Restrict(guard, d) for d in _nf(e.body, ctx)]
     if isinstance(e, MkBool):
-        p = _embed(_nf(e.if_true, ctx, cuts))
-        q = _embed(_nf(e.if_false, ctx, cuts))
+        p = _embed(_nf(e.if_true, ctx))
+        q = _embed(_nf(e.if_false, ctx))
         return [MkBool(p, q)]
     if isinstance(e, IsTrue):
-        return _dedup([_bool_project(d, True) for d in _nf(e.arg, ctx, cuts)])
+        return _dedup([_bool_project(d, True) for d in _nf(e.arg, ctx)])
     if isinstance(e, IsFalse):
-        return _dedup([_bool_project(d, False) for d in _nf(e.arg, ctx, cuts)])
+        return _dedup([_bool_project(d, False) for d in _nf(e.arg, ctx)])
     raise TypeError(f"normalize: {type(e).__name__}")
 
 
-def _reuse(e, cuts):
-    """The kept normal form of ``e``, holding this call's closed cuts.
-
-    It was built in an earlier call, or earlier in this one.  Each
-    closed cut in it is entered in ``cuts``; where an equal one is there
-    already, that one replaces it, inner cuts first.
-    """
-    if isinstance(e, Cut):
-        shared = cuts.get(e)
-        if shared is not None:
-            return [shared]  # entered already, with the cuts inside it
-    swaps, changed = {}, False
-    for cut in _closed_cuts(e):
-        new = _swap(cut, swaps) if changed else cut
-        shared = cuts.setdefault(new, new)
-        if shared is new and new is not cut:
-            keep(new, "_nform", (new,))  # built here from kept cuts
-        if shared is not cut:
-            swaps[id(cut)], changed = shared, True
-    if not changed:
-        return e._nform
-    return [_swap(d, swaps) for d in e._nform]
+# Each live closed cut that ``_nf`` built, mapped to a weak reference to
+# itself: the table keeps no cut alive.
+_CUTS = weakref.WeakKeyDictionary()
 
 
-def _closed_cuts(e):
-    """The distinct closed cuts in the kept normal form of ``e``, each
-    after the closed cuts inside it.  The tuple is kept on ``e``."""
-    found = e._ncuts
-    if found is None:
-        found, seen = [], set()
-
-        def walk(x):
-            if id(x) not in seen:
-                seen.add(id(x))
-                for kid in children(x):
-                    walk(kid)
-                if isinstance(x, Cut) and not free_vars(x):
-                    found.append(x)
-
-        for d in e._nform:
-            walk(d)
-        found = keep(e, "_ncuts", tuple(found))
-    return found
-
-
-def _swap(e, swaps):
-    """``e`` with every node whose id ``swaps`` maps replaced by its
-    image; ``swaps`` also keeps the image of each node walked."""
-    new = swaps.get(id(e))
-    if new is None:
-        new = rebuild(e, [_swap(kid, swaps) for kid in children(e)])
-        swaps[id(e)] = new
-    return new
+def _intern(cut):
+    """The live closed cut equal to ``cut``, or ``cut`` itself, entered."""
+    ref = _CUTS.get(cut)
+    shared = None if ref is None else ref()
+    if shared is not None:
+        return shared
+    keep(cut, "_nform", (cut,))  # normal already
+    _CUTS[cut] = weakref.ref(cut)
+    return cut
 
 
 def _proj_reduce(d, k):

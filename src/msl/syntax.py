@@ -86,14 +86,15 @@ class Expr:
     # kept on the node (see ``keep``).  They are class attributes, not
     # dataclass fields, so equality, hashing, repr and
     # ``dataclasses.fields`` ignore them, and ``dataclasses.replace``
-    # makes a node that has none yet.
+    # makes a node that has none yet.  A fact may hold any of equal
+    # nodes: the closed cuts in ``_nform`` are the ones ``normalize``
+    # interned, one object for equal cuts.
     _fv = None  # free_vars
     _settled = None  # evaluator._settled_size
     _lower = None  # evaluator.prop_approx of a closed prop in a sweep
     _upper = None
     _ty = None  # typecheck.infer_type of a closed let-bound
     _nform = None  # normalize._nf of a closed node: its disjuncts
-    _ncuts = None  # normalize._closed_cuts: the closed cuts in them
 
 
 def keep(e, attr, value):
@@ -555,16 +556,19 @@ class _Parser:
 
     def item(self):
         tok = self.peek()
-        if tok.kind == "DIRECTIVE":
-            item = self.directive()
-        elif tok.kind == "let" and self._is_top_level_def():
-            self.next()
-            name = self.expect("IDENT").value
-            self.expect("=")
-            body = self.expr()
-            item = Def(name, body, loc=tok.loc)
-        else:
-            item = Eval(self.expr(), loc=tok.loc)
+        try:
+            if tok.kind == "DIRECTIVE":
+                item = self.directive()
+            elif tok.kind == "let" and self._is_top_level_def():
+                self.next()
+                name = self.expect("IDENT").value
+                self.expect("=")
+                body = self.expr()
+                item = Def(name, body, loc=tok.loc)
+            else:
+                item = Eval(self.expr(), loc=tok.loc)
+        except RecursionError:
+            raise ParseError("expression too deeply nested", tok.loc) from None
         if self.peek().kind != ";;":
             raise ParseError("expected ';;' to end the item", self.peek().loc)
         self.next()

@@ -168,11 +168,19 @@ def test_deep_nesting_is_reported_not_raised():
         "(" * 10_000 + "1" + ")" * 10_000 + ";;")
     assert (had_error, had_div) == (True, False)
     assert out == ""
-    assert err == "error: expression too deeply nested\n"
+    assert err == "error: 1:1: expression too deeply nested\n"
     _, out, err, had_error, had_div = run_script(
         "(" * 80 + "1" + ")" * 80 + ";;")
     assert (had_error, had_div) == (False, False)
     assert (out, err) == ("real = 1 ± 0\n", "")
+
+
+def test_a_deep_item_is_located_and_the_next_one_runs():
+    _, out, err, had_error, had_div = run_script(
+        "1 + 1;;\n" + " + ".join(["1"] * 600) + ";;\n2 * 3;;")
+    assert (had_error, had_div) == (True, False)
+    assert err == "error: 2:1: expression too deeply nested\n"
+    assert out == "real = 2 ± 0\nreal = 6 ± 0\n"
 
 
 def test_divergence_is_flagged():
@@ -285,6 +293,15 @@ def test_main_divergence_in_used_file_exit_two(tmp_path):
                              '#use "diverges.msl";;\n1 + 1;;')
     assert code == 2
     assert out == "real = no result within 1 steps\nreal = 2 ± 0\n"
+
+
+def test_main_reports_ctrl_c_in_files_and_exits_130(tmp_path, monkeypatch):
+    def interrupted(state, source):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr("msl.cli.execute_source", interrupted)
+    code, out, err = _run_main([], tmp_path, "1 + 1;;")
+    assert (code, out, err) == (130, "", "interrupted\n")
 
 
 def test_execute_source_reports_divergence_from_outcomes():

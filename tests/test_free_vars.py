@@ -160,7 +160,7 @@ def test_shadowing_binders():
 
 #: What a node may keep (see ``Expr``), with stand-in values.
 KEPT = {"_settled": 1, "_lower": True, "_upper": True, "_poly": False,
-        "_ty": object(), "_nform": (), "_ncuts": (), "_point": object()}
+        "_ty": object(), "_nform": (), "_point": object()}
 
 
 @given(st.data())

@@ -100,8 +100,7 @@ def check_uses(gen, state, names):
 
 def test_a_cut_kept_inside_a_kept_cut_is_shared():
     # ``a`` and the inner cut of ``b`` are equal cuts kept by different
-    # evaluations.  Used together they are one object, so ``b``'s outer
-    # cut is rebuilt around ``a``'s.
+    # evaluations.  Used together they are one object.
     state = SessionState()
     execute_source(state, """
         let sqrt = fun x : real =>
@@ -132,10 +131,10 @@ def test_a_stored_definition_is_normalized_and_typed_once(monkeypatch):
     calls = []
     nf, infer = NORMALIZE._nf, TYPECHECK.infer_type
 
-    def counting_nf(e, ctx, cuts):
+    def counting_nf(e, ctx):
         calls[-1] += 1
         built["normal"] += e is stored() and e._nform is None
-        return nf(e, ctx, cuts)
+        return nf(e, ctx)
 
     def counting_infer(ctx, e):
         built["type"] += e is stored() and e._ty is None

@@ -2,7 +2,9 @@
 closed cuts are one object, refined once per sweep, and settled subtrees
 come back by identity."""
 
+import gc
 import io
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -77,6 +79,28 @@ def test_normalize_returns_a_normal_closed_cut_itself():
     assert hash(copy) == hash(d) and hash(unshared(a)) == hash(a)
     (renormalized,) = normalize(copy)
     assert renormalized == d
+
+
+def test_separate_calls_share_a_live_closed_cut():
+    # ``closed`` parses afresh, so the two calls share no node of input.
+    first = sole_disjunct("sqrt (sqrt 7)")
+    second = sole_disjunct("sqrt (sqrt 7)")
+    assert first is second
+    inner = sole_disjunct("sqrt 7")
+    assert inner is first.left.items[1].rhs
+
+
+def test_the_cut_table_keeps_no_cut_alive():
+    # A target no other test uses, so no live cut is equal to it.
+    cut = sole_disjunct("sqrt (sqrt (1234567/89))")
+    inner = weakref.ref(cut.left.items[1].rhs)
+    first = weakref.ref(cut)
+    del cut
+    gc.collect()
+    assert first() is None and inner() is None
+    again = sole_disjunct("sqrt (sqrt (1234567/89))")
+    assert again._nform == (again,)  # entered anew
+    assert sole_disjunct("sqrt (sqrt (1234567/89))") is again
 
 
 def test_substitute_returns_subtrees_without_the_name_by_identity():
@@ -170,10 +194,9 @@ def test_settled_subtrees_never_change_a_sweep(monkeypatch, source):
 
 
 def test_a_kept_definition_shares_its_cut_with_equal_ones(monkeypatch):
-    # ``s2`` was normalized and kept by an earlier evaluation, so its cut
-    # was entered in that call's table.  In this call it is still one
-    # object with the equal cut that ``sqrt 2`` builds, and a sweep
-    # refines it once, as when nothing was kept.
+    # ``s2`` was normalized and kept by an earlier evaluation.  In this
+    # one its cut is still one object with the equal cut that ``sqrt 2``
+    # builds, and a sweep refines it once, as when nothing was kept.
     state = SessionState()
     execute_source(state, '#use "prelude.msl";;' + CUT_DEFS
                    + "let s2 = sqrt 2;; s2;;", out=io.StringIO())
