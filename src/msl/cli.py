@@ -50,7 +50,14 @@ class SessionState:
 
 
 def execute_item(state, item):
-    """Execute one item, returning (state, rendered text or None)."""
+    """Execute one item, returning (state, rendered text or None); a
+    ``#use`` runs all its file's items, then raises their first error."""
+    if isinstance(item, Directive) and item.name == "use":
+        results = list(_use(state, item))
+        for _, error in results:
+            if error is not None:
+                raise SourceError(error)
+        return state, "\n".join(text for text, _ in results) or None
     if isinstance(item, Directive):
         return _directive(state, item)
     if isinstance(item, Def):
@@ -98,28 +105,51 @@ def _directive(state, item):
             raise SourceError("precision must be positive", item.loc)
         state.precision = Fraction(item.arg)
         return state, None
-    if item.name == "trace":
-        state.trace = item.arg
-        return state, None
-    assert item.name == "use"
+    assert item.name == "trace"
+    state.trace = item.arg
+    return state, None
+
+
+def _run_source(state, source, where=""):
+    """Execute the items of a source text in order, yielding (rendered
+    text, None) per answer and (None, error text) per error.  An error
+    ends its own item, a parse error the whole text.  ``where`` ("" or
+    the ``#use`` argument and a colon) names the file in error texts."""
+    try:
+        items = parse_program(source)
+    except SourceError as exc:
+        yield None, where + exc.format()
+        return
+    for item in items:
+        try:
+            if isinstance(item, Directive) and item.name == "use":
+                yield from _use(state, item)
+                continue
+            state, text = execute_item(state, item)
+            if text is not None:
+                yield text, None
+        except SourceError as exc:
+            yield None, where + exc.format()
+        except RecursionError:
+            exc = SourceError("expression too deeply nested", item.loc)
+            yield None, where + exc.format()
+
+
+def _use(state, item):
+    """The results of a ``#use`` directive (see ``_run_source``)."""
     if state.use_depth >= MAX_USE_DEPTH:
         raise SourceError("#use nesting too deep", item.loc)
     path = _resolve_use(state, item.arg)
     if path is None:
         raise SourceError(f'cannot find "{item.arg}"', item.loc)
-    items = parse_program(_read_source(path, item.arg, item.loc))
+    source = _read_source(path, item.arg, item.loc)
     saved_dirs, saved_depth = state.base_dirs, state.use_depth
     state.base_dirs = (os.path.dirname(path) or os.curdir,) + saved_dirs
     state.use_depth += 1
-    rendered = []
     try:
-        for sub in items:
-            state, text = execute_item(state, sub)
-            if text is not None:
-                rendered.append(text)
+        yield from _run_source(state, source, f"{item.arg}:")
     finally:
         state.base_dirs, state.use_depth = saved_dirs, saved_depth
-    return state, "\n".join(rendered) if rendered else None
 
 
 def _read_source(path, name, loc=None):
@@ -204,27 +234,14 @@ def execute_source(state, source, out=None, err=None):
     """Run every item of a source text; returns (had_error, had_divergence)."""
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
-    try:
-        items = parse_program(source)
-    except SourceError as exc:
-        print(f"error: {exc.format()}", file=err)
-        return True, False
     had_error = False
     divergences = state.divergences
-    for item in items:
-        try:
-            state, rendered = execute_item(state, item)
-        except SourceError as exc:
-            print(f"error: {exc.format()}", file=err)
+    for text, error in _run_source(state, source):
+        if error is None:
+            print(text, file=out)
+        else:
+            print(f"error: {error}", file=err)
             had_error = True
-            continue
-        except RecursionError:
-            exc = SourceError("expression too deeply nested", item.loc)
-            print(f"error: {exc.format()}", file=err)
-            had_error = True
-            continue
-        if rendered is not None:
-            print(rendered, file=out)
     return had_error, state.divergences > divergences
 
 

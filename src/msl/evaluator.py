@@ -21,6 +21,14 @@ the ranges so the same endpoint test becomes the optimistic reading,
 refuting an existential only when the whole range fails and a universal
 only when some subrange fails everywhere.
 
+Each real term is compiled once into a straight-line program, kept on
+the node (``compile_term``) and read three ways: over generalized
+intervals (``real_approx``), as a value and slope at a point for the
+Newton steps of cut probes (``_value_and_slope``), and as the centred
+form below (``Polynomial``).  A folded constant is an operand with a
+point range and no slope, and point operations are exact, so it gives
+every reading the numbers a dedicated constant operation would.
+
 Naive interval evaluation suffers the dependency problem: ``x*(1-x)``
 over a box of width w is overestimated by about w, so near an extremum
 the range splitting needs many leaves.  A comparison inside a quantifier
@@ -176,42 +184,103 @@ PRUNED = _PrunedType()
 
 
 def real_approx(e, env, mode):
-    """Interval approximation of a join-free real expression."""
-    if isinstance(e, RatLit):
-        point = e._point
-        if point is None:
-            point = keep(e, "_point", GInterval.point(e.value))
-        return point
-    if isinstance(e, Var):
-        try:
-            return env[e.name]
-        except KeyError:
-            raise EvalError(f"unbound variable '{e.name}'") from None
-    if isinstance(e, Arith):
-        a = real_approx(e.lhs, env, mode)
-        b = real_approx(e.rhs, env, mode)
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        try:
-            return a / b
-        except DivisionIndeterminate:
+    """Interval approximation of a join-free real expression: its program
+    (``compile_term``) read over generalized intervals in ``mode``."""
+    code = e._code
+    if code is None:
+        if isinstance(e, Cut):
+            r = e.range
+            if mode is LOWER:
+                return GInterval(r.lo, r.hi)
+            return GInterval(r.hi, r.lo)
+        if isinstance(e, Restrict):
+            if prop_approx(e.guard, env, mode):
+                return real_approx(e.body, env, mode)
             return no_info(mode)
-    if isinstance(e, Pow):
-        return real_approx(e.base, env, mode) ** e.exp
-    if isinstance(e, Cut):
-        r = e.range
-        if mode is LOWER:
-            return GInterval(r.lo, r.hi)
-        return GInterval(r.hi, r.lo)
-    if isinstance(e, Restrict):
-        if prop_approx(e.guard, env, mode):
-            return real_approx(e.body, env, mode)
-        return no_info(mode)
-    raise EvalError(f"real_approx: {type(e).__name__} is not normal")
+        code = compile_term(e)
+    vals = []
+    push = vals.append
+    for op, x, y in code:
+        if op == "v":
+            try:
+                push(env[x])
+            except KeyError:
+                raise EvalError(f"unbound variable '{x}'") from None
+        elif op == "q":
+            push(y)
+        elif op == "*":
+            push(vals[x] * vals[y])
+        elif op == "+":
+            push(vals[x] + vals[y])
+        elif op == "-":
+            push(vals[x] - vals[y])
+        elif op == "^":
+            push(vals[x] ** y)
+        elif op == "/":
+            try:
+                push(vals[x] / vals[y])
+            except DivisionIndeterminate:
+                push(no_info(mode))
+        else:
+            push(real_approx(x, env, mode))
+    return vals[-1]
+
+
+def compile_term(t):
+    """The program of the join-free real term ``t``, or of ``lhs - rhs``
+    for a comparison ``t``, kept on it (``_code``) unless ``t`` is an
+    opaque leaf, which it would hold.
+
+    Each instruction ``(op, x, y)`` appends one value: ``("q", c,
+    point)`` the constant ``Fraction`` c and its point interval; ``("v",
+    name, None)`` a variable; ``("o", leaf, None)`` a ``Cut`` or a
+    ``Restrict``; ``(op, j, k)`` for op in ``+ - * /`` values j and k
+    combined; ``("^", j, n)`` value j to the power n >= 2.  The last
+    value is that of ``t``.  Powers below 2 fold too.
+    """
+    code = t._code
+    if code is None:
+        code = []
+        _slot(_emit(t, code), code)
+        if not isinstance(t, (Cut, Restrict)):
+            keep(t, "_code", code)
+    return code
+
+
+def _emit(t, code):
+    """Append the instructions of ``t`` to ``code``: the slot of its
+    value, or the ``Fraction`` of a constant, not yet pushed."""
+    kind = type(t)
+    if kind is RatLit:
+        return Fraction(t.value)
+    if kind is Var:
+        code.append(("v", t.name, None))
+    elif kind is Arith or kind is Less:
+        u, w = _emit(t.lhs, code), _emit(t.rhs, code)
+        op = t.op if kind is Arith else "-"
+        if op != "/" and isinstance(u, Fraction) and isinstance(w, Fraction):
+            return u + w if op == "+" else u - w if op == "-" else u * w
+        code.append((op, _slot(u, code), _slot(w, code)))
+    elif kind is Pow:
+        base, k = _emit(t.base, code), t.exp
+        if isinstance(base, Fraction):
+            return base ** k
+        if k < 2:
+            return base if k else Fraction(1)
+        code.append(("^", base, k))
+    elif kind is Cut or kind is Restrict:
+        code.append(("o", t, None))
+    else:
+        raise EvalError(f"real_approx: {kind.__name__} is not normal")
+    return len(code) - 1
+
+
+def _slot(v, code):
+    """The slot of ``v``, pushing it first when it is a constant."""
+    if isinstance(v, Fraction):
+        code.append(("q", v, GInterval.point(v)))
+        return len(code) - 1
+    return v
 
 
 class SweepEnv(dict):
@@ -280,77 +349,36 @@ def _prop_approx(e, env, mode):
 # The centred form of a polynomial comparison
 
 
-class _NotPolynomial(Exception):
-    pass
-
-
 class Polynomial:
     """``lhs - rhs`` of a comparison whose sides are polynomials.
 
-    The sides may use only ``RatLit``, ``Var``, ``Arith`` with ``+ - *``
-    and ``Pow``.  The difference is compiled, with constant subterms
-    folded, to a straight-line program ``code`` over the variables
-    ``names``.  Each instruction ``(op, x, y, ranged)`` appends one
-    value: ``("v", i, None)`` variable i; ``(op, j, k)`` for op in
-    ``+ - *`` values j and k combined; ``("c+", j, c)``, ``("c-", j,
-    c)`` and ``("c*", j, c)`` value j plus c, c minus value j, and value
-    j times c for a constant c; ``("^", j, n)`` value j to the power
-    n >= 2; and, only when the whole difference is constant, ``("q", c,
-    None)``.  ``ranged`` marks the values whose range ``spread`` needs:
-    those a product or a power reads, directly or through sums.
-    Evaluation uses raw ``Fraction``s; boxes are proper ``(lo, hi)``
-    pairs, one per name.
+    ``code`` is the program of the difference, with no opaque leaf and
+    no ``/``, over the variables ``names``, each held by its index.  A
+    fourth field, ``ranged``, marks the values whose range ``spread``
+    needs.  Evaluation uses raw ``Fraction``s; boxes are proper ``(lo,
+    hi)`` pairs, one per name.
     """
 
     __slots__ = ("names", "code")
 
     def __init__(self, less):
         index, code = {}, []
-
-        def push(op, x, y):
+        for op, x, y in compile_term(less):
+            if op == "o" or op == "/":
+                raise ValueError("not a polynomial")
+            if op == "v":
+                x = index.setdefault(x, len(index))
             code.append((op, x, y))
-            return len(code) - 1
-
-        def emit(t):
-            """A constant subterm as its Fraction, else the slot of its
-            value."""
-            if isinstance(t, RatLit):
-                return t.value
-            if isinstance(t, Var):
-                return push("v", index.setdefault(t.name, len(index)), None)
-            if isinstance(t, Pow):
-                base = emit(t.base)
-                if isinstance(base, Fraction):
-                    return base ** t.exp
-                if t.exp < 2:
-                    return base if t.exp else Fraction(1)
-                return push("^", base, t.exp)
-            if not isinstance(t, Arith) or t.op == "/":
-                raise _NotPolynomial
-            return combine(t.op, emit(t.lhs), emit(t.rhs))
-
-        def combine(op, u, w):
-            cu, cw = isinstance(u, Fraction), isinstance(w, Fraction)
-            if cu and cw:
-                return u + w if op == "+" else u - w if op == "-" else u * w
-            if op == "-" and cu:
-                return push("c-", w, u)
-            if op == "-" and cw:
-                return push("c+", u, -w)
-            if cu:
-                u, w = w, u  # + and * commute
-            return push("c" + op, u, w) if cu or cw else push(op, u, w)
-
-        diff = combine("-", emit(less.lhs), emit(less.rhs))
-        if isinstance(diff, Fraction):
-            push("q", diff, None)
         ranged = [False] * len(code)
         for i in range(len(code) - 1, -1, -1):
             op, x, y = code[i]
-            if op in ("*", "^") or (ranged[i] and op not in ("v", "q")):
+            if op == "^":
                 ranged[x] = True
-                if op in ("*", "+", "-"):
-                    ranged[y] = True
+            elif op == "*":  # each factor's range scales the other's slope
+                ranged[x] = ranged[i] or code[y][0] != "q"
+                ranged[y] = ranged[i] or code[x][0] != "q"
+            elif ranged[i] and op in ("+", "-"):
+                ranged[x] = ranged[y] = True
         self.names = tuple(index)
         self.code = [(*ins, r) for ins, r in zip(code, ranged)]
 
@@ -361,22 +389,16 @@ class Polynomial:
         for op, x, y, _ in self.code:
             if op == "v":
                 v = point[x]
-            elif op == "c*":
-                v = vals[x] * y
-            elif op == "c+":
-                v = vals[x] + y
-            elif op == "c-":
-                v = y - vals[x]
+            elif op == "q":
+                v = x
             elif op == "*":
                 v = vals[x] * vals[y]
             elif op == "+":
                 v = vals[x] + vals[y]
             elif op == "-":
                 v = vals[x] - vals[y]
-            elif op == "^":
-                v = vals[x] ** y
             else:
-                v = x
+                v = vals[x] ** y
             vals.append(v)
         return vals[-1]
 
@@ -404,25 +426,6 @@ class Polynomial:
                 continue
             lo = hi = None
             a, b, gu = vals[x]
-            if op == "c*":
-                if ranged:
-                    lo, hi = _iscale(a, b, y)
-                if gu is not None:
-                    gu = [_iscale(g0, g1, y) for g0, g1 in gu]
-                vals.append((lo, hi, gu))
-                continue
-            if op == "c+":
-                if ranged:
-                    lo, hi = a + y, b + y
-                vals.append((lo, hi, gu))
-                continue
-            if op == "c-":
-                if ranged:
-                    lo, hi = y - b, y - a
-                if gu is not None:
-                    gu = [(-g1, -g0) for g0, g1 in gu]
-                vals.append((lo, hi, gu))
-                continue
             if op == "^":
                 # d(u^k) = k * u^(k-1) * du
                 if ranged:
@@ -462,24 +465,13 @@ class Polynomial:
                 spread += (b - a) / 2 * max(-g0, g1)
         return spread
 
-    def enclosure(self, boxes):
-        """The centred form f(m) + sum_i d_i f(X) * (X_i - m_i) as a
-        (lo, hi) pair: it contains f at every point of the boxes."""
-        mid, spread = self.at_midpoint(boxes), self.spread(boxes)
-        return mid - spread, mid + spread
-
-
-def _iscale(a, b, c):
-    """The proper interval [a, b] times the number c."""
-    return (a * c, b * c) if c >= 0 else (b * c, a * c)
-
 
 def _imul(a, b, c, d):
     """Product of the proper intervals [a, b] and [c, d]."""
     if c == d:
-        return _iscale(a, b, c)
+        return (a * c, b * c) if c >= 0 else (b * c, a * c)
     if a == b:
-        return _iscale(c, d, a)
+        return (a * c, a * d) if a >= 0 else (a * d, a * c)
     ps = (a * c, a * d, b * c, b * d)
     return min(ps), max(ps)
 
@@ -501,7 +493,7 @@ def compile_polynomial(less):
     if poly is None:
         try:
             poly = Polynomial(less)
-        except _NotPolynomial:
+        except ValueError:  # an opaque leaf or a division
             poly = False
         keep(less, "_poly", poly)
     return poly or None
@@ -828,17 +820,15 @@ def _newton_points(e, a, b, n):
     m = (a + b) / 2
     sides = []  # each comparison once: a swapped one steps to the same r
     for less in (*_comparisons(e.left), *_comparisons(e.right)):
-        pair = (less.lhs, less.rhs)
-        if pair not in sides and pair[::-1] not in sides:
-            sides.append(pair)
+        if less not in sides and Less(less.rhs, less.lhs) not in sides:
+            sides.append(less)
     points = []
-    for lhs, rhs in sides:
-        lhs = _value_and_slope(lhs, e.var, m)
-        rhs = _value_and_slope(rhs, e.var, m)
-        if lhs is None or rhs is None or lhs[1] == rhs[1]:
+    for less in sides:
+        f = _value_and_slope(less, e.var, m)
+        if f is None or not f[1]:
             continue
-        r = m - (lhs[0] - rhs[0]) / (lhs[1] - rhs[1])
-        slack = lhs[2] + rhs[2]
+        r = m - f[0] / f[1]
+        slack = f[2]
         delta = max(least, w * w + slack) if slack else least
         if not a < r < b or 4 * delta >= w:
             continue
@@ -865,42 +855,44 @@ def _comparisons(p):
 
 
 def _value_and_slope(t, var, x):
-    """(t, dt/dvar, slack) at var = x, by forward mode over Fractions.
+    """(t, dt/dvar, slack) at var = x: the program of ``t``, a term or a
+    comparison, read in forward mode over Fractions.
 
     A closed cut with a finite range is the constant at its midpoint and
     adds its width to ``slack``.  None when ``t`` has another free
-    variable, divides by zero or is not arithmetic.
+    variable or another opaque leaf, or divides by zero.
     """
-    if isinstance(t, RatLit):
-        return t.value, 0, 0
-    if isinstance(t, Var):
-        return (x, 1, 0) if t.name == var else None
-    if isinstance(t, Arith):
-        u = _value_and_slope(t.lhs, var, x)
-        v = _value_and_slope(t.rhs, var, x)
-        if u is None or v is None:
-            return None
-        (f, df, s), (g, dg, s2) = u, v
-        if t.op == "+":
-            return f + g, df + dg, s + s2
-        if t.op == "-":
-            return f - g, df - dg, s + s2
-        if t.op == "*":
-            return f * g, df * g + f * dg, s + s2
-        if not g:
-            return None
-        return f / g, (df * g - f * dg) / (g * g), s + s2
-    if isinstance(t, Pow):
-        u = _value_and_slope(t.base, var, x)
-        if u is None:
-            return None
-        f, df, s = u
-        k = t.exp
-        return f ** k, k and k * f ** (k - 1) * df, s
-    if isinstance(t, Cut) and not free_vars(t) and t.range.is_finite:
-        lo, hi = t.range.lo.q, t.range.hi.q
-        return (lo + hi) / 2, 0, hi - lo
-    return None
+    vals, slack = [], 0
+    for op, u, w in compile_term(t):
+        if op == "v":
+            if u != var:
+                return None
+            vals.append((x, 1))
+        elif op == "q":
+            vals.append((u, 0))
+        elif op == "o":
+            if not isinstance(u, Cut) or free_vars(u) \
+                    or not u.range.is_finite:
+                return None
+            lo, hi = u.range.lo.q, u.range.hi.q
+            vals.append(((lo + hi) / 2, 0))
+            slack += hi - lo
+        elif op == "^":
+            f, df = vals[u]
+            vals.append((f ** w, w * f ** (w - 1) * df))
+        else:
+            (f, df), (g, dg) = vals[u], vals[w]
+            if op == "+":
+                vals.append((f + g, df + dg))
+            elif op == "-":
+                vals.append((f - g, df - dg))
+            elif op == "*":
+                vals.append((f * g, df * g + f * dg))
+            elif not g:
+                return None
+            else:
+                vals.append((f / g, (df * g - f * dg) / (g * g)))
+    return (*vals[-1], slack)
 
 
 # ---------------------------------------------------------------------------

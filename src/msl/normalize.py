@@ -38,12 +38,13 @@ memory, because a cut leaves it once the cut is collected.
 The normal form of a closed node depends on the node alone: the
 context only types free variables.  So the disjuncts of a closed
 ``let``-bound are kept on it (``_nform``) the first time they are built,
-and each disjunct, being normal, keeps itself, as does every closed cut
-``normalize`` builds.  A kept normal form is never built again, and the
-closed cuts in it stay in the table while it is kept.  The definitions a
-session stores are closed and are let-bound around each evaluation that
-uses them (see ``cli``), so each is normalized once per session, however
-often it is used.
+and each disjunct, being normal, keeps ``()`` for itself, as does every
+closed cut ``normalize`` builds: no node refers to itself, so reference
+counting frees a cut that nothing uses.  A kept normal form is never
+built again, and the closed cuts in it stay in the table while it is
+kept.  The definitions a session stores are closed and are let-bound
+around each evaluation that uses them (see ``cli``), so each is
+normalized once per session, however often it is used.
 
 Substitution, and the distribution of joins through comparisons,
 arithmetic, powers and tuples, reach children through the node shapes of
@@ -173,7 +174,7 @@ def _dedup(disjuncts):
 
 def _nf(e, ctx):
     if e._nform is not None:
-        return e._nform
+        return e._nform or (e,)
     if isinstance(e, (Var, TrueLit, FalseLit, RatLit)):
         return [e]
     if isinstance(e, Join):
@@ -207,10 +208,11 @@ def _nf(e, ctx):
     if isinstance(e, Let):
         bounds = _nf(e.bound, ctx)
         if e.bound._nform is None and not free_vars(e.bound):
-            keep(e.bound, "_nform", tuple(bounds))
+            own = len(bounds) == 1 and bounds[0] is e.bound
+            keep(e.bound, "_nform", () if own else tuple(bounds))
             for d in bounds:
                 if d._nform is None:
-                    keep(d, "_nform", (d,))  # normal already
+                    keep(d, "_nform", ())  # normal already
         out = []
         for bound in bounds:
             out.extend(_nf(substitute(e.var, bound, e.body), ctx))
@@ -252,7 +254,7 @@ def _intern(cut):
     shared = None if ref is None else ref()
     if shared is not None:
         return shared
-    keep(cut, "_nform", (cut,))  # normal already
+    keep(cut, "_nform", ())  # normal already
     _CUTS[cut] = weakref.ref(cut)
     return cut
 

@@ -93,6 +93,7 @@ class Expr:
     _settled = None  # evaluator._settled_size
     _lower = None  # evaluator.prop_approx of a closed prop in a sweep
     _upper = None
+    _code = None  # evaluator.compile_term of a real term or a comparison
     _ty = None  # typecheck.infer_type of a closed let-bound
     _nform = None  # normalize._nf of a closed node: its disjuncts
 
@@ -121,8 +122,6 @@ class FalseLit(Expr):
 @dataclass(frozen=True)
 class RatLit(Expr):
     value: Fraction = Fraction(0)
-
-    _point = None  # evaluator.real_approx
 
 
 @dataclass(frozen=True)
@@ -559,12 +558,10 @@ class _Parser:
         try:
             if tok.kind == "DIRECTIVE":
                 item = self.directive()
-            elif tok.kind == "let" and self._is_top_level_def():
-                self.next()
-                name = self.expect("IDENT").value
-                self.expect("=")
-                body = self.expr()
-                item = Def(name, body, loc=tok.loc)
+            elif tok.kind == "let":
+                item = self.let_expr(item=True)
+                if isinstance(item, Let):
+                    item = Eval(item, loc=tok.loc)
             else:
                 item = Eval(self.expr(), loc=tok.loc)
         except RecursionError:
@@ -573,28 +570,6 @@ class _Parser:
             raise ParseError("expected ';;' to end the item", self.peek().loc)
         self.next()
         return item
-
-    def _is_top_level_def(self):
-        # "let x = e ;;" is a definition; "let x = e in e" an expression.
-        # Scan ahead for the matching "in" at nesting depth zero.
-        depth = 0
-        lets = 1
-        k = 1
-        while True:
-            tok = self.peek(k)
-            if tok.kind == "EOF" or (tok.kind == ";;" and depth == 0):
-                return lets > 0
-            if tok.kind == "(":
-                depth += 1
-            elif tok.kind == ")":
-                depth -= 1
-            elif tok.kind == "let" and depth == 0:
-                lets += 1
-            elif tok.kind == "in" and depth == 0:
-                lets -= 1
-                if lets == 0:
-                    return False
-            k += 1
 
     def directive(self):
         tok = self.expect("DIRECTIVE")
@@ -742,12 +717,7 @@ class _Parser:
             node = Exists if kind == "exists" else Forall
             return node(name, rng, body, loc=tok.loc)
         if kind == "let":
-            self.next()
-            name = self.expect("IDENT").value
-            self.expect("=")
-            bound = self.expr()
-            self.expect("in")
-            return Let(name, bound, self.expr(), loc=tok.loc)
+            return self.let_expr()
         if kind == "mkbool":
             self.next()
             p = self.atom_expr()
@@ -760,6 +730,18 @@ class _Parser:
             self.next()
             return IsFalse(self.atom_expr(), loc=tok.loc)
         raise ParseError(f"unexpected {self._show(tok)}", tok.loc)
+
+    def let_expr(self, item=False):
+        # "let x = e in e"; at the top of an item also "let x = e", a
+        # definition.
+        tok = self.next()
+        name = self.expect("IDENT").value
+        self.expect("=")
+        bound = self.expr()
+        if item and self.peek().kind != "in":
+            return Def(name, bound, loc=tok.loc)
+        self.expect("in")
+        return Let(name, bound, self.expr(), loc=tok.loc)
 
     # Types and ranges -------------------------------------------------------
 

@@ -1,14 +1,19 @@
 """Independent oracles shared by the unit and acceptance suites.
 
 Everything here is computed by a route unrelated to the interpreter:
-bisection, grid search over exact rationals, and closed-form kinematics.
+bisection, grid search over exact rationals, closed-form kinematics, and
+interval arithmetic by structural recursion instead of compiled programs.
 """
 
 from fractions import Fraction
 
 from msl.cli import SessionState, _wrap_definitions, execute_item
-from msl.evaluator import run
-from msl.syntax import parse_expression, parse_program
+from msl.evaluator import LOWER, run
+from msl.interval import ENTIRE, DivisionIndeterminate, GInterval
+from msl.syntax import (
+    Arith, Cut, Pow, RatLit, Restrict, TrueLit, Var, parse_expression,
+    parse_program,
+)
 from msl.typecheck import infer_type
 
 F = Fraction
@@ -31,6 +36,39 @@ def grid_min_abs(f, lo, hi, steps):
     lo, hi = F(lo), F(hi)
     step = (hi - lo) / steps
     return min(abs(f(lo + k * step)) for k in range(steps + 1))
+
+
+def reference_real_approx(e, env, mode):
+    """Interval approximation of a real term by recursion over its tree:
+    literals, variables, ``+ - * /``, powers, cuts (their range, dual in
+    upper mode) and restrictions under a literal guard."""
+    no_info = ENTIRE if mode is LOWER else ENTIRE.dual()
+    if isinstance(e, RatLit):
+        return GInterval.point(e.value)
+    if isinstance(e, Var):
+        return env[e.name]
+    if isinstance(e, Cut):
+        box = GInterval(e.range.lo, e.range.hi)
+        return box if mode is LOWER else box.dual()
+    if isinstance(e, Restrict):
+        if isinstance(e.guard, TrueLit):
+            return reference_real_approx(e.body, env, mode)
+        return no_info
+    if isinstance(e, Pow):
+        return reference_real_approx(e.base, env, mode) ** e.exp
+    assert isinstance(e, Arith)
+    a = reference_real_approx(e.lhs, env, mode)
+    b = reference_real_approx(e.rhs, env, mode)
+    if e.op == "+":
+        return a + b
+    if e.op == "-":
+        return a - b
+    if e.op == "*":
+        return a * b
+    try:
+        return a / b
+    except DivisionIndeterminate:
+        return no_info
 
 
 # --- car kinematics (w=10, eps=1, T=4, a_max=2, a_min=-3) --------------------

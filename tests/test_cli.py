@@ -7,13 +7,16 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import pytest
+
 from msl.cli import (
-    SessionState, decimal_str, execute_source, main, render,
+    SessionState, decimal_str, execute_item, execute_source, main, render,
 )
 from msl.evaluator import (
     BoolFF, BoolTT, Diverged, FunctionValue, PropFalseProven, PropTrue,
     RealBall, TupleOf,
 )
+from msl.syntax import SourceError, parse_program
 from oracles import eval_outcome
 
 F = Fraction
@@ -141,6 +144,66 @@ def test_unreadable_use_is_a_located_error(tmp_path):
         'error: 2:1: cannot read "latin1.msl": \'utf-8\' codec can\'t '
         'decode byte 0xe9 in position 6: invalid continuation byte']
     assert out == "real = 2 ± 0\n"
+
+
+def test_each_item_of_a_used_file_runs_and_its_errors_name_it(tmp_path):
+    (tmp_path / "bad.msl").write_text("1 + 1;;\n1 2;;\n3;;\n",
+                                      encoding="utf-8")
+    state = SessionState(base_dirs=(str(tmp_path),))
+    _, out, err, had_error, _ = run_script(
+        '0;;\n#use "bad.msl";;\n7;;', state)
+    assert had_error
+    assert out == "real = 0 ± 0\nreal = 2 ± 0\nreal = 3 ± 0\nreal = 7 ± 0\n"
+    assert err == ("error: bad.msl:2:3: applying a non-function of type "
+                   "real\n")
+    assert state.base_dirs == (str(tmp_path),) and state.use_depth == 0
+
+
+def test_a_parse_error_rejects_the_whole_used_file_and_names_it(tmp_path):
+    (tmp_path / "bad.msl").write_text("1;;\n1 +;;\n2;;\n",
+                                      encoding="utf-8")
+    state = SessionState(base_dirs=(str(tmp_path),))
+    _, out, err, had_error, _ = run_script('#use "bad.msl";;\n3;;', state)
+    assert had_error
+    assert out == "real = 3 ± 0\n"
+    assert err == "error: bad.msl:2:4: unexpected ';;'\n"
+
+
+def test_a_deep_item_of_a_used_file_is_located_in_it(tmp_path):
+    (tmp_path / "deep.msl").write_text(
+        "1;;\n" + " + ".join(["1"] * 600) + ";;\n2;;\n", encoding="utf-8")
+    (tmp_path / "outer.msl").write_text('5;;\n#use "deep.msl";;\n',
+                                        encoding="utf-8")
+    state = SessionState(base_dirs=(str(tmp_path),))
+    _, out, err, had_error, _ = run_script('#use "outer.msl";;\n3;;', state)
+    assert had_error
+    assert out == "real = 5 ± 0\nreal = 1 ± 0\nreal = 2 ± 0\nreal = 3 ± 0\n"
+    assert err == "error: deep.msl:2:1: expression too deeply nested\n"
+
+
+def test_execute_item_runs_a_used_file_and_raises_its_first_error(tmp_path):
+    (tmp_path / "bad.msl").write_text("let a = 1;;\n1 2;;\nlet b = 2;;\n",
+                                      encoding="utf-8")
+    state = SessionState(base_dirs=(str(tmp_path),))
+    (item,) = parse_program('#use "bad.msl";;')
+    with pytest.raises(SourceError) as info:
+        execute_item(state, item)
+    assert info.value.format() == \
+        "bad.msl:2:3: applying a non-function of type real"
+    assert list(state.definitions) == ["a", "b"]
+    assert state.base_dirs == (str(tmp_path),) and state.use_depth == 0
+
+
+@pytest.mark.parametrize("script,out,err", [
+    ("let x = let y = 1 in y;; x;;", "x : real = 1 ± 0\n", ""),
+    ("let x = (let y = 1 in y) in x;;", "real = 1 ± 0\n", ""),
+    ("let f = fun a : real => let b = a in b;; f 2;;", "real = 2 ± 0\n", ""),
+    ("let x = 1 in 2 in 3;;", "", "error: 1:16: expected ';;' to end the "
+                                  "item\n"),
+])
+def test_a_let_item_is_a_definition_unless_in_follows_its_bound(script, out,
+                                                                 err):
+    assert run_script(script)[1:3] == (out, err)
 
 
 def test_nested_restrictions_unwrap():

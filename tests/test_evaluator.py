@@ -16,10 +16,11 @@ from msl.evaluator import (
 )
 from msl.interval import ENTIRE, GInterval, POS_INF, XRat
 from msl.syntax import (
-    And, Arith, BOOL, Exists, FalseLit, Forall, Less, Or, PROP,
-    ProductTy, Range, RatLit, REAL, TrueLit, Var, parse_expression,
+    And, Arith, BOOL, Exists, FalseLit, Forall, Less, Or, PROP, Pow,
+    ProductTy, Range, RatLit, REAL, Restrict, TrueLit, Var, parse_expression,
 )
-from test_interval import polynomial_terms
+from oracles import reference_real_approx
+from test_interval import intervals, polynomial_terms, rationals
 
 F = Fraction
 I = GInterval
@@ -61,6 +62,29 @@ def test_real_approx_restriction():
     assert real_approx(pe("(1 < 2) ~> 5"), {}, LOWER) == I(5, 5)
     assert real_approx(pe("(2 < 1) ~> 5"), {}, LOWER) == ENTIRE
     assert real_approx(pe("(2 < 1) ~> 5"), {}, UPPER) == ENTIRE.dual()
+
+
+def arithmetic_terms():
+    """Terms over ``+ - * / ^``, literals, the variables x and y, two cuts
+    and restrictions under a literal guard."""
+    cuts = st.sampled_from((pe(SQRT2_CUT), pe("cut z : [-1, 1/2] left "
+                                              "z < 0 right 0 < z")))
+    leaves = st.one_of(st.sampled_from((Var("x"), Var("y"))), cuts,
+                       rationals().map(RatLit))
+    return st.recursive(leaves, lambda kids: st.one_of(
+        st.builds(Arith, st.sampled_from("+-*/"), kids, kids),
+        st.builds(Pow, kids, st.integers(min_value=0, max_value=3)),
+        st.builds(Restrict, st.sampled_from((TrueLit(), FalseLit())),
+                  kids)), max_leaves=10)
+
+
+@given(arithmetic_terms(), intervals(), intervals())
+def test_real_approx_matches_recursive_reference(t, x, y):
+    # x and y are drawn proper and dual alike.
+    env = {"x": x, "y": y}
+    for mode in (LOWER, UPPER):
+        assert real_approx(t, env, mode) == \
+            reference_real_approx(t, env, mode)
 
 
 # --- prop_approx ----------------------------------------------------------------
@@ -525,9 +549,7 @@ def poly_less_and_boxes(data):
     if rhs == "free":
         return Less(lhs, data.draw(polynomial_terms(names))), boxes
     naive = real_approx(lhs, boxes, LOWER)
-    poly = compile_polynomial(Less(lhs, RatLit(F(0))))
-    lo, hi = poly.enclosure([(boxes[v].lo.q, boxes[v].hi.q)
-                             for v in poly.names])
+    lo, hi = centred_enclosure(Less(lhs, RatLit(F(0))), boxes)
     t = data.draw(st.fractions(min_value=F(1, 16), max_value=1,
                                max_denominator=16))
     if rhs == "above":  # above the maximum: a proof to find
@@ -535,6 +557,15 @@ def poly_less_and_boxes(data):
     else:  # below the minimum: a refutation to find
         c = naive.lo.q + t * (lo - naive.lo.q)
     return Less(lhs, RatLit(c)), boxes
+
+
+def centred_enclosure(less, boxes):
+    """The centred form f(m) + sum_i d_i f(X) * (X_i - m_i) of lhs - rhs
+    as a (lo, hi) pair: it contains f at every point of the boxes."""
+    poly = compile_polynomial(less)
+    pairs = [(boxes[v].lo.q, boxes[v].hi.q) for v in poly.names]
+    mid, spread = poly.at_midpoint(pairs), poly.spread(pairs)
+    return mid - spread, mid + spread
 
 
 def difference(less, point):
@@ -567,9 +598,7 @@ def sweep_env(boxes):
 @given(st.data())
 def test_centred_enclosure_contains_the_difference(data):
     less, boxes = poly_less_and_boxes(data)
-    poly = compile_polynomial(less)
-    lo, hi = poly.enclosure([(boxes[v].lo.q, boxes[v].hi.q)
-                             for v in poly.names])
+    lo, hi = centred_enclosure(less, boxes)
     for point in sample_points(data, boxes):
         assert lo <= difference(less, point) <= hi
 

@@ -130,12 +130,13 @@ def test_pow_dual_homomorphism(x, k):
     assert (x ** k).dual() == x.dual() ** k
 
 
-def polynomial_terms(names):
-    """Real terms over ``names`` with no Cut, Restrict or division."""
+def polynomial_terms(names, ops="+-*"):
+    """Real terms over ``names`` with no Cut or Restrict, combined by
+    powers and by the operators in ``ops``."""
     variables = st.sampled_from(names).map(Var)
     leaves = st.one_of(variables, variables, rationals().map(RatLit))
     return st.recursive(leaves, lambda kids: st.one_of(
-        st.builds(Arith, st.sampled_from("+-*"), kids, kids),
+        st.builds(Arith, st.sampled_from(ops), kids, kids),
         st.builds(Pow, kids, st.integers(min_value=0, max_value=3))),
         max_leaves=8)
 
@@ -146,9 +147,11 @@ def test_polynomial_upper_enclosure_is_dual_of_lower(data):
     # dual homomorphisms above the upper-mode enclosure of a polynomial
     # is the dual of its enclosure over the proper boxes.  This is what
     # makes any tighter proper enclosure (the centred form) usable in
-    # upper mode.
+    # upper mode.  Division is dual-homomorphic too, and a quotient
+    # whose divisor touches zero is no information in each mode: ENTIRE
+    # and its dual.
     names = data.draw(st.sampled_from((("x",), ("x", "y"))))
-    t = data.draw(polynomial_terms(names))
+    t = data.draw(polynomial_terms(names, "+-*/"))
     boxes = {v: data.draw(proper_intervals()) for v in names}
     duals = {v: box.dual() for v, box in boxes.items()}
     assert real_approx(t, duals, UPPER) == real_approx(t, boxes, LOWER).dual()

@@ -11,8 +11,8 @@ import pytest
 
 import msl.evaluator
 from msl.cli import SessionState, _wrap_definitions, execute_source
-from msl.evaluator import PRUNED, refine_step
-from msl.normalize import normalize, substitute
+from msl.evaluator import PRUNED, RealBall, refine_step, run
+from msl.normalize import _CUTS, normalize, substitute
 from msl.prelude import load_prelude
 from msl.syntax import (
     And, Cut, Def, Forall, Let, Or, RatLit, parse_expression, parse_program,
@@ -99,8 +99,25 @@ def test_the_cut_table_keeps_no_cut_alive():
     gc.collect()
     assert first() is None and inner() is None
     again = sole_disjunct("sqrt (sqrt (1234567/89))")
-    assert again._nform == (again,)  # entered anew
+    assert again._nform == ()  # entered anew: its own normal form
     assert sole_disjunct("sqrt (sqrt (1234567/89))") is again
+
+
+def test_a_dropped_closed_cut_is_freed_by_reference_counting():
+    # No node refers to itself: neither the normal form kept on an
+    # interned cut or on a disjunct nor a program kept on a node that
+    # holds the cut.  So the cut leaves the table as soon as the run that
+    # built it returns, with the cyclic collector off.
+    source = ("let s = cut y : [0, 2] left y * y < 2 right y * y > 2 "
+              "in s * s + s")
+    gc.collect()
+    before = len(_CUTS)
+    gc.disable()
+    try:
+        assert isinstance(run(parse_expression(source)), RealBall)
+        assert len(_CUTS) == before
+    finally:
+        gc.enable()
 
 
 def test_substitute_returns_subtrees_without_the_name_by_identity():
