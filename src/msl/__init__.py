@@ -15,10 +15,10 @@ from .evaluator import (
 )
 from .interval import (
     DivisionIndeterminate, ENTIRE, GInterval, IndeterminateSum, NEG_INF,
-    POS_INF, UnboundedInterval, XRat,
+    POS_INF, XRat,
 )
-from .normalize import normalize, substitute
-from .prelude import Asset, car_controller_asset, load_prelude, roots_asset
+from .normalize import normalize
+from .prelude import load_prelude
 from .syntax import (
     LexError, ParseError, SourceError, parse_expression, parse_program,
     pretty_print, tokenize,
@@ -26,15 +26,13 @@ from .syntax import (
 from .typecheck import TypecheckError, infer_type, is_base
 
 __all__ = [
-    "Asset", "BoolFF", "BoolTT", "Diverged", "DivisionIndeterminate",
-    "ENTIRE", "FunctionValue", "GInterval", "IndeterminateSum", "LOWER",
-    "LexError", "Mode", "NEG_INF", "Outcome", "POS_INF",
-    "PRUNED", "ParseError", "PropFalseProven", "PropTrue", "RealBall",
-    "SessionState", "SourceError", "TupleOf", "TypecheckError",
-    "UPPER", "UnboundedInterval", "XRat", "car_controller_asset",
+    "BoolFF", "BoolTT", "Diverged", "DivisionIndeterminate", "ENTIRE",
+    "FunctionValue", "GInterval", "IndeterminateSum", "LOWER", "LexError",
+    "Mode", "NEG_INF", "Outcome", "POS_INF", "PRUNED", "ParseError",
+    "PropFalseProven", "PropTrue", "RealBall", "SessionState",
+    "SourceError", "TupleOf", "TypecheckError", "UPPER", "XRat",
     "evaluate_step", "execute_item", "infer_type", "is_base",
     "load_prelude", "main", "normalize", "parse_expression",
     "parse_program", "prelude", "pretty_print", "prop_approx",
-    "real_approx", "refine_step", "render", "roots_asset", "run",
-    "substitute", "tokenize",
+    "real_approx", "refine_step", "render", "run", "tokenize",
 ]

@@ -573,8 +573,11 @@ def refine_step(e, round_index=0, witness_log=None):
     components are refuted).  ``round_index`` paces the probe sequence
     for unbounded cut ranges; ``witness_log`` collects (var, lo, hi)
     entries whenever an existential is affirmed.
+
+    ``e`` is closed, as every disjunct ``normalize`` gives is, so each
+    free variable of a subterm is bound by a quantifier or cut above it.
     """
-    return _refine(e, _Sweep(round_index, witness_log), frozenset())
+    return _refine(e, _Sweep(round_index, witness_log))
 
 
 #: The environment of a sweep's closed nodes: it binds nothing.
@@ -583,18 +586,18 @@ _CLOSED = SweepEnv()
 _PROP_NODES = (TrueLit, FalseLit, And, Or, Less, Exists, Forall)
 
 
-def _refine(e, st, scope):
+def _refine(e, st):
     st.visits += 1
     if st.visits > SWEEP_VISIT_CAP:
         return e  # past the sweep horizon: left for a later round
-    fv = free_vars(e)
     size = _settled_size(e)
-    if size and fv <= scope:
+    if size:
         # Walking it would visit every node and change none.  Coming back
         # by identity also keeps the comparisons compiled on its nodes.
         st.visits += size - 1
         return e
-    if isinstance(e, _PROP_NODES) and fv.isdisjoint(scope):
+    fv = free_vars(e)
+    if isinstance(e, _PROP_NODES) and not fv:
         if prop_approx(e, _CLOSED, LOWER):
             if st.wlog is not None:
                 _log_witnesses(e, _CLOSED, st.wlog)
@@ -606,37 +609,37 @@ def _refine(e, st, scope):
     # A pruned subterm (its guard was refuted) makes the whole disjunct
     # undefined, so PRUNED propagates through every compound node.
     if isinstance(e, And):
-        items = _refine_all(e.items, st, scope)
+        items = _refine_all(e.items, st)
         return PRUNED if items is PRUNED else mk_and(items)
     if isinstance(e, Or):
-        items = _refine_all(e.items, st, scope)
+        items = _refine_all(e.items, st)
         return PRUNED if items is PRUNED else mk_or(items)
     if isinstance(e, (Less, Arith, Pow, Tuple)):
-        kids = _refine_all(children(e), st, scope)
+        kids = _refine_all(children(e), st)
         return PRUNED if kids is PRUNED else rebuild(e, kids)
     if isinstance(e, Cut):
         if fv:
-            return _refine_cut(e, st, scope)
-        return _refine_shared(e, st, scope)
+            return _refine_cut(e, st)
+        return _refine_shared(e, st)
     if isinstance(e, Exists):
-        return _split_quantifier(e, Exists, mk_or, st, scope)
+        return _split_quantifier(e, Exists, mk_or, st)
     if isinstance(e, Forall):
-        return _split_quantifier(e, Forall, mk_and, st, scope)
+        return _split_quantifier(e, Forall, mk_and, st)
     if isinstance(e, Restrict):
         guard = e.guard
         if not isinstance(guard, TrueLit):
-            guard = _refine(guard, st, scope)
+            guard = _refine(guard, st)
         if isinstance(guard, TrueLit):
-            return _refine(e.body, st, scope)
+            return _refine(e.body, st)
         if isinstance(guard, FalseLit) or guard is PRUNED:
             return PRUNED
-        body = _refine(e.body, st, scope)
+        body = _refine(e.body, st)
         if body is PRUNED:
             return PRUNED
         return Restrict(guard, body)
     if isinstance(e, MkBool):
-        p = _refine(e.if_true, st, scope)
-        q = _refine(e.if_false, st, scope)
+        p = _refine(e.if_true, st)
+        q = _refine(e.if_false, st)
         if p is PRUNED or q is PRUNED:
             return PRUNED
         if isinstance(p, FalseLit) and isinstance(q, FalseLit):
@@ -645,10 +648,10 @@ def _refine(e, st, scope):
     raise EvalError(f"refine: {type(e).__name__} is not normal")
 
 
-def _refine_all(items, st, scope):
+def _refine_all(items, st):
     out = []
     for item in items:
-        r = _refine(item, st, scope)
+        r = _refine(item, st)
         if r is PRUNED:
             return PRUNED
         out.append(r)
@@ -660,9 +663,9 @@ def _settled_size(e):
 
     That holds for a tree of ``Var``, ``RatLit``, ``Arith`` and ``Pow``
     nodes and of ``Less``/``And``/``Or`` nodes that have free variables
-    (so ``_refine`` never decides them once their variables are in
-    scope) and that ``mk_and``/``mk_or`` would rebuild as they are.  The
-    count is kept on the node.
+    (so ``_refine`` never decides them: an enclosing quantifier or cut
+    binds those) and that ``mk_and``/``mk_or`` would rebuild as they
+    are.  The count is kept on the node.
     """
     n = e._settled
     if n is not None:
@@ -706,8 +709,8 @@ def _log_witnesses(e, env, wlog):
                        wlog)
 
 
-def _split_quantifier(e, node, combine, st, scope):
-    body = _refine(e.body, st, scope | {e.var})
+def _split_quantifier(e, node, combine, st):
+    body = _refine(e.body, st)
     if body is PRUNED:
         return PRUNED  # pointwise-undefined body: the quantifier is bottom
     if not st.may_split():
@@ -718,7 +721,7 @@ def _split_quantifier(e, node, combine, st, scope):
                     node(e.var, Range(XRat(m), XRat(b)), body)])
 
 
-def _refine_shared(e, st, scope):
+def _refine_shared(e, st):
     """Refine a closed cut once per sweep.
 
     ``normalize`` makes equal closed cuts one object, and the refinement
@@ -737,19 +740,19 @@ def _refine_shared(e, st, scope):
             if entries:
                 st.wlog.extend(entries)
             return out
-        return _refine_cut(e, st, scope)
+        return _refine_cut(e, st)
     mark = None if st.wlog is None else len(st.wlog)
-    out = _refine_cut(e, st, scope)
+    out = _refine_cut(e, st)
     entries = () if mark is None else st.wlog[mark:]
     st.cuts[id(e)] = (out, st.visits - start, entries)
     return out
 
 
-def _refine_cut(e, st, scope):
+def _refine_cut(e, st):
     lo, hi = e.range.lo, e.range.hi
-    # The cut's own variable is bound here even when an enclosing binder
-    # of the same name is in scope, so only its free variables count.
-    if free_vars(e).isdisjoint(scope):
+    # Only a closed cut is probed: a probe binds the cut's own variable
+    # alone.
+    if not free_vars(e):
         if lo.is_finite and hi.is_finite:
             lo, hi = (XRat(q) for q in _narrow(e, lo.q, hi.q, st.n))
         else:
@@ -765,9 +768,8 @@ def _refine_cut(e, st, scope):
                     else lo.q + step
                 if prop_approx(e.right, {e.var: GInterval.point(cand)}, LOWER):
                     hi = XRat(cand)
-    inner = scope | {e.var}
     rng = Range(lo, hi, lo_open=not lo.is_finite, hi_open=not hi.is_finite)
-    sides = _refine_all((e.left, e.right), st, inner)
+    sides = _refine_all((e.left, e.right), st)
     if sides is PRUNED:
         return PRUNED  # a cut over an undefined predicate cannot converge
     return Cut(e.var, rng, *sides)

@@ -33,10 +33,6 @@ class DivisionIndeterminate(ArithmeticError):
     """Divisor endpoints touch or straddle zero (or are not finite)."""
 
 
-class UnboundedInterval(ArithmeticError):
-    """Operation needs finite endpoints (midpoint of an unbounded range)."""
-
-
 class XRat:
     """A rational extended with -inf and +inf, totally ordered.
 
@@ -236,26 +232,6 @@ class GInterval:
 
     def dual(self):
         return _interval(self.hi, self.lo)
-
-    def width(self):
-        """hi - lo; negative for improper intervals, +-inf when one end
-        is unbounded, and 0 for the degenerate equal-infinity pair."""
-        if self.lo.sign != 0 and self.lo.sign == self.hi.sign:
-            return ZERO
-        return self.hi - self.lo
-
-    def midpoint(self):
-        if not self.is_finite:
-            raise UnboundedInterval("midpoint of an unbounded interval")
-        return (self.lo.q + self.hi.q) / 2
-
-    def contains(self, q):
-        """Membership in the proper reading (lo <= q <= hi)."""
-        q = _as_xrat(q)
-        return self.lo <= q <= self.hi
-
-    def contains_interval(self, other):
-        return self.lo <= other.lo and other.hi <= self.hi
 
     def __eq__(self, other):
         if not isinstance(other, GInterval):

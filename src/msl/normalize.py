@@ -21,46 +21,58 @@ projections and the boolean projections push through restriction
 conjunction.  Literal conjunctions and disjunctions are folded, and
 duplicate disjuncts of a join are dropped.
 
+Nothing is substituted.  The one walk reads an environment that maps
+each name a ``let`` or a beta step binds to one normal disjunct of its
+value.  A function is normal when it is applied, so it holds no name of
+the environment, and its body is read under its parameter alone.  A
+binder (``fun``, ``cut``, ``exists``, ``forall``) keeps the entries whose
+names are free in it.  When a value it keeps has the binder's variable
+free, the variable gets primes until the name is free neither in a kept
+value nor in the binder, and the environment maps the old name to the
+new one.
+A ``let`` name never reaches the output, so it is never renamed.  The
+context types the variables of the output: a restriction is at prop
+when its body's normal form is.
+
 Equal closed cuts denote the same real, so they are one object:
 ``_intern`` picks the object for every closed cut ``normalize`` builds,
 and while a closed cut is alive every equal one that any call builds is
-that object.  Every copy of a closed cut that substitution spreads
+that object.  Every copy of a closed cut that the environment spreads
 through a term (``max (sqrt 2) (cbrt 3)`` holds each argument in both
 the left and the right predicate of its cut) is the same node, and a
-refinement sweep refines it once (see ``evaluator``).  Substitution
-returns a subtree in which the name is not free as the same object.
-The table behind ``_intern`` is process-wide and holds its cuts weakly,
-as keys and as values.  It cannot change a meaning, because nodes are
-immutable and what is kept on one depends on the node alone (see
-``syntax.Expr``), so an equal object serves as well.  It cannot hold
-memory, because a cut leaves it once the cut is collected.
+refinement sweep refines it once (see ``evaluator``).  The table behind
+``_intern`` is process-wide and holds its cuts weakly, as keys and as
+values.  It cannot change a meaning, because nodes are immutable and
+what is kept on one depends on the node alone (see ``syntax.Expr``), so
+an equal object serves as well.  It cannot hold memory, because a cut
+leaves it once the cut is collected.
 
 The normal form of a closed node depends on the node alone: the
-context only types free variables.  So the disjuncts of a closed
-``let``-bound are kept on it (``_nform``) the first time they are built,
-and each disjunct, being normal, keeps ``()`` for itself, as does every
-closed cut ``normalize`` builds: no node refers to itself, so reference
-counting frees a cut that nothing uses.  A kept normal form is never
-built again, and the closed cuts in it stay in the table while it is
-kept.  The definitions a session stores are closed and are let-bound
-around each evaluation that uses them (see ``cli``), so each is
-normalized once per session, however often it is used.
+context and the environment only concern free variables.  So the
+disjuncts of a closed ``let``-bound are kept on it (``_nform``) the
+first time they are built, and each disjunct, being normal, keeps ``()``
+for itself, as does every closed cut ``normalize`` builds: no node
+refers to itself, so reference counting frees a cut that nothing uses.
+A kept normal form is never built again, and the closed cuts in it stay
+in the table while it is kept.  The definitions a session stores are
+closed and are let-bound around each evaluation that uses them (see
+``cli``), so each is normalized once per session, however often it is
+used.
 
-Substitution, and the distribution of joins through comparisons,
-arithmetic, powers and tuples, reach children through the node shapes of
-``syntax`` (``children``, ``rebuild``); the other cases are written out.
+The distribution of joins through comparisons, arithmetic, powers and
+tuples reaches children through the node shapes of ``syntax``
+(``children``, ``rebuild``); the other cases are written out.
 """
 
 from __future__ import annotations
 
 import weakref
-from dataclasses import replace
 from itertools import product
 
 from .syntax import (
-    And, App, Arith, BINDERS, Cut, Exists, FalseLit, Forall, IsFalse, IsTrue,
-    Join, Lambda, Less, Let, MkBool, Or, PROP, Pow, Proj, RatLit, REAL,
-    Restrict, Tuple, TrueLit, Var, children, free_vars, keep, rebuild,
+    And, App, Arith, Cut, Exists, FalseLit, Forall, IsFalse, IsTrue, Join,
+    Lambda, Less, Let, MkBool, Or, PROP, Pow, Proj, RatLit, REAL, Restrict,
+    Tuple, TrueLit, Var, children, free_vars, keep, rebuild,
 )
 from .typecheck import infer_type
 
@@ -68,49 +80,7 @@ from .typecheck import infer_type
 def normalize(e):
     """Normalize a closed, well-typed expression to a non-empty tuple of
     join-free disjuncts, any of which may answer."""
-    return tuple(_nf(e, {}))
-
-
-# ---------------------------------------------------------------------------
-# Substitution
-
-
-def substitute(name, value, e):
-    """Capture-avoiding substitution of ``value`` for ``name`` in ``e``."""
-    if name not in free_vars(e):
-        return e  # the same object: closed cuts in it stay shared
-    if isinstance(e, Var):
-        return value
-    if isinstance(e, Let):
-        bound = substitute(name, value, e.bound)
-        var, (body,) = _under_binder(name, value, e.var, (e.body,))
-        return Let(var, bound, body, loc=e.loc)
-    if isinstance(e, BINDERS):
-        var, kids = _under_binder(name, value, e.var, children(e))
-        e = rebuild(e, kids)
-        return e if var == e.var else replace(e, var=var)
-    return rebuild(e, [substitute(name, value, kid) for kid in children(e)])
-
-
-def _under_binder(name, value, var, bodies):
-    """Substitute under a binder of ``var``, renaming it if needed."""
-    if var == name:
-        return var, bodies  # shadowed: nothing to do below
-    if any(name in free_vars(b) for b in bodies) and var in free_vars(value):
-        avoid = free_vars(value) | {name}
-        for b in bodies:
-            avoid |= free_vars(b)
-        fresh = _fresh(var, avoid)
-        bodies = tuple(substitute(var, Var(fresh), b) for b in bodies)
-        var = fresh
-    return var, tuple(substitute(name, value, b) for b in bodies)
-
-
-def _fresh(base, avoid):
-    name = base + "'"
-    while name in avoid:
-        name += "'"
-    return name
+    return tuple(_nf(e, {}, {}))
 
 
 # ---------------------------------------------------------------------------
@@ -172,41 +142,43 @@ def _dedup(disjuncts):
 # The normalizer proper: returns the list of join-free disjuncts.
 
 
-def _nf(e, ctx):
+def _nf(e, ctx, env):
     if e._nform is not None:
         return e._nform or (e,)
-    if isinstance(e, (Var, TrueLit, FalseLit, RatLit)):
+    if isinstance(e, Var):
+        return [env.get(e.name, e)]
+    if isinstance(e, (TrueLit, FalseLit, RatLit)):
         return [e]
     if isinstance(e, Join):
         out = []
         for item in e.items:
-            out.extend(_nf(item, ctx))
+            out.extend(_nf(item, ctx, env))
         return _dedup(out)
     if isinstance(e, And):
-        return [mk_and([_embed(_nf(item, ctx)) for item in e.items])]
+        return [mk_and([_embed(_nf(item, ctx, env)) for item in e.items])]
     if isinstance(e, Or):
-        return [mk_or([_embed(_nf(item, ctx)) for item in e.items])]
+        return [mk_or([_embed(_nf(item, ctx, env)) for item in e.items])]
     if isinstance(e, (Less, Arith, Pow, Tuple)):
         # Distribute the joins of the children: one node per choice.
         return [rebuild(e, row) for row in
-                product(*[_nf(kid, ctx) for kid in children(e)])]
+                product(*[_nf(kid, ctx, env) for kid in children(e)])]
     if isinstance(e, Proj):
-        return [_proj_reduce(d, e.index) for d in _nf(e.tuple_, ctx)]
+        return [_proj_reduce(d, e.index) for d in _nf(e.tuple_, ctx, env)]
     if isinstance(e, Lambda):
-        inner = {**ctx, e.var: e.var_ty}
-        return [Lambda(e.var, e.var_ty, d) for d in _nf(e.body, inner)]
+        var, ctx, env = _enter(e, e.var_ty, ctx, env)
+        return [Lambda(var, e.var_ty, d) for d in _nf(e.body, ctx, env)]
     if isinstance(e, App):
         out = []
-        for fn in _nf(e.fn, ctx):
-            for arg in _nf(e.arg, ctx):
+        for fn in _nf(e.fn, ctx, env):
+            for arg in _nf(e.arg, ctx, env):
                 if isinstance(fn, Lambda):
-                    body = substitute(fn.var, arg, fn.body)
-                    out.extend(_nf(body, ctx))
+                    # A normal function holds no name of ``env``.
+                    out.extend(_nf(fn.body, ctx, {fn.var: arg}))
                 else:
                     out.append(App(fn, arg))
         return _dedup(out)
     if isinstance(e, Let):
-        bounds = _nf(e.bound, ctx)
+        bounds = _nf(e.bound, ctx, env)
         if e.bound._nform is None and not free_vars(e.bound):
             own = len(bounds) == 1 and bounds[0] is e.bound
             keep(e.bound, "_nform", () if own else tuple(bounds))
@@ -215,32 +187,51 @@ def _nf(e, ctx):
                     keep(d, "_nform", ())  # normal already
         out = []
         for bound in bounds:
-            out.extend(_nf(substitute(e.var, bound, e.body), ctx))
+            out.extend(_nf(e.body, ctx, {**env, e.var: bound}))
         return _dedup(out)
     if isinstance(e, Cut):
-        inner = {**ctx, e.var: REAL}
-        left = _embed(_nf(e.left, inner))
-        right = _embed(_nf(e.right, inner))
-        cut = Cut(e.var, e.range, left, right)
+        var, ctx, env = _enter(e, REAL, ctx, env)
+        left = _embed(_nf(e.left, ctx, env))
+        right = _embed(_nf(e.right, ctx, env))
+        cut = Cut(var, e.range, left, right)
         return [cut if free_vars(cut) else _intern(cut)]
     if isinstance(e, (Exists, Forall)):
-        body = _embed(_nf(e.body, {**ctx, e.var: REAL}))
-        return [type(e)(e.var, e.range, body)]
+        var, ctx, env = _enter(e, REAL, ctx, env)
+        return [type(e)(var, e.range, _embed(_nf(e.body, ctx, env)))]
     if isinstance(e, Restrict):
-        guard = _embed(_nf(e.guard, ctx))
-        if infer_type(ctx, e.body) == PROP:
-            # Restriction at prop is conjunction with the guard.
-            return [mk_and([guard, _embed(_nf(e.body, ctx))])]
-        return [Restrict(guard, d) for d in _nf(e.body, ctx)]
+        guard = _embed(_nf(e.guard, ctx, env))
+        body = _nf(e.body, ctx, env)
+        if infer_type(ctx, body[0]) == PROP:
+            # Restriction at prop is conjunction with the guard.  The body
+            # is typed in its normal form, whose names ``ctx`` types.
+            return [mk_and([guard, _embed(body)])]
+        return [Restrict(guard, d) for d in body]
     if isinstance(e, MkBool):
-        p = _embed(_nf(e.if_true, ctx))
-        q = _embed(_nf(e.if_false, ctx))
+        p = _embed(_nf(e.if_true, ctx, env))
+        q = _embed(_nf(e.if_false, ctx, env))
         return [MkBool(p, q)]
     if isinstance(e, IsTrue):
-        return _dedup([_bool_project(d, True) for d in _nf(e.arg, ctx)])
+        return _dedup([_bool_project(d, True) for d in _nf(e.arg, ctx, env)])
     if isinstance(e, IsFalse):
-        return _dedup([_bool_project(d, False) for d in _nf(e.arg, ctx)])
+        return _dedup([_bool_project(d, False) for d in _nf(e.arg, ctx, env)])
     raise TypeError(f"normalize: {type(e).__name__}")
+
+
+def _enter(e, ty, ctx, env):
+    """The output name of the variable of binder ``e``, typed ``ty``, and
+    the context and environment of its children: renamed with primes when
+    a value the environment keeps for ``e`` has the variable free."""
+    var = e.var
+    fv = free_vars(e)
+    env = {name: d for name, d in env.items() if name in fv}
+    taken = fv.union(*map(free_vars, env.values()))
+    if var in taken:
+        fresh = var + "'"
+        while fresh in taken:
+            fresh += "'"
+        env[var] = Var(fresh)
+        var = fresh
+    return var, {**ctx, var: ty}, env
 
 
 # Each live closed cut that ``_nf`` built, mapped to a weak reference to

@@ -1,18 +1,14 @@
-"""Shipped object-language sources and their expected outcomes.
+"""Shipped object-language sources.
 
-The ``.msl`` files under ``msl/examples`` are both documentation and an
-integration-test battery: each asset pairs a source file with predicates
-its evaluation items must satisfy.  For nondeterministic items a
-predicate accepts every member of the expected outcome set.
+The ``.msl`` files under ``msl/examples`` are documentation and the
+prelude that ``#use "prelude.msl"`` loads; the tests pin what each of
+their evaluations prints (``tests/golden``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from importlib import resources
 
-from .evaluator import BoolFF, BoolTT, RealBall
 from .syntax import parse_program
 
 ASSET_DIR = resources.files(__package__) / "examples"
@@ -30,54 +26,3 @@ def asset_path(name):
 def load_prelude():
     """Parse the shipped prelude (tt/ff, bneg/band/bor, max/min)."""
     return parse_program(asset_source("prelude.msl"))
-
-
-@dataclass(frozen=True)
-class Asset:
-    """A source file plus (evaluation index, outcome predicate) checks.
-
-    The index counts evaluation items only, in file order.
-    """
-
-    name: str
-    source: str
-    expected: tuple
-
-
-def _ball_near(value, tol=Fraction(1, 100)):
-    value = Fraction(value)
-
-    def check(outcome):
-        return (isinstance(outcome, RealBall)
-                and abs(outcome.center - value) <= outcome.radius + tol)
-
-    return check
-
-
-def car_controller_asset():
-    """The yellow-light controller with w=10, eps=1, T=4, a_max=2, a_min=-3.
-
-    At (-5, 10) only the go branch applies and its acceleration is 0; at
-    (-100, 5) only the stop branch applies, giving exactly -25/198.
-    """
-    return Asset(
-        name="car.msl",
-        source=asset_source("car.msl"),
-        expected=(
-            (0, _ball_near(0)),
-            (1, _ball_near(Fraction(-25, 198))),
-        ),
-    )
-
-
-def roots_asset():
-    """Root detection at eps = 1/10 on three sample functions."""
-    return Asset(
-        name="roots.msl",
-        source=asset_source("roots.msl"),
-        expected=(
-            (0, lambda o: isinstance(o, BoolTT)),   # x - 1/2 has a root
-            (1, lambda o: isinstance(o, BoolFF)),   # x + 1 stays above 1
-            (2, lambda o: isinstance(o, BoolTT)),   # x*x touches 0
-        ),
-    )

@@ -38,7 +38,7 @@ negated literal such as -3 are folded to single rational literals.
 The operator levels (``_JOIN`` ... ``_MUL``) drive both the parser and
 the printer.  The node shapes (``children``, ``rebuild``) serve every
 traversal that only needs to know where a node's children are:
-``free_vars``, ``substitute``, ``normalize._nf`` and ``evaluator._refine``.
+``free_vars``, ``normalize._nf`` and ``evaluator._refine``.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 from msl.cli import SessionState, _wrap_definitions, execute_item
 from msl.evaluator import LOWER, run
-from msl.interval import ENTIRE, DivisionIndeterminate, GInterval
+from msl.interval import ENTIRE, DivisionIndeterminate, GInterval, XRat
 from msl.syntax import (
     Arith, Cut, Pow, RatLit, Restrict, TrueLit, Var, parse_expression,
     parse_program,
@@ -29,6 +29,16 @@ def bisect_sqrt2(tol):
         else:
             hi = mid
     return (lo + hi) / 2
+
+
+def contains(iv, q):
+    """Whether the rational ``q`` lies in the proper reading of ``iv``."""
+    return iv.lo <= XRat(q) <= iv.hi
+
+
+def contains_interval(outer, inner):
+    """Whether the proper reading of ``outer`` includes that of ``inner``."""
+    return outer.lo <= inner.lo and inner.hi <= outer.hi
 
 
 def grid_min_abs(f, lo, hi, steps):

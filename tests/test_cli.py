@@ -395,11 +395,16 @@ def test_repl_via_subprocess():
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     # The child imports msl from this checkout's src only, never an
     # installed copy; both ends of the pipe speak UTF-8 whatever the locale.
+    # Where bytecode writing is off, it stays off in the child, which would
+    # otherwise leave src/msl/__pycache__ in the checkout.
+    env = {"PYTHONPATH": os.path.join(root, "src"), "PATH": "/usr/bin:/bin",
+           "PYTHONIOENCODING": "utf-8"}
+    if "PYTHONDONTWRITEBYTECODE" in os.environ:
+        env["PYTHONDONTWRITEBYTECODE"] = os.environ["PYTHONDONTWRITEBYTECODE"]
     proc = subprocess.run(
         [sys.executable, "-m", "msl"], input=script, text=True,
         encoding="utf-8", capture_output=True, timeout=120, cwd=root,
-        env={"PYTHONPATH": os.path.join(root, "src"), "PATH": "/usr/bin:/bin",
-             "PYTHONIOENCODING": "utf-8"})
+        env=env)
     assert proc.returncode == 0, proc.stderr
     assert "two : real = 2 ± 0" in proc.stdout
 

@@ -683,9 +683,9 @@ def test_run_decides_margin_near_extremum_in_few_visits(monkeypatch, delta,
     count = [0]
     refine = msl.evaluator._refine
 
-    def counting(e, st, scope):
+    def counting(e, st):
         count[0] += 1
-        return refine(e, st, scope)
+        return refine(e, st)
 
     monkeypatch.setattr(msl.evaluator, "_refine", counting)
     e = pe(f"forall x : [0, 1], x * (1 - x) < 1/4 + {delta}")

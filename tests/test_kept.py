@@ -131,10 +131,10 @@ def test_a_stored_definition_is_normalized_and_typed_once(monkeypatch):
     calls = []
     nf, infer = NORMALIZE._nf, TYPECHECK.infer_type
 
-    def counting_nf(e, ctx):
+    def counting_nf(e, ctx, env):
         calls[-1] += 1
         built["normal"] += e is stored() and e._nform is None
-        return nf(e, ctx)
+        return nf(e, ctx, env)
 
     def counting_infer(ctx, e):
         built["type"] += e is stored() and e._ty is None

@@ -1,13 +1,16 @@
-"""Normalization: substitution, reduction, join hoisting, prop fusing."""
+"""Normalization: bound names, reduction, join hoisting, prop fusing."""
 
 import random
 from fractions import Fraction
 
-from msl.normalize import mk_and, mk_or, normalize, substitute
+import pytest
+
+from msl.normalize import mk_and, mk_or, normalize
 from msl.prelude import load_prelude
 from msl.syntax import (
-    And, App, Arith, Exists, FalseLit, Forall, Join, Lambda, Less, Let, Or,
+    And, App, Arith, Exists, FalseLit, Forall, Join, Less, Let, Or,
     Pow, RatLit, Restrict, Tuple, TrueLit, Var, free_vars, parse_expression,
+    pretty_print,
 )
 from msl.typecheck import infer_type
 
@@ -24,32 +27,60 @@ def nf(source, prelude=()):
 PRELUDE = tuple(load_prelude())
 
 
-# --- substitution -------------------------------------------------------------
+# --- bound names --------------------------------------------------------------
 
-def test_substitute_simple():
-    e = parse_expression("x + x")
-    assert substitute("x", RatLit(F(1)), e) == parse_expression("1 + 1")
-
-
-def test_substitute_capture_avoidance():
-    e = parse_expression("fun y : real => x")
-    out = substitute("x", Var("y"), e)
-    assert isinstance(out, Lambda)
-    assert out.var != "y"
-    assert out.body == Var("y")
+def printed(source):
+    return " | ".join(pretty_print(d) for d in nf(source))
 
 
-def test_substitute_shadowing():
-    e = parse_expression("fun x : real => x")
-    assert substitute("x", RatLit(F(7)), e) == e
-
-
-def test_substitute_binder_rename_keeps_meaning():
-    e = parse_expression("exists y : [0,1], y < x")
-    out = substitute("x", Var("y"), e)
-    assert isinstance(out, Exists)
-    assert out.var != "y"
-    assert out.body == Less(Var(out.var), Var("y"))
+@pytest.mark.parametrize("source, expected", [
+    # A value with y free enters a binder of y: the binder is renamed.
+    pytest.param(
+        "forall y : [0,1], (fun x : real => exists y : [0,1], y < x) y",
+        "forall y : [0, 1], exists y' : [0, 1], y' < y", id="capture"),
+    pytest.param(
+        "fun y : real => (fun x : real => fun y : real => x) y",
+        "fun y : real => fun y' : real => y", id="lambda_binder"),
+    pytest.param(
+        "forall y : [0,1], let a = y in "
+        "(cut y : [0, 2] left y < a right a < y) < 1",
+        "forall y : [0, 1], (cut y' : [0, 2] left y' < y right y < y') < 1",
+        id="cut_binder"),
+    # Two values, with y and y' free: the new name avoids both.
+    pytest.param(
+        "forall y : [0,1], forall y' : [0,1], "
+        "(fun x : real => fun w : real => exists y : [0,1], y < x + w) y y'",
+        "forall y : [0, 1], forall y' : [0, 1], "
+        "exists y'' : [0, 1], y'' < y + y'", id="two_values_lambdas"),
+    pytest.param(
+        "forall y : [0,1], forall y' : [0,1], "
+        "let a = y in let b = y' in exists y : [0,1], y < a + b",
+        "forall y : [0, 1], forall y' : [0, 1], "
+        "exists y'' : [0, 1], y'' < y + y'", id="two_values_lets"),
+    # A function-valued argument, read again at its application under a
+    # binder of the name it has free.
+    pytest.param(
+        "forall x : [0,1], (fun f : real -> real => exists x : [0,1], "
+        "f x < x) (fun z : real => z + x)",
+        "forall x : [0, 1], exists x' : [0, 1], x' + x < x'",
+        id="function_argument"),
+    # The renamed v is a prop and the captured one a real: the kept
+    # function's restriction is typed by the real, so it stays one.
+    pytest.param(
+        "forall v : [0,1], (fun f : prop -> prop => f (0 < 1)) "
+        "((fun h : real -> real => fun v : prop => 0 < h 0 /\\ v) "
+        "(fun z : real => 0 < z ~> v))",
+        "forall v : [0, 1], 0 < (0 < 0 ~> v) /\\ 0 < 1", id="typed_capture"),
+    # Shadowing, by a beta step, a let and a binder.
+    pytest.param("(fun x : real => (fun x : real => x + 1) (x * 2)) 3 < 7",
+                 "3 * 2 + 1 < 7", id="shadow_beta"),
+    pytest.param("let x = 1 in let x = x + 1 in x < 3", "1 + 1 < 3",
+                 id="shadow_let"),
+    pytest.param("let x = 7 in fun x : real => x", "fun x : real => x",
+                 id="shadow_binder"),
+])
+def test_bound_names_are_read_without_capture(source, expected):
+    assert printed(source) == expected
 
 
 # --- reduction ----------------------------------------------------------------

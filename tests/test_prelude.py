@@ -4,9 +4,7 @@ import random
 from fractions import Fraction
 
 from msl.evaluator import BoolFF, BoolTT, PropTrue, RealBall
-from msl.prelude import (
-    asset_source, car_controller_asset, load_prelude, roots_asset,
-)
+from msl.prelude import asset_source, load_prelude
 from msl.syntax import Def
 
 from oracles import (
@@ -50,12 +48,16 @@ def _car_session():
 
 
 def test_car_asset_expected_outcomes():
-    asset = car_controller_asset()
-    state = session_from(asset.source)
-    evals = ["accel (-5) 10", "accel (-100) 5"]
-    for (index, check), source in zip(asset.expected, evals):
+    # The yellow-light controller with w=10, eps=1, T=4, a_max=2,
+    # a_min=-3.  At (-5, 10) only the go branch applies and its
+    # acceleration is 0; at (-100, 5) only the stop branch applies,
+    # giving exactly -25/198.
+    state = _car_session()
+    for source, value in [("accel (-5) 10", 0),
+                          ("accel (-100) 5", F(-25, 198))]:
         out = eval_outcome(state, source)
-        assert check(out), (index, source, out)
+        assert isinstance(out, RealBall), (source, out)
+        assert abs(out.center - value) <= out.radius + F(1, 100), (source, out)
 
 
 def test_car_go_branch_matches_kinematics_oracle():
@@ -103,14 +105,14 @@ def _roots_session():
 
 
 def test_roots_asset_expected_outcomes():
-    asset = roots_asset()
+    # Root detection at eps = 1/10: x - 1/2 has a root, x + 1 stays above
+    # 1, and x*x touches 0.
     state = _roots_session()
-    evals = ["roots_interval (fun x : real => x - 1/2)",
-             "roots_interval (fun x : real => x + 1)",
-             "roots_interval (fun x : real => x * x)"]
-    for (index, check), source in zip(asset.expected, evals):
-        out = eval_outcome(state, source)
-        assert check(out), (index, source, out)
+    for source, expected in [("fun x : real => x - 1/2", BoolTT()),
+                             ("fun x : real => x + 1", BoolFF()),
+                             ("fun x : real => x * x", BoolTT())]:
+        out = eval_outcome(state, f"roots_interval ({source})")
+        assert out == expected, (source, out)
 
 
 def test_roots_against_grid_oracle():

@@ -12,11 +12,11 @@ import pytest
 import msl.evaluator
 from msl.cli import SessionState, _wrap_definitions, execute_source
 from msl.evaluator import PRUNED, RealBall, refine_step, run
-from msl.normalize import _CUTS, normalize, substitute
+from msl.normalize import _CUTS, normalize
 from msl.prelude import load_prelude
 from msl.syntax import (
-    And, Cut, Def, Forall, Let, Or, RatLit, parse_expression, parse_program,
-    pretty_print,
+    And, Cut, Def, Forall, Lambda, Let, Or, REAL, RatLit, parse_expression,
+    parse_program, pretty_print,
 )
 
 CUT_DEFS = """
@@ -69,8 +69,8 @@ def test_normalize_makes_equal_closed_cuts_one_object():
 
 def test_normalize_returns_a_normal_closed_cut_itself():
     # A closed cut that normalize built is normal: normalizing it again,
-    # as happens to every argument that substitution spreads into a
-    # body, gives back the same object.
+    # as happens to every cut in a kept function's body at each of its
+    # applications, gives back the same object.
     d = sole_disjunct("max (sqrt 2) (cbrt 3)")
     (again,) = normalize(d)
     assert again is d
@@ -120,22 +120,23 @@ def test_a_dropped_closed_cut_is_freed_by_reference_counting():
         gc.enable()
 
 
-def test_substitute_returns_subtrees_without_the_name_by_identity():
-    e = parse_expression("x + y * 2 + cut r : [0, 2] left r < 1 right 1 < r")
+def test_normalize_returns_values_and_unreduced_subtrees_by_identity():
+    # A let-bound value is the same object at each of its uses, and a
+    # subtree with nothing to reduce comes back as itself.
     one = RatLit(Fraction(1))
-    out = substitute("x", one, e)
-    assert out.lhs.lhs is one
-    assert out.lhs.rhs is e.lhs.rhs and out.rhs is e.rhs
-    assert substitute("z", one, e) is e
+    body = parse_expression("x + y * 2 + x")
+    (out,) = normalize(Lambda("y", REAL, Let("x", one, body)))
+    assert out.body.lhs.lhs is one and out.body.rhs is one
+    assert out.body.lhs.rhs is body.lhs.rhs
 
 
 def test_sweep_refines_each_shared_cut_once(monkeypatch):
     calls = []
     refine_cut = msl.evaluator._refine_cut
 
-    def counting(e, st, scope):
+    def counting(e, st):
         calls.append(e)
-        return refine_cut(e, st, scope)
+        return refine_cut(e, st)
 
     monkeypatch.setattr(msl.evaluator, "_refine_cut", counting)
     refine_step(sole_disjunct("max (sqrt 2) (cbrt 3)"))
@@ -222,9 +223,9 @@ def test_a_kept_definition_shares_its_cut_with_equal_ones(monkeypatch):
     calls = []
     refine_cut = msl.evaluator._refine_cut
 
-    def counting(e, st, scope):
+    def counting(e, st):
         calls.append(e)
-        return refine_cut(e, st, scope)
+        return refine_cut(e, st)
 
     monkeypatch.setattr(msl.evaluator, "_refine_cut", counting)
     for e in (wrapped, unshared(wrapped)):  # kept values, and none
