@@ -23,11 +23,16 @@ only when some subrange fails everywhere.
 
 Each real term is compiled once into a straight-line program, kept on
 the node (``compile_term``) and read three ways: over generalized
-intervals (``real_approx``), as a value and slope at a point for the
-Newton steps of cut probes (``_value_and_slope``), and as the centred
-form below (``Polynomial``).  A folded constant is an operand with a
-point range and no slope, and point operations are exact, so it gives
-every reading the numbers a dedicated constant operation would.
+intervals (``real_approx``, and the naive test of a comparison), as a
+value and slope at a point for the Newton steps of cut probes
+(``_value_and_slope``), and as the centred form below (``Polynomial``).
+A folded constant is an operand with a point range and no slope, and
+point operations are exact, so it gives every reading the numbers a
+dedicated constant operation would.  Every reading computes on plain
+ints with unreduced denominators (``interval``): no ``Fraction`` is
+built inside the loop, and a value becomes a ``Fraction`` or
+``GInterval`` only where it leaves the reader.  The arithmetic is exact,
+so the answers are those of ``GInterval`` arithmetic.
 
 Naive interval evaluation suffers the dependency problem: ``x*(1-x)``
 over a box of width w is overestimated by about w, so near an extremum
@@ -90,8 +95,12 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
-from .interval import DivisionIndeterminate, ENTIRE, GInterval, XRat
+from .interval import (
+    DivisionIndeterminate, ENTIRE, GInterval, XRat, add, below, div, ends,
+    interval_of, mul, power, sub,
+)
 from .normalize import mk_and, mk_or, normalize
 from .syntax import (
     And, Arith, BOOL, Cut, Exists, FalseLit, Forall, Less, MkBool, Or, PROP,
@@ -198,32 +207,47 @@ def real_approx(e, env, mode):
                 return real_approx(e.body, env, mode)
             return no_info(mode)
         code = compile_term(e)
+    if len(code) == 1:  # a constant's kept point, a binding, a leaf
+        op, x, y = code[0]
+        if op == "q":
+            return y
+        return _lookup(env, x) if op == "v" else real_approx(x, env, mode)
+    return interval_of(_read(code, len(code), env, mode)[-1])
+
+
+def _lookup(env, name):
+    try:
+        return env[name]
+    except KeyError:
+        raise EvalError(f"unbound variable '{name}'") from None
+
+
+def _read(code, stop, env, mode):
+    """The values of the first ``stop`` instructions of ``code`` over
+    generalized intervals: integer tuples where finite (``interval``)."""
     vals = []
     push = vals.append
-    for op, x, y in code:
-        if op == "v":
-            try:
-                push(env[x])
-            except KeyError:
-                raise EvalError(f"unbound variable '{x}'") from None
-        elif op == "q":
-            push(y)
-        elif op == "*":
-            push(vals[x] * vals[y])
+    for op, x, y in islice(code, stop):
+        if op == "*":
+            push(mul(vals[x], vals[y]))
         elif op == "+":
-            push(vals[x] + vals[y])
+            push(add(vals[x], vals[y]))
         elif op == "-":
-            push(vals[x] - vals[y])
+            push(sub(vals[x], vals[y]))
+        elif op == "v":
+            push(ends(_lookup(env, x)))
+        elif op == "q":
+            push(x)
         elif op == "^":
-            push(vals[x] ** y)
+            push(power(vals[x], y))
         elif op == "/":
             try:
-                push(vals[x] / vals[y])
+                push(div(vals[x], vals[y]))
             except DivisionIndeterminate:
                 push(no_info(mode))
         else:
-            push(real_approx(x, env, mode))
-    return vals[-1]
+            push(ends(real_approx(x, env, mode)))
+    return vals
 
 
 def compile_term(t):
@@ -231,12 +255,13 @@ def compile_term(t):
     for a comparison ``t``, kept on it (``_code``) unless ``t`` is an
     opaque leaf, which it would hold.
 
-    Each instruction ``(op, x, y)`` appends one value: ``("q", c,
-    point)`` the constant ``Fraction`` c and its point interval; ``("v",
-    name, None)`` a variable; ``("o", leaf, None)`` a ``Cut`` or a
-    ``Restrict``; ``(op, j, k)`` for op in ``+ - * /`` values j and k
-    combined; ``("^", j, n)`` value j to the power n >= 2.  The last
-    value is that of ``t``.  Powers below 2 fold too.
+    Each instruction ``(op, x, y)`` appends one value: ``("q", t,
+    point)`` a constant, its point interval both as the integer tuple t
+    (``interval``) and as a ``GInterval``; ``("v", name, None)`` a
+    variable; ``("o", leaf, None)`` a ``Cut`` or a ``Restrict``; ``(op,
+    j, k)`` for op in ``+ - * /`` values j and k combined; ``("^", j,
+    n)`` value j to the power n >= 2.  The last value is that of ``t``.
+    Powers below 2 fold too.
     """
     code = t._code
     if code is None:
@@ -278,7 +303,8 @@ def _emit(t, code):
 def _slot(v, code):
     """The slot of ``v``, pushing it first when it is a constant."""
     if isinstance(v, Fraction):
-        code.append(("q", v, GInterval.point(v)))
+        n, d = v.numerator, v.denominator
+        code.append(("q", (n, d, n, d), GInterval.point(v)))
         return len(code) - 1
     return v
 
@@ -323,9 +349,15 @@ def _prop_approx(e, env, mode):
     if isinstance(e, Or):
         return any(prop_approx(item, env, mode) for item in e.items)
     if isinstance(e, Less):
-        lhs = real_approx(e.lhs, env, mode)
-        rhs = real_approx(e.rhs, env, mode)
-        holds = lhs.hi < rhs.lo
+        # The program of lhs - rhs ends in that subtraction (or is the
+        # folded constant): lhs.hi < rhs.lo is read from its operands.
+        code = compile_term(e)
+        op, x, y = code[-1]
+        if op == "q":
+            holds = x[0] < 0
+        else:
+            vals = _read(code, len(code) - 1, env, mode)
+            holds = below(vals[x], vals[y])
         if type(env) is SweepEnv and env:
             # The centred test may only add decisions: a proof in lower
             # mode, a refutation in upper mode.
@@ -355,8 +387,9 @@ class Polynomial:
     ``code`` is the program of the difference, with no opaque leaf and
     no ``/``, over the variables ``names``, each held by its index.  A
     fourth field, ``ranged``, marks the values whose range ``spread``
-    needs.  Evaluation uses raw ``Fraction``s; boxes are proper ``(lo,
-    hi)`` pairs, one per name.
+    needs.  Evaluation uses plain ints: boxes are the integer tuples of
+    proper intervals (``interval.ends``), one per name, and a result is
+    a pair (numerator, denominator > 0).
     """
 
     __slots__ = ("names", "code")
@@ -383,106 +416,86 @@ class Polynomial:
         self.code = [(*ins, r) for ins, r in zip(code, ranged)]
 
     def at_midpoint(self, boxes):
-        """f(m): the exact value at the midpoint m of the boxes."""
-        point = [(a + b) / 2 for a, b in boxes]
+        """f(m): the exact value at the midpoint m of the boxes, as a
+        pair (numerator, denominator > 0)."""
+        point = [(a * d + c * b, 2 * b * d) for a, b, c, d in boxes]
         vals = []
         for op, x, y, _ in self.code:
             if op == "v":
                 v = point[x]
             elif op == "q":
-                v = x
-            elif op == "*":
-                v = vals[x] * vals[y]
-            elif op == "+":
-                v = vals[x] + vals[y]
-            elif op == "-":
-                v = vals[x] - vals[y]
+                v = x[:2]
+            elif op == "^":
+                n, d = vals[x]
+                v = n ** y, d ** y
             else:
-                v = vals[x] ** y
+                (n, d), (m, e) = vals[x], vals[y]
+                if op == "*":
+                    v = n * m, d * e
+                elif op == "+":
+                    v = n * e + m * d, d * e
+                else:
+                    v = n * e - m * d, d * e
             vals.append(v)
         return vals[-1]
 
     def spread(self, boxes):
         """The sum over i of r_i * max|d_i f(X)|, r_i the half-width of
-        box i: f(m) +- spread encloses f over the boxes.
+        box i, as a pair: f(m) +- spread encloses f over the boxes.
 
         Forward-mode differentiation in interval arithmetic: each value
         carries its range when it is ``ranged`` and, unless it is
-        constant, its gradient, one (lo, hi) pair per variable.
-        Variables bound to a point count as constants.
+        constant, its gradient, one interval per variable.  Variables
+        bound to a point count as constants.
         """
-        vals = []  # (lo, hi, gradient or None)
+        vals = []  # (range or None, gradient or None)
         for op, x, y, ranged in self.code:
             if op == "v":
-                a, b = boxes[x]
+                box = boxes[x]
+                a, b, c, d = box
                 grad = None
-                if a != b:
-                    grad = [(0, 0)] * len(boxes)
-                    grad[x] = (1, 1)
-                vals.append((a, b, grad))
+                if a * d != c * b:
+                    grad = [(0, 1, 0, 1)] * len(boxes)
+                    grad[x] = (1, 1, 1, 1)
+                vals.append((box, grad))
                 continue
             if op == "q":
-                vals.append((x, x, None))
+                vals.append((x, None))
                 continue
-            lo = hi = None
-            a, b, gu = vals[x]
+            u, gu = vals[x]
             if op == "^":
                 # d(u^k) = k * u^(k-1) * du
-                if ranged:
-                    lo, hi = _ipow(a, b, y)
                 if gu is not None:
-                    c, d = _ipow(a, b, y - 1)
-                    gu = [_imul(y * c, y * d, *g) for g in gu]
-                vals.append((lo, hi, gu))
+                    a, b, c, d = power(u, y - 1)
+                    gu = [mul((y * a, b, y * c, d), g) for g in gu]
+                vals.append((power(u, y) if ranged else None, gu))
                 continue
-            c, d, gw = vals[y]
+            w, gw = vals[y]
             if op == "*":
                 # d(u*w) = du * w + u * dw
-                if ranged:
-                    lo, hi = _imul(a, b, c, d)
+                r = mul(u, w) if ranged else None
                 if gu is not None:
-                    gu = [_imul(*g, c, d) for g in gu]
+                    gu = [mul(g, w) for g in gu]
                 if gw is not None:
-                    gw = [_imul(a, b, *g) for g in gw]
+                    gw = [mul(u, g) for g in gw]
             elif op == "+":
-                if ranged:
-                    lo, hi = a + c, b + d
+                r = add(u, w) if ranged else None
             else:
-                if ranged:
-                    lo, hi = a - d, b - c
+                r = sub(u, w) if ranged else None
                 if gw is not None:
-                    gw = [(-g1, -g0) for g0, g1 in gw]
+                    gw = [(-c, d, -a, b) for a, b, c, d in gw]
             if gu is None or gw is None:
                 grad = gw if gu is None else gu
             else:
-                grad = [(g0 + h0, g1 + h1)
-                        for (g0, g1), (h0, h1) in zip(gu, gw)]
-            vals.append((lo, hi, grad))
-        spread = Fraction(0)
-        grad = vals[-1][2]
-        if grad is not None:
-            for (a, b), (g0, g1) in zip(boxes, grad):
-                spread += (b - a) / 2 * max(-g0, g1)
-        return spread
-
-
-def _imul(a, b, c, d):
-    """Product of the proper intervals [a, b] and [c, d]."""
-    if c == d:
-        return (a * c, b * c) if c >= 0 else (b * c, a * c)
-    if a == b:
-        return (a * c, a * d) if a >= 0 else (a * d, a * c)
-    ps = (a * c, a * d, b * c, b * d)
-    return min(ps), max(ps)
-
-
-def _ipow(a, b, k):
-    """The proper interval [a, b] to the power k >= 1."""
-    if k % 2 or a >= 0:
-        return a ** k, b ** k
-    if b <= 0:
-        return b ** k, a ** k
-    return 0, max(a ** k, b ** k)
+                grad = [add(g, h) for g, h in zip(gu, gw)]
+            vals.append((r, grad))
+        n, d = 0, 1
+        for (a, b, c, e), (p, q, r, s) in zip(boxes, vals[-1][1] or ()):
+            # (c/e - a/b) / 2 * max(-p/q, r/s)
+            g, h = (-p, q) if -p * s >= r * q else (r, s)
+            m, k = (c * b - a * e) * g, 2 * b * e * h
+            n, d = n * k + m * d, d * k
+        return n, d
 
 
 def compile_polynomial(less):
@@ -513,21 +526,21 @@ def _centred_decides(e, env, mode):
         return False
     boxes, points = [], True
     for name in poly.names:
-        box = env[name]
-        lo, hi = box.lo, box.hi
-        if lo.sign or hi.sign:
+        box = ends(env[name])
+        if type(box) is not tuple:
             return False
-        a, b = (lo.q, hi.q) if mode is LOWER else (hi.q, lo.q)
-        if a > b:
+        a, b, c, d = box if mode is LOWER else box[2:] + box[:2]
+        if a * d > c * b:
             return False
-        boxes.append((a, b))
-        points = points and a == b
+        boxes.append((a, b, c, d))
+        points = points and a * d == c * b
     if points:
         return False  # the naive test was exact
-    mid = poly.at_midpoint(boxes)
-    if mode is LOWER:
-        return mid < 0 and mid + poly.spread(boxes) < 0
-    return mid >= 0 and mid - poly.spread(boxes) >= 0
+    n, d = poly.at_midpoint(boxes)
+    if (n < 0) is not (mode is LOWER):
+        return False
+    m, e = poly.spread(boxes)  # f(m) + spread < 0, f(m) - spread >= 0
+    return n * e + m * d < 0 if mode is LOWER else n * e - m * d >= 0
 
 
 # ---------------------------------------------------------------------------
@@ -857,44 +870,52 @@ def _comparisons(p):
 
 
 def _value_and_slope(t, var, x):
-    """(t, dt/dvar, slack) at var = x: the program of ``t``, a term or a
-    comparison, read in forward mode over Fractions.
+    """(t, dt/dvar, slack) at var = x as Fractions: the program of ``t``,
+    a term or a comparison, read in forward mode over integer pairs
+    (numerator, denominator > 0), each value as (f, g, p, q) for f/g and
+    its slope p/q.
 
     A closed cut with a finite range is the constant at its midpoint and
     adds its width to ``slack``.  None when ``t`` has another free
     variable or another opaque leaf, or divides by zero.
     """
-    vals, slack = [], 0
+    vals, sn, sd = [], 0, 1
     for op, u, w in compile_term(t):
         if op == "v":
             if u != var:
                 return None
-            vals.append((x, 1))
+            vals.append((x.numerator, x.denominator, 1, 1))
         elif op == "q":
-            vals.append((u, 0))
+            vals.append((u[0], u[1], 0, 1))
         elif op == "o":
             if not isinstance(u, Cut) or free_vars(u) \
                     or not u.range.is_finite:
                 return None
-            lo, hi = u.range.lo.q, u.range.hi.q
-            vals.append(((lo + hi) / 2, 0))
-            slack += hi - lo
+            a, b, c, d = ends(GInterval(u.range.lo, u.range.hi))
+            vals.append((a * d + c * b, 2 * b * d, 0, 1))
+            sn, sd = sn * b * d + (c * b - a * d) * sd, sd * b * d
         elif op == "^":
-            f, df = vals[u]
-            vals.append((f ** w, w * f ** (w - 1) * df))
+            f, g, p, q = vals[u]
+            e = f ** (w - 1)
+            vals.append((e * f, g ** w, w * e * p, g ** (w - 1) * q))
         else:
-            (f, df), (g, dg) = vals[u], vals[w]
+            (f, g, p, q), (h, k, r, s) = vals[u], vals[w]
             if op == "+":
-                vals.append((f + g, df + dg))
+                vals.append((f * k + h * g, g * k, p * s + r * q, q * s))
             elif op == "-":
-                vals.append((f - g, df - dg))
-            elif op == "*":
-                vals.append((f * g, df * g + f * dg))
-            elif not g:
+                vals.append((f * k - h * g, g * k, p * s - r * q, q * s))
+            elif op == "*":  # d(u*w) = du * w + u * dw
+                vals.append((f * h, g * k, p * h * g * s + f * r * q * k,
+                             q * k * g * s))
+            elif not h:
                 return None
-            else:
-                vals.append((f / g, (df * g - f * dg) / (g * g)))
-    return (*vals[-1], slack)
+            else:  # d(u/w) = (du * w - u * dw) / w^2
+                sign = 1 if h > 0 else -1
+                vals.append((sign * f * k, sign * g * h,
+                             (p * h * g * s - f * r * q * k) * k,
+                             q * g * s * h * h))
+    f, g, p, q = vals[-1]
+    return Fraction(f, g), Fraction(p, q), Fraction(sn, sd)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Exact generalized-interval arithmetic over extended rationals.
 
 Endpoints are arbitrary-precision rationals extended with -inf/+inf; no
-floating point is used anywhere.  An interval may be *improper* (left
-endpoint above the right one): proper intervals carry the usual "some
-point in the range" reading, improper ones the dualized "every point of
-the reversed range" reading, and ``dual()`` swaps the two.
+floating point is used anywhere, and nothing is rounded.  An interval
+may be *improper* (left endpoint above the right one): proper intervals
+carry the usual "some point in the range" reading, improper ones the
+dualized "every point of the reversed range" reading, and ``dual()``
+swaps the two.
 
 Multiplication follows the sign-class table for generalized (Kaucher)
 products.  The table is pinned down by two facts the test suite checks
@@ -18,6 +19,18 @@ inf + -inf endpoint collapses the sum to the no-information interval
 ``ENTIRE``.  Division requires a divisor with finite, nonzero endpoints
 of one sign and raises ``DivisionIndeterminate`` otherwise; the caller
 decides which orientation of "no information" fits its context.
+
+``GInterval`` is the reference semantics.  The evaluator's readers of
+compiled programs compute on plain ints instead (``add``, ``sub``,
+``mul``, ``power``, ``div``, ``below``): a finite interval is the tuple
+``(a, b, c, d)`` of <a/b, c/d>, with b, d > 0 and nothing reduced by a
+gcd.  Order tests cross-multiply, and sign tests read the numerator.
+A reader takes its values in with ``ends`` and hands its result out with
+``interval_of``, the one place where a tuple is normalized to
+``Fraction`` endpoints.  An interval with an infinite endpoint (an
+unbounded cut, no information) stays a ``GInterval``, and any operation
+on one goes through the ``GInterval`` operator, so each value is that of
+the reference.
 """
 
 from __future__ import annotations
@@ -92,12 +105,6 @@ class XRat:
         a, b = self.q, other.q
         return a.numerator * b.denominator > b.numerator * a.denominator
 
-    def __ge__(self, other):
-        if self.sign or other.sign:
-            return self.sign >= other.sign
-        a, b = self.q, other.q
-        return a.numerator * b.denominator >= b.numerator * a.denominator
-
     def __hash__(self):
         return hash(self._key())
 
@@ -114,9 +121,6 @@ class XRat:
         if other.sign == 0 or other.sign == self.sign:
             return self
         raise IndeterminateSum("inf + -inf")
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __mul__(self, other):
         if self.sign == 0 and other.sign == 0:
@@ -238,9 +242,6 @@ class GInterval:
             return NotImplemented
         return self.lo == other.lo and self.hi == other.hi
 
-    def __hash__(self):
-        return hash((self.lo, self.hi))
-
     def __add__(self, other):
         try:
             return _interval(self.lo + other.lo, self.hi + other.hi)
@@ -315,9 +316,6 @@ class GInterval:
             m = min(lo_k, hi_k)
         return _interval(m, max(lo_k, hi_k))
 
-    def __str__(self):
-        return f"<{self.lo}, {self.hi}>"
-
     def __repr__(self):
         return f"GInterval({self.lo!r}, {self.hi!r})"
 
@@ -336,3 +334,136 @@ def _interval(lo, hi):
 
 #: The mode-agnostic no-information interval.
 ENTIRE = GInterval(NEG_INF, POS_INF)
+
+
+# ---------------------------------------------------------------------------
+# Integer tuples (see the module docstring).  Each operation takes the
+# integer route when both operands are tuples, else the GInterval one.
+
+
+def ends(g):
+    """The integer tuple of a finite GInterval, or ``g`` itself."""
+    lo, hi = g.lo, g.hi
+    if lo.sign or hi.sign:
+        return g
+    p, q = lo.q, hi.q
+    return p.numerator, p.denominator, q.numerator, q.denominator
+
+
+def interval_of(x):
+    """The GInterval of an integer tuple (reduced), or ``x`` itself."""
+    if type(x) is not tuple:
+        return x
+    a, b, c, d = x
+    return _interval(_finite(Fraction(a, b)), _finite(Fraction(c, d)))
+
+
+def add(x, y):
+    if type(x) is not tuple or type(y) is not tuple:
+        return interval_of(x) + interval_of(y)
+    a, b, c, d = x
+    e, f, g, h = y
+    if b == f:
+        a += e
+    else:
+        a, b = a * f + e * b, b * f
+    if d == h:
+        c += g
+    else:
+        c, d = c * h + g * d, d * h
+    return a, b, c, d
+
+
+def sub(x, y):
+    """x - y, endpoint by endpoint: <x.lo - y.hi, x.hi - y.lo>."""
+    if type(x) is not tuple or type(y) is not tuple:
+        return interval_of(x) - interval_of(y)
+    a, b, c, d = x
+    e, f, g, h = y
+    if b == h:
+        a -= g
+    else:
+        a, b = a * h - g * b, b * h
+    if d == f:
+        c -= e
+    else:
+        c, d = c * f - e * d, d * f
+    return a, b, c, d
+
+
+# The tuple offsets (0 lo, 2 hi) of the factors of a product's lo and
+# hi, for each pair of sign classes (index 4 * x's + y's), as in
+# ``GInterval.__mul__``.  None where that table takes a min and a max
+# (Z x Z, ZD x ZD) or gives zero (Z x ZD, ZD x Z).
+_MUL_ENDS = (
+    (0, 0, 2, 2), (2, 0, 0, 2), (2, 0, 2, 2), (0, 0, 0, 2),  # P x P N Z ZD
+    (0, 2, 2, 0), (2, 2, 0, 0), (0, 2, 0, 0), (2, 2, 2, 0),  # N x
+    (0, 2, 2, 2), (2, 0, 0, 0), None, None,                  # Z x
+    (0, 0, 2, 0), (2, 2, 0, 2), None, None,                  # ZD x
+)
+
+
+def _below(p, q):
+    """p <= q for pairs (numerator, denominator > 0)."""
+    return p[0] * q[1] <= q[0] * p[1]
+
+
+def mul(x, y):
+    """The generalized product, by the table of ``GInterval.__mul__``."""
+    if type(x) is not tuple or type(y) is not tuple:
+        return interval_of(x) * interval_of(y)
+    # The sign class (``_sign_class``): hi < 0 gives 1, mixed signs 2.
+    cx = (x[2] < 0) + 2 * ((x[0] < 0) != (x[2] < 0))
+    cy = (y[2] < 0) + 2 * ((y[0] < 0) != (y[2] < 0))
+    t = _MUL_ENDS[4 * cx + cy]
+    if t is not None:
+        i, j, k, m = t
+        return (x[i] * y[j], x[i + 1] * y[j + 1],
+                x[k] * y[m], x[k + 1] * y[m + 1])
+    if cx != cy:
+        return 0, 1, 0, 1
+    a, b, c, d = x
+    e, f, g, h = y
+    ad, bc, ac, bd = (a * g, b * h), (c * e, d * f), (a * e, b * f), \
+        (c * g, d * h)
+    if cx == _Z:  # <min(A*D, B*C), max(A*C, B*D)>
+        return (ad if _below(ad, bc) else bc) + (bd if _below(ac, bd) else ac)
+    # ZD x ZD: <max(A*C, B*D), min(A*D, B*C)>
+    return (bd if _below(ac, bd) else ac) + (ad if _below(ad, bc) else bc)
+
+
+def power(x, k):
+    """x ** k for k >= 1, as ``GInterval.__pow__`` computes it."""
+    if type(x) is not tuple:
+        return x ** k
+    a, b, c, d = x
+    r = a ** k, b ** k, c ** k, d ** k
+    if k % 2:
+        return r
+    proper = a * d <= c * b
+    if not proper:  # the dual of the power of the dual
+        a, c = c, a
+        r = r[2:] + r[:2]
+    if a < 0 < c:  # the range straddles 0
+        r = (0, 1) + (r[:2] if _below(r[2:], r[:2]) else r[2:])
+    elif a < 0:  # hi <= 0
+        r = r[2:] + r[:2]
+    return r if proper else r[2:] + r[:2]
+
+
+def div(x, y):
+    """x / y; raises ``DivisionIndeterminate`` as ``__truediv__`` does."""
+    if type(x) is not tuple or type(y) is not tuple:
+        return interval_of(x) / interval_of(y)
+    e, f, g, h = y
+    if e == 0 or g == 0 or (e > 0) != (g > 0):
+        raise DivisionIndeterminate("divisor touches zero")
+    # x * <1/D, 1/C>, each reciprocal with its sign on the numerator
+    return mul(x, (h, g, f, e) if g > 0 else (-h, -g, -f, -e))
+
+
+def below(x, y):
+    """x.hi < y.lo: the naive test of a comparison x < y."""
+    if type(x) is not tuple or type(y) is not tuple:
+        return interval_of(x).hi < interval_of(y).lo
+    return x[2] * y[1] < y[0] * x[3]

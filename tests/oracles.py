@@ -81,6 +81,49 @@ def reference_real_approx(e, env, mode):
         return no_info
 
 
+def centred_form(less, boxes):
+    """f(m) and the spread sum_i r_i * max|d_i f(X)| of f = lhs - rhs of
+    a comparison of polynomials over the proper ``boxes`` (name ->
+    GInterval) with midpoint m, r_i the half-width of box i: f(m) is
+    exact in ``Fraction``s, and the partial derivatives are enclosed by
+    forward differentiation in ``GInterval`` arithmetic, by recursion
+    over the tree.  A variable bound to a point counts as a constant."""
+    def walk(t):  # (value at m, {name: enclosure of d_name t})
+        if isinstance(t, RatLit):
+            return F(t.value), {}
+        if isinstance(t, Var):
+            box = boxes[t.name]
+            slope = {} if box.lo == box.hi else {t.name: GInterval(1, 1)}
+            return (box.lo.q + box.hi.q) / 2, slope
+        if isinstance(t, Pow):  # d(u^k) = k * u^(k-1) * du
+            u, du = walk(t.base)
+            if t.exp == 0:
+                return F(1), {}
+            scale = GInterval.point(t.exp) * \
+                reference_real_approx(t.base, boxes, LOWER) ** (t.exp - 1)
+            return u ** t.exp, {v: scale * g for v, g in du.items()}
+        u, du = walk(t.lhs)
+        w, dw = walk(t.rhs)
+        if t.op == "*":  # d(u*w) = du * w + u * dw
+            value = u * w
+            lhs = reference_real_approx(t.lhs, boxes, LOWER)
+            rhs = reference_real_approx(t.rhs, boxes, LOWER)
+            du = {v: g * rhs for v, g in du.items()}
+            dw = {v: lhs * g for v, g in dw.items()}
+        elif t.op == "-":
+            value, dw = u - w, {v: -g for v, g in dw.items()}
+        else:
+            value = u + w
+        for v, g in dw.items():
+            du[v] = du[v] + g if v in du else g
+        return value, du
+
+    value, grad = walk(Arith("-", less.lhs, less.rhs))
+    spread = sum(((boxes[v].hi.q - boxes[v].lo.q) / 2 * max(-g.lo.q, g.hi.q)
+                  for v, g in grad.items()), F(0))
+    return value, spread
+
+
 # --- car kinematics (w=10, eps=1, T=4, a_max=2, a_min=-3) --------------------
 
 CAR_W = F(10)

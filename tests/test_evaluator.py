@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import msl.evaluator
 from msl.evaluator import (
@@ -14,13 +14,13 @@ from msl.evaluator import (
     PropTrue, RealBall, SweepEnv, TupleOf, UPPER, compile_polynomial,
     evaluate_step, prop_approx, real_approx, refine_step, run,
 )
-from msl.interval import ENTIRE, GInterval, POS_INF, XRat
+from msl.interval import ENTIRE, GInterval, POS_INF, XRat, ends
 from msl.syntax import (
     And, Arith, BOOL, Exists, FalseLit, Forall, Less, Or, PROP, Pow,
     ProductTy, Range, RatLit, REAL, Restrict, TrueLit, Var, parse_expression,
 )
 from oracles import reference_real_approx
-from test_interval import intervals, polynomial_terms, rationals
+from test_interval import any_intervals, polynomial_terms, rationals
 
 F = Fraction
 I = GInterval
@@ -64,27 +64,51 @@ def test_real_approx_restriction():
     assert real_approx(pe("(2 < 1) ~> 5"), {}, UPPER) == ENTIRE.dual()
 
 
+def test_one_instruction_programs_return_their_value_by_identity():
+    box, lit = I(F(1, 3), F(1, 2)), pe("3/2")
+    assert real_approx(Var("x"), {"x": box}, UPPER) is box
+    point = real_approx(lit, {}, LOWER)
+    assert point == I(F(3, 2), F(3, 2))
+    assert real_approx(lit, {}, UPPER) is point is lit._code[0][2]
+
+
 def arithmetic_terms():
-    """Terms over ``+ - * / ^``, literals, the variables x and y, two cuts
-    and restrictions under a literal guard."""
+    """Terms over ``+ - * / ^`` (``*`` the most often), literals, the
+    variables x and y, three cuts (one unbounded) and restrictions under
+    a literal guard."""
     cuts = st.sampled_from((pe(SQRT2_CUT), pe("cut z : [-1, 1/2] left "
-                                              "z < 0 right 0 < z")))
+                                              "z < 0 right 0 < z"),
+                            pe("cut z : (-inf, 1] left z < 1 right 1 < z")))
     leaves = st.one_of(st.sampled_from((Var("x"), Var("y"))), cuts,
                        rationals().map(RatLit))
     return st.recursive(leaves, lambda kids: st.one_of(
         st.builds(Arith, st.sampled_from("+-*/"), kids, kids),
+        st.builds(Arith, st.just("*"), kids, kids),
         st.builds(Pow, kids, st.integers(min_value=0, max_value=3)),
         st.builds(Restrict, st.sampled_from((TrueLit(), FalseLit())),
                   kids)), max_leaves=10)
 
 
-@given(arithmetic_terms(), intervals(), intervals())
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(arithmetic_terms(), any_intervals(), any_intervals())
 def test_real_approx_matches_recursive_reference(t, x, y):
-    # x and y are drawn proper and dual alike.
+    # x and y are drawn proper, dual, points and unbounded alike.
     env = {"x": x, "y": y}
     for mode in (LOWER, UPPER):
         assert real_approx(t, env, mode) == \
             reference_real_approx(t, env, mode)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(arithmetic_terms(), arithmetic_terms(), any_intervals(),
+       any_intervals())
+def test_naive_comparison_test_is_lhs_hi_below_rhs_lo(lhs, rhs, x, y):
+    # It reads the operands of the final subtraction of lhs - rhs.
+    env = {"x": x, "y": y}
+    for mode in (LOWER, UPPER):
+        expected = reference_real_approx(lhs, env, mode).hi < \
+            reference_real_approx(rhs, env, mode).lo
+        assert prop_approx(Less(lhs, rhs), env, mode) is expected
 
 
 # --- prop_approx ----------------------------------------------------------------
@@ -563,8 +587,8 @@ def centred_enclosure(less, boxes):
     """The centred form f(m) + sum_i d_i f(X) * (X_i - m_i) of lhs - rhs
     as a (lo, hi) pair: it contains f at every point of the boxes."""
     poly = compile_polynomial(less)
-    pairs = [(boxes[v].lo.q, boxes[v].hi.q) for v in poly.names]
-    mid, spread = poly.at_midpoint(pairs), poly.spread(pairs)
+    pairs = [ends(boxes[v]) for v in poly.names]
+    mid, spread = F(*poly.at_midpoint(pairs)), F(*poly.spread(pairs))
     return mid - spread, mid + spread
 
 

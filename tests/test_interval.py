@@ -3,15 +3,20 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from msl.interval import (
     DivisionIndeterminate, ENTIRE, GInterval, NEG_INF, POS_INF, XRat, ZERO,
+    add, below, div, ends, interval_of, mul, power, sub,
 )
-from msl.evaluator import LOWER, UPPER, real_approx
-from msl.syntax import Arith, Pow, RatLit, Var
+from msl.evaluator import (
+    LOWER, UPPER, SweepEnv, compile_polynomial, prop_approx, real_approx,
+)
+from msl.syntax import Arith, Less, Pow, RatLit, Var
 
-from oracles import contains, contains_interval
+from oracles import (
+    centred_form, contains, contains_interval, reference_real_approx,
+)
 
 I = GInterval
 F = Fraction
@@ -28,6 +33,14 @@ def intervals():
 
 def proper_intervals():
     return intervals().map(lambda i: i if i.is_proper else i.dual())
+
+
+def any_intervals():
+    """Proper, dual, point and unbounded intervals."""
+    ends = st.one_of(rationals(), rationals(), st.sampled_from((NEG_INF,
+                                                                POS_INF)))
+    return st.one_of(intervals(), intervals(), rationals().map(I.point),
+                     st.builds(I, ends, ends))
 
 
 # --- XRat ------------------------------------------------------------------
@@ -142,6 +155,17 @@ def polynomial_terms(names, ops="+-*"):
         max_leaves=8)
 
 
+def narrow_intervals():
+    """Proper intervals of width 1/64, 1/8 or 1/2 near 0, where the
+    centred form of a small polynomial is often tighter than the naive
+    enclosure."""
+    return st.builds(lambda lo, w: I(lo, lo + w),
+                     st.fractions(min_value=-2, max_value=2,
+                                  max_denominator=8),
+                     st.sampled_from((F(1, 64), F(1, 8), F(1, 2))))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
 @given(st.data())
 def test_polynomial_upper_enclosure_is_dual_of_lower(data):
     # Upper mode binds every quantified variable to a dual box, so by the
@@ -153,9 +177,28 @@ def test_polynomial_upper_enclosure_is_dual_of_lower(data):
     # and its dual.
     names = data.draw(st.sampled_from((("x",), ("x", "y"))))
     t = data.draw(polynomial_terms(names, "+-*/"))
-    boxes = {v: data.draw(proper_intervals()) for v in names}
+    boxes = {v: data.draw(st.one_of(proper_intervals(), narrow_intervals(),
+                                    narrow_intervals())) for v in names}
     duals = {v: box.dual() for v, box in boxes.items()}
     assert real_approx(t, duals, UPPER) == real_approx(t, boxes, LOWER).dual()
+    # So the centred test of a comparison reads upper mode's dual boxes
+    # undualized, and in both modes it decides as the Fraction centred
+    # form over the proper boxes does.  The bound c is drawn at the ends
+    # of that form's enclosure f(m) +- spread, or inside a gap between
+    # them and the naive enclosure, where only the centred test decides.
+    if compile_polynomial(Less(t, RatLit(F(0)))) is None:
+        return  # a division: the naive test alone
+    mid, spread = centred_form(Less(t, RatLit(F(0))), boxes)
+    naive = reference_real_approx(t, boxes, LOWER)
+    u = data.draw(st.sampled_from((F(0), F(1, 64), F(1, 2))))
+    c = data.draw(st.sampled_from((
+        mid, mid + spread + u * max(naive.hi.q - mid - spread, F(0)),
+        mid - spread - u * max(mid - spread - naive.lo.q, F(0)))))
+    less, f = Less(t, RatLit(c)), mid - c
+    proof = naive.hi.q < c or (f < 0 and f + spread < 0)
+    refutation = naive.lo.q >= c or (f >= 0 and f - spread >= 0)
+    assert prop_approx(less, SweepEnv(boxes), LOWER) is proof
+    assert prop_approx(less, SweepEnv(duals), UPPER) is not refutation
 
 
 @given(proper_intervals(), proper_intervals(), st.data())
@@ -166,6 +209,36 @@ def test_mul_sound_on_samples(x, y, data):
                                max_denominator=64))
     assert contains(x * y, r * s)
     assert contains(x + y, r + s)
+
+
+def unreduced(x, data):
+    """The integer tuple of ``x`` with each endpoint's numerator and
+    denominator scaled by a drawn factor, or ``x`` when unbounded."""
+    t = ends(x)
+    if type(t) is not tuple:
+        return t
+    k, m = (data.draw(st.integers(min_value=1, max_value=6)) for _ in "km")
+    a, b, c, d = t
+    return a * k, b * k, c * m, d * m
+
+
+@settings(derandomize=True, max_examples=300)
+@given(any_intervals(), any_intervals(), st.integers(min_value=1,
+                                                     max_value=5), st.data())
+def test_integer_operations_match_ginterval(x, y, k, data):
+    tx, ty = unreduced(x, data), unreduced(y, data)
+    assert interval_of(add(tx, ty)) == x + y
+    assert interval_of(sub(tx, ty)) == x - y
+    assert interval_of(mul(tx, ty)) == x * y
+    assert interval_of(power(tx, k)) == x ** k
+    assert below(tx, ty) is (x.hi < y.lo)
+    try:
+        quotient = x / y
+    except DivisionIndeterminate:
+        with pytest.raises(DivisionIndeterminate):
+            div(tx, ty)
+    else:
+        assert interval_of(div(tx, ty)) == quotient
 
 
 # --- division ----------------------------------------------------------------
