@@ -31,8 +31,13 @@ point operations are exact, so it gives every reading the numbers a
 dedicated constant operation would.  Every reading computes on plain
 ints with unreduced denominators (``interval``): no ``Fraction`` is
 built inside the loop, and a value becomes a ``Fraction`` or
-``GInterval`` only where it leaves the reader.  The arithmetic is exact,
-so the answers are those of ``GInterval`` arithmetic.
+``GInterval`` only where it leaves the reader.  So do the bindings and
+the narrowing of cuts: an environment binds a quantified variable or a
+cut probe's variable to the integer tuple of its box or point, and a
+cut's endpoints, its Newton steps and its trisection points are
+integer pairs until the two chosen endpoints become the ``Fraction``s
+of its new range.  The arithmetic is exact, so the answers are those of
+``GInterval`` and ``Fraction`` arithmetic.
 
 Naive interval evaluation suffers the dependency problem: ``x*(1-x)``
 over a box of width w is overestimated by about w, so near an extremum
@@ -96,10 +101,11 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
+from math import gcd
 
 from .interval import (
-    DivisionIndeterminate, ENTIRE, GInterval, XRat, add, below, div, ends,
-    interval_of, mul, power, sub,
+    DivisionIndeterminate, ENTIRE, GInterval, XRat, add, below, box, div,
+    ends, interval_of, mul, power, sub,
 )
 from .normalize import mk_and, mk_or, normalize
 from .syntax import (
@@ -194,7 +200,9 @@ PRUNED = _PrunedType()
 
 def real_approx(e, env, mode):
     """Interval approximation of a join-free real expression: its program
-    (``compile_term``) read over generalized intervals in ``mode``."""
+    (``compile_term``) read over generalized intervals in ``mode``.  A
+    one-instruction program returns its value by identity, so a variable
+    gives its binding as it is, an integer tuple where it is finite."""
     code = e._code
     if code is None:
         if isinstance(e, Cut):
@@ -316,15 +324,21 @@ class SweepEnv(dict):
     variables, it lets the body's comparisons use the centred test
     (``_centred_decides``) and keeps nothing.  Plain dicts (a cut probe,
     ``evaluate_step``) keep the naive test and ignore kept values.
+
+    Every environment binds a variable to the integer tuple of its box
+    where the box is finite (``interval.box``), else to its
+    ``GInterval``; the readers take either (``interval.ends``).
     """
 
     __slots__ = ()
 
 
-def _bind(env, var, box):
-    """The environment of a quantifier body that binds ``var``."""
+def _bind(env, var, value):
+    """The environment of a quantifier body that binds ``var`` to
+    ``value``, a copy of ``env`` of its type: a cut probe's point tuple
+    reaches the body of a quantifier in the cut's predicate this way."""
     inner = type(env)(env)
-    inner[var] = box
+    inner[var] = value
     return inner
 
 
@@ -367,13 +381,13 @@ def _prop_approx(e, env, mode):
                 return not _centred_decides(e, env, UPPER)
         return holds
     if isinstance(e, Forall):
-        r = e.range
-        box = GInterval(r.lo, r.hi) if mode is LOWER else GInterval(r.hi, r.lo)
-        return prop_approx(e.body, _bind(env, e.var, box), mode)
+        lo, hi = e.range.lo, e.range.hi
+        inner = box(lo, hi) if mode is LOWER else box(hi, lo)
+        return prop_approx(e.body, _bind(env, e.var, inner), mode)
     if isinstance(e, Exists):
-        r = e.range
-        box = GInterval(r.lo, r.lo) if mode is LOWER else GInterval(r.hi, r.lo)
-        return prop_approx(e.body, _bind(env, e.var, box), mode)
+        lo, hi = e.range.lo, e.range.hi
+        inner = box(lo, lo) if mode is LOWER else box(hi, lo)
+        return prop_approx(e.body, _bind(env, e.var, inner), mode)
     raise EvalError(f"prop_approx: {type(e).__name__} is not normal")
 
 
@@ -451,13 +465,12 @@ class Polynomial:
         vals = []  # (range or None, gradient or None)
         for op, x, y, ranged in self.code:
             if op == "v":
-                box = boxes[x]
-                a, b, c, d = box
+                a, b, c, d = boxes[x]
                 grad = None
                 if a * d != c * b:
                     grad = [(0, 1, 0, 1)] * len(boxes)
                     grad[x] = (1, 1, 1, 1)
-                vals.append((box, grad))
+                vals.append((boxes[x], grad))
                 continue
             if op == "q":
                 vals.append((x, None))
@@ -526,10 +539,10 @@ def _centred_decides(e, env, mode):
         return False
     boxes, points = [], True
     for name in poly.names:
-        box = ends(env[name])
-        if type(box) is not tuple:
+        x = ends(env[name])
+        if type(x) is not tuple:
             return False
-        a, b, c, d = box if mode is LOWER else box[2:] + box[:2]
+        a, b, c, d = x if mode is LOWER else x[2:] + x[:2]
         if a * d > c * b:
             return False
         boxes.append((a, b, c, d))
@@ -706,8 +719,7 @@ def _log_witnesses(e, env, wlog):
     if isinstance(e, Exists):
         r = e.range
         wlog.append((e.var, r.lo.q, r.hi.q))
-        _log_witnesses(e.body, _bind(env, e.var, GInterval(r.lo, r.lo)),
-                       wlog)
+        _log_witnesses(e.body, _bind(env, e.var, box(r.lo, r.lo)), wlog)
     elif isinstance(e, Or):
         for item in e.items:
             if prop_approx(item, env, LOWER):
@@ -718,8 +730,7 @@ def _log_witnesses(e, env, wlog):
             _log_witnesses(item, env, wlog)
     elif isinstance(e, Forall):
         r = e.range
-        _log_witnesses(e.body, _bind(env, e.var, GInterval(r.lo, r.hi)),
-                       wlog)
+        _log_witnesses(e.body, _bind(env, e.var, box(r.lo, r.hi)), wlog)
 
 
 def _split_quantifier(e, node, combine, st):
@@ -767,20 +778,22 @@ def _refine_cut(e, st):
     # alone.
     if not free_vars(e):
         if lo.is_finite and hi.is_finite:
-            lo, hi = (XRat(q) for q in _narrow(e, lo.q, hi.q, st.n))
+            a, b = _narrow(e, (lo.q.numerator, lo.q.denominator),
+                           (hi.q.numerator, hi.q.denominator), st.n)
+            lo, hi = XRat(Fraction(*a)), XRat(Fraction(*b))
         else:
             # Establish finite bounds by probing doubling candidates.
             step = Fraction(2) ** st.n
             if not lo.is_finite:
-                cand = -step if (not hi.is_finite or -step < hi.q) \
-                    else hi.q - step
-                if prop_approx(e.left, {e.var: GInterval.point(cand)}, LOWER):
-                    lo = XRat(cand)
+                cand = XRat(-step if (not hi.is_finite or -step < hi.q)
+                            else hi.q - step)
+                if prop_approx(e.left, {e.var: box(cand, cand)}, LOWER):
+                    lo = cand
             if not hi.is_finite:
-                cand = step if (not lo.is_finite or step > lo.q) \
-                    else lo.q + step
-                if prop_approx(e.right, {e.var: GInterval.point(cand)}, LOWER):
-                    hi = XRat(cand)
+                cand = XRat(step if (not lo.is_finite or step > lo.q)
+                            else lo.q + step)
+                if prop_approx(e.right, {e.var: box(cand, cand)}, LOWER):
+                    hi = cand
     rng = Range(lo, hi, lo_open=not lo.is_finite, hi_open=not hi.is_finite)
     sides = _refine_all((e.left, e.right), st)
     if sides is PRUNED:
@@ -791,73 +804,93 @@ def _refine_cut(e, st):
 def _narrow(e, a, b, n):
     """The range [a, b] of the finite cut ``e`` after the probes of sweep n.
 
-    The lower endpoint moves to the highest Newton-chosen point where the
-    lower-mode probe of ``left`` holds, the upper one to the lowest point
-    above it where that of ``right`` holds.  A side with no such point
-    probes at its trisection point instead.  Soundness needs nothing of
-    the points: an endpoint moves only where its probe holds.
+    a, b and the two endpoints returned are pairs (numerator,
+    denominator > 0), not necessarily reduced.  The lower endpoint moves
+    to the highest Newton-chosen point where the lower-mode probe of
+    ``left`` holds, the upper one to the lowest point above it where that
+    of ``right`` holds.  A side with no such point probes at its
+    trisection point instead.  A probe binds the cut's variable to the
+    point's integer tuple.  Soundness needs nothing of the points: an
+    endpoint moves only where its probe holds.
     """
     var = e.var
 
     def holds(side, p):
-        return prop_approx(side, {var: GInterval.point(p)}, LOWER)
+        return prop_approx(side, {var: p + p}, LOWER)
 
+    (an, ad), (bn, bd) = a, b
     points = _newton_points(e, a, b, n)
     lo = next((p for p in reversed(points) if holds(e.left, p)), None)
     if lo is None:
-        q1 = (2 * a + b) / 3
+        q1 = 2 * an * bd + bn * ad, 3 * ad * bd
         lo = q1 if holds(e.left, q1) else a
-    hi = next((p for p in points if p > lo and holds(e.right, p)), None)
+    hi = next((p for p in points
+               if lo[0] * p[1] < p[0] * lo[1] and holds(e.right, p)), None)
     if hi is None:
-        q2 = (a + 2 * b) / 3
+        q2 = an * bd + 2 * bn * ad, 3 * ad * bd
         hi = q2 if holds(e.right, q2) else b
     return lo, hi
 
 
 def _newton_points(e, a, b, n):
-    """Dyadic probe points inside (a, b), ascending, for the cut ``e``.
+    """Dyadic probe points inside (a, b), ascending, for the cut ``e``:
+    pairs (numerator, 2^k) with one k for all, a and b as in ``_narrow``.
 
     Each comparison reachable through ``And``/``Or`` in ``left`` and
     ``right`` whose difference f = lhs - rhs has a slope at the midpoint
     m gives the Newton step r = m - f(m) / f'(m).  Near a simple root
     the step is off by O(w^2), w = b - a, so the points are r -+ delta
     with delta = max(w^2 + slack, 2^-(8 (n + 1))), rounded outward to a
-    dyadic grid about 3 bits finer than delta.  ``slack`` is the width
-    of the closed cuts inside f, which enter at their midpoints.  A
-    step is dropped when r leaves (a, b) or when 4 delta >= w, where
-    trisection does at least as well.
+    dyadic grid about 3 bits finer than delta: 2^-k with k = 3 plus the
+    bits of delta's reduced denominator less those of its numerator.
+    ``slack`` is the width of the closed cuts inside f, which enter at
+    their midpoints.  A step is dropped when r leaves (a, b) or when
+    4 delta >= w, where trisection does at least as well.  All of it is
+    computed on ints, by cross-multiplication.
     """
-    w = b - a
-    floor = Fraction(1, 1 << PROBE_BITS_PER_SWEEP * (n + 1))
-    least = max(w * w, floor)  # delta without slack
-    if 4 * least >= w:
+    (an, ad), (bn, bd) = a, b
+    wn, wd = bn * ad - an * bd, ad * bd  # w
+    sq, sqd = wn * wn, wd * wd  # w^2
+    shift = PROBE_BITS_PER_SWEEP * (n + 1)
+    # delta without slack: max(w^2, 2^-shift)
+    ln, ld = (sq, sqd) if sq << shift >= sqd else (1, 1 << shift)
+    if 4 * ln * wd >= wn * ld:
         return ()
-    m = (a + b) / 2
+    m = an * bd + bn * ad, 2 * ad * bd
     sides = []  # each comparison once: a swapped one steps to the same r
     for less in (*_comparisons(e.left), *_comparisons(e.right)):
         if less not in sides and Less(less.rhs, less.lhs) not in sides:
             sides.append(less)
-    points = []
+    grid = []  # (numerator, k) of each point
     for less in sides:
         f = _value_and_slope(less, e.var, m)
-        if f is None or not f[1]:
+        if f is None or not f[1][0]:
             continue
-        r = m - f[0] / f[1]
-        slack = f[2]
-        delta = max(least, w * w + slack) if slack else least
-        if not a < r < b or 4 * delta >= w:
+        (fn, fd), (pn, pd), (sn, sd) = f
+        # r = m - f / f', its denominator made positive
+        rn, rd = m[0] * fd * pn - fn * pd * m[1], m[1] * fd * pn
+        if rd < 0:
+            rn, rd = -rn, -rd
+        dn, dd = ln, ld
+        if sn:  # delta = max(least, w^2 + slack)
+            tn, td = sq * sd + sn * sqd, sqd * sd
+            if tn * ld > ln * td:
+                dn, dd = tn, td
+        if not (an * rd < rn * ad and rn * bd < bn * rd) \
+                or 4 * dn * wd >= wn * dd:
             continue
-        # r -+ delta rounded outward to multiples of 2^-k, in integers.
-        k = 3 + delta.denominator.bit_length() - delta.numerator.bit_length()
-        rn, rd = r.numerator, r.denominator
-        dn, dd = delta.numerator, delta.denominator
+        # r -+ delta rounded outward to multiples of 2^-k.
+        g = gcd(dn, dd)
+        k = 3 + (dd // g).bit_length() - (dn // g).bit_length()
         den = rd * dd
         for num in ((rn * dd - dn * rd) << k) // den, \
                 -((-(rn * dd + dn * rd) << k) // den):
-            p = Fraction(num, 1 << k)
-            if a < p < b and p not in points:
-                points.append(p)
-    return sorted(points)
+            if an << k < num * ad and num * bd < bn << k:
+                grid.append((num, k))
+    # Two comparisons may round to different grids: compare on the finest.
+    top = max((k for _, k in grid), default=0)
+    return [(num, 1 << top)
+            for num in sorted({num << top - k for num, k in grid})]
 
 
 def _comparisons(p):
@@ -870,13 +903,13 @@ def _comparisons(p):
 
 
 def _value_and_slope(t, var, x):
-    """(t, dt/dvar, slack) at var = x as Fractions: the program of ``t``,
-    a term or a comparison, read in forward mode over integer pairs
-    (numerator, denominator > 0), each value as (f, g, p, q) for f/g and
-    its slope p/q.
+    """(t, dt/dvar, slack) at var = x, each a pair (numerator,
+    denominator > 0), as x is: the program of ``t``, a term or a
+    comparison, read in forward mode over integer pairs, each value as
+    (f, g, p, q) for f/g and its slope p/q.
 
     A closed cut with a finite range is the constant at its midpoint and
-    adds its width to ``slack``.  None when ``t`` has another free
+    adds its width to the slack.  None when ``t`` has another free
     variable or another opaque leaf, or divides by zero.
     """
     vals, sn, sd = [], 0, 1
@@ -884,14 +917,14 @@ def _value_and_slope(t, var, x):
         if op == "v":
             if u != var:
                 return None
-            vals.append((x.numerator, x.denominator, 1, 1))
+            vals.append((*x, 1, 1))
         elif op == "q":
             vals.append((u[0], u[1], 0, 1))
         elif op == "o":
             if not isinstance(u, Cut) or free_vars(u) \
                     or not u.range.is_finite:
                 return None
-            a, b, c, d = ends(GInterval(u.range.lo, u.range.hi))
+            a, b, c, d = box(u.range.lo, u.range.hi)
             vals.append((a * d + c * b, 2 * b * d, 0, 1))
             sn, sd = sn * b * d + (c * b - a * d) * sd, sd * b * d
         elif op == "^":
@@ -915,7 +948,7 @@ def _value_and_slope(t, var, x):
                              (p * h * g * s - f * r * q * k) * k,
                              q * g * s * h * h))
     f, g, p, q = vals[-1]
-    return Fraction(f, g), Fraction(p, q), Fraction(sn, sd)
+    return (f, g), (p, q), (sn, sd)
 
 
 # ---------------------------------------------------------------------------

@@ -27,10 +27,12 @@ compiled programs compute on plain ints instead (``add``, ``sub``,
 gcd.  Order tests cross-multiply, and sign tests read the numerator.
 A reader takes its values in with ``ends`` and hands its result out with
 ``interval_of``, the one place where a tuple is normalized to
-``Fraction`` endpoints.  An interval with an infinite endpoint (an
-unbounded cut, no information) stays a ``GInterval``, and any operation
-on one goes through the ``GInterval`` operator, so each value is that of
-the reference.
+``Fraction`` endpoints.  An environment binds a variable to such a
+tuple already where its box is finite (``box`` builds it from two
+endpoints), and ``ends`` of a tuple is that tuple.  An interval with an
+infinite endpoint (an unbounded cut, no information) stays a
+``GInterval``, and any operation on one goes through the ``GInterval``
+operator, so each value is that of the reference.
 """
 
 from __future__ import annotations
@@ -341,13 +343,18 @@ ENTIRE = GInterval(NEG_INF, POS_INF)
 # integer route when both operands are tuples, else the GInterval one.
 
 
-def ends(g):
-    """The integer tuple of a finite GInterval, or ``g`` itself."""
-    lo, hi = g.lo, g.hi
+def box(lo, hi):
+    """The interval <lo, hi> of two XRat endpoints: its integer tuple
+    when both are finite, else a ``GInterval``."""
     if lo.sign or hi.sign:
-        return g
+        return _interval(lo, hi)
     p, q = lo.q, hi.q
     return p.numerator, p.denominator, q.numerator, q.denominator
+
+
+def ends(g):
+    """``box`` of the endpoints of a GInterval ``g``; a tuple as it is."""
+    return g if type(g) is tuple else box(g.lo, g.hi)
 
 
 def interval_of(x):

@@ -3,16 +3,21 @@
 Everything here is computed by a route unrelated to the interpreter:
 bisection, grid search over exact rationals, closed-form kinematics, and
 interval arithmetic by structural recursion instead of compiled programs.
+The one exception is the cut narrowing over ``Fraction``s, the
+interpreter's earlier version, kept as the reference for its integer
+arithmetic.
 """
 
 from fractions import Fraction
 
 from msl.cli import SessionState, _wrap_definitions, execute_item
-from msl.evaluator import LOWER, run
-from msl.interval import ENTIRE, DivisionIndeterminate, GInterval, XRat
+from msl.evaluator import (
+    LOWER, PROBE_BITS_PER_SWEEP, _comparisons, compile_term, prop_approx, run,
+)
+from msl.interval import ENTIRE, DivisionIndeterminate, GInterval, XRat, ends
 from msl.syntax import (
-    Arith, Cut, Pow, RatLit, Restrict, TrueLit, Var, parse_expression,
-    parse_program,
+    Arith, Cut, Less, Pow, RatLit, Restrict, TrueLit, Var, free_vars,
+    parse_expression, parse_program,
 )
 from msl.typecheck import infer_type
 
@@ -79,6 +84,136 @@ def reference_real_approx(e, env, mode):
         return a / b
     except DivisionIndeterminate:
         return no_info
+
+
+# --- cut narrowing over Fractions --------------------------------------------
+# The narrowing of a finite cut as it was written over ``Fraction``s,
+# before it moved to plain ints: the reference for ``msl.evaluator``'s
+# ``_narrow``, ``_newton_points`` and ``_value_and_slope``, which must
+# give the same values.  It probes with ``prop_approx`` under
+# ``GInterval`` points and reads the compiled programs, as it did.
+
+
+def reference_narrow(e, a, b, n):
+    """The range [a, b] of the finite cut ``e`` after the probes of sweep n.
+
+    The lower endpoint moves to the highest Newton-chosen point where the
+    lower-mode probe of ``left`` holds, the upper one to the lowest point
+    above it where that of ``right`` holds.  A side with no such point
+    probes at its trisection point instead.  Soundness needs nothing of
+    the points: an endpoint moves only where its probe holds.
+    """
+    var = e.var
+
+    def holds(side, p):
+        return prop_approx(side, {var: GInterval.point(p)}, LOWER)
+
+    points = reference_newton_points(e, a, b, n)
+    lo = next((p for p in reversed(points) if holds(e.left, p)), None)
+    if lo is None:
+        q1 = (2 * a + b) / 3
+        lo = q1 if holds(e.left, q1) else a
+    hi = next((p for p in points if p > lo and holds(e.right, p)), None)
+    if hi is None:
+        q2 = (a + 2 * b) / 3
+        hi = q2 if holds(e.right, q2) else b
+    return lo, hi
+
+
+def reference_newton_points(e, a, b, n):
+    """Dyadic probe points inside (a, b), ascending, for the cut ``e``.
+
+    Each comparison reachable through ``And``/``Or`` in ``left`` and
+    ``right`` whose difference f = lhs - rhs has a slope at the midpoint
+    m gives the Newton step r = m - f(m) / f'(m).  Near a simple root
+    the step is off by O(w^2), w = b - a, so the points are r -+ delta
+    with delta = max(w^2 + slack, 2^-(8 (n + 1))), rounded outward to a
+    dyadic grid about 3 bits finer than delta.  ``slack`` is the width
+    of the closed cuts inside f, which enter at their midpoints.  A
+    step is dropped when r leaves (a, b) or when 4 delta >= w, where
+    trisection does at least as well.
+    """
+    w = b - a
+    floor = Fraction(1, 1 << PROBE_BITS_PER_SWEEP * (n + 1))
+    least = max(w * w, floor)  # delta without slack
+    if 4 * least >= w:
+        return ()
+    m = (a + b) / 2
+    sides = []  # each comparison once: a swapped one steps to the same r
+    for less in (*_comparisons(e.left), *_comparisons(e.right)):
+        if less not in sides and Less(less.rhs, less.lhs) not in sides:
+            sides.append(less)
+    points = []
+    for less in sides:
+        f = reference_value_and_slope(less, e.var, m)
+        if f is None or not f[1]:
+            continue
+        r = m - f[0] / f[1]
+        slack = f[2]
+        delta = max(least, w * w + slack) if slack else least
+        if not a < r < b or 4 * delta >= w:
+            continue
+        # r -+ delta rounded outward to multiples of 2^-k, in integers.
+        k = 3 + delta.denominator.bit_length() - delta.numerator.bit_length()
+        rn, rd = r.numerator, r.denominator
+        dn, dd = delta.numerator, delta.denominator
+        den = rd * dd
+        for num in ((rn * dd - dn * rd) << k) // den, \
+                -((-(rn * dd + dn * rd) << k) // den):
+            p = Fraction(num, 1 << k)
+            if a < p < b and p not in points:
+                points.append(p)
+    return sorted(points)
+
+
+def reference_value_and_slope(t, var, x):
+    """(t, dt/dvar, slack) at var = x as Fractions: the program of ``t``,
+    a term or a comparison, read in forward mode over integer pairs
+    (numerator, denominator > 0), each value as (f, g, p, q) for f/g and
+    its slope p/q.
+
+    A closed cut with a finite range is the constant at its midpoint and
+    adds its width to ``slack``.  None when ``t`` has another free
+    variable or another opaque leaf, or divides by zero.
+    """
+    vals, sn, sd = [], 0, 1
+    for op, u, w in compile_term(t):
+        if op == "v":
+            if u != var:
+                return None
+            vals.append((x.numerator, x.denominator, 1, 1))
+        elif op == "q":
+            vals.append((u[0], u[1], 0, 1))
+        elif op == "o":
+            if not isinstance(u, Cut) or free_vars(u) \
+                    or not u.range.is_finite:
+                return None
+            a, b, c, d = ends(GInterval(u.range.lo, u.range.hi))
+            vals.append((a * d + c * b, 2 * b * d, 0, 1))
+            sn, sd = sn * b * d + (c * b - a * d) * sd, sd * b * d
+        elif op == "^":
+            f, g, p, q = vals[u]
+            e = f ** (w - 1)
+            vals.append((e * f, g ** w, w * e * p, g ** (w - 1) * q))
+        else:
+            (f, g, p, q), (h, k, r, s) = vals[u], vals[w]
+            if op == "+":
+                vals.append((f * k + h * g, g * k, p * s + r * q, q * s))
+            elif op == "-":
+                vals.append((f * k - h * g, g * k, p * s - r * q, q * s))
+            elif op == "*":  # d(u*w) = du * w + u * dw
+                vals.append((f * h, g * k, p * h * g * s + f * r * q * k,
+                             q * k * g * s))
+            elif not h:
+                return None
+            else:  # d(u/w) = (du * w - u * dw) / w^2
+                sign = 1 if h > 0 else -1
+                vals.append((sign * f * k, sign * g * h,
+                             (p * h * g * s - f * r * q * k) * k,
+                             q * g * s * h * h))
+    f, g, p, q = vals[-1]
+    return Fraction(f, g), Fraction(p, q), Fraction(sn, sd)
+
 
 
 def centred_form(less, boxes):

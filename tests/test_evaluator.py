@@ -67,6 +67,9 @@ def test_real_approx_restriction():
 def test_one_instruction_programs_return_their_value_by_identity():
     box, lit = I(F(1, 3), F(1, 2)), pe("3/2")
     assert real_approx(Var("x"), {"x": box}, UPPER) is box
+    for binding in ((1, 3, 1, 2), (2, 4, 2, 4)):  # an integer tuple
+        for mode in (LOWER, UPPER):
+            assert real_approx(Var("x"), {"x": binding}, mode) is binding
     point = real_approx(lit, {}, LOWER)
     assert point == I(F(3, 2), F(3, 2))
     assert real_approx(lit, {}, UPPER) is point is lit._code[0][2]
@@ -147,6 +150,34 @@ def test_prop_approx_connectives():
     assert prop_approx(pe("True /\\ 1 < 2"), {}, LOWER) is True
     assert prop_approx(pe("False \\/ 1 < 2"), {}, LOWER) is True
     assert prop_approx(pe("False \\/ 2 < 1"), {}, LOWER) is False
+
+
+# Props with y free, read by each reader of a binding: the naive and the
+# centred test of comparisons (one through ``/``), a restriction guard,
+# and quantifiers that copy the environment into their body's, one of
+# them the left predicate of a cut.
+TUPLE_PROPS = tuple(pe(source) for source in (
+    "y * y < 2",
+    "y / (y + 1) < 2/3 \\/ (y - 1) ^ 3 > 1/8",
+    "(y > 1 ~> y * y) < 3",
+    "forall t : [0, 1], y * t < 1 /\\ t < y + 1",
+)) + (pe("cut y : [0, 4] left (exists t : [0, 1], y < 1 + t) "
+         "right (y > 2)").left,)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.sampled_from(TUPLE_PROPS), rationals(), rationals(), st.booleans(),
+       st.integers(min_value=1, max_value=4), st.sampled_from((LOWER, UPPER)),
+       st.sampled_from((dict, SweepEnv)))
+def test_a_tuple_binding_decides_as_its_ginterval(prop, p, q, point, k, mode,
+                                                  make_env):
+    # A cut probe binds its variable to (n, d, n, d) and a quantifier to
+    # its box's integer tuple: every answer is that of the GInterval.
+    if point:
+        q = p
+    binding = (p.numerator * k, p.denominator * k, q.numerator, q.denominator)
+    assert prop_approx(prop, make_env({"y": binding}), mode) is \
+        prop_approx(prop, make_env({"y": I(p, q)}), mode)
 
 
 def _random_quantified_prop(rng, depth=2):

@@ -38,10 +38,16 @@ let sqrt = fun a : real =>
   cut y : [0, 64] left (y < 0 \\/ y * y < a) right (y > 0 /\\ y * y > a);;
 let cbrt = fun a : real =>
   cut y : [0, 16] left (y ^ 3 < a) right (y ^ 3 > a);;
+let golden = fun a : real =>
+  cut y : [0, 64] left (y < 0 \\/ y * y + y < a)
+                  right (y > 0 /\\ y * y + y > a);;
 let sqrt_of = fun a : real =>
   cut r : [0, 64] left (r < 0 \\/ r * r < a) right (r > 0 /\\ r * r > a);;
 """
 E6, E48 = "1/1000000", "1/1" + "0" * 48
+# A cut whose Newton slope goes through a division.
+SLOPE_THROUGH_DIVISION = ("cut y : [0, 4] left (y / (y + 1) < 2/3) "
+                          "right (y / (y + 1) > 2/3);;")
 BENCHMARK_SESSIONS = (
     ("cuts", CUTS_SETUP, (
         ("sqrt 713;;", E6, 100_000),
@@ -52,6 +58,16 @@ BENCHMARK_SESSIONS = (
         ("max (sqrt 713) (cbrt 500);;", E48, 100_000),
         ("min (sqrt 713) (cbrt 9);;", E6, 100_000),
         ("min (sqrt 713) (cbrt 9);;", E48, 100_000),
+        ("golden 758;;", E6, 100_000),
+        ("golden 758;;", E48, 100_000),
+        ("cbrt 146;;", E6, 100_000),
+        ("cbrt 146;;", E48, 100_000),
+        (SLOPE_THROUGH_DIVISION, E6, 100_000),
+        (SLOPE_THROUGH_DIVISION, E48, 100_000),
+        ("cut y : (-inf, 0] left (y < (-5)) right (y > (-5));;", E6,
+         100_000),
+        ("cut x : (-inf, inf) left (x < 2 ^ 300) right (x > 2 ^ 300);;", E6,
+         1000),
     )),
     ("quantifiers", '#use "prelude.msl";;\n#trace on;;\n', (
         ("forall x : [0, 1], (-1) * x * x + (2/3) * x + (1/4) "

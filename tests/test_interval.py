@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from msl.interval import (
     DivisionIndeterminate, ENTIRE, GInterval, NEG_INF, POS_INF, XRat, ZERO,
-    add, below, div, ends, interval_of, mul, power, sub,
+    add, below, box, div, ends, interval_of, mul, power, sub,
 )
 from msl.evaluator import (
     LOWER, UPPER, SweepEnv, compile_polynomial, prop_approx, real_approx,
@@ -220,6 +220,21 @@ def unreduced(x, data):
     k, m = (data.draw(st.integers(min_value=1, max_value=6)) for _ in "km")
     a, b, c, d = t
     return a * k, b * k, c * m, d * m
+
+
+@settings(derandomize=True, max_examples=100)
+@given(any_intervals(), st.data())
+def test_a_tuple_binding_passes_through_ends(x, data):
+    # An environment may bind a variable to an integer tuple already:
+    # ``ends`` hands it back as it is.  ``box`` builds the tuple of two
+    # finite endpoints, else their GInterval.
+    b = box(x.lo, x.hi)
+    if x.is_finite:
+        t = unreduced(x, data)
+        assert ends(t) is t
+        assert interval_of(b) == interval_of(t) == x
+    else:
+        assert b == ends(x) == x
 
 
 @settings(derandomize=True, max_examples=300)

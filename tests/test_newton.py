@@ -16,12 +16,16 @@ from hypothesis import given, settings, strategies as st
 
 import msl.evaluator
 from msl.evaluator import (
-    PROBE_BITS_PER_SWEEP, _newton_points, evaluate_step, refine_step,
+    Diverged, PROBE_BITS_PER_SWEEP, _comparisons, _narrow, _newton_points,
+    _value_and_slope, evaluate_step, refine_step, run,
 )
 from msl.normalize import normalize
 from msl.prelude import load_prelude
 from msl.syntax import (
     Cut, Def, Expr, Let, REAL, parse_expression, parse_program,
+)
+from oracles import (
+    reference_narrow, reference_newton_points, reference_value_and_slope,
 )
 
 CUT_DEFS = """
@@ -200,14 +204,14 @@ def test_endpoint_bits_stay_under_the_sweep_ceiling():
 def test_newton_points_straddle_the_root_on_a_dyadic_grid():
     d = sole_disjunct("sqrt 2")
     a, b = Fraction(7, 5), Fraction(3, 2)
-    points = _newton_points(d, a, b, 0)
+    points = [Fraction(*p) for p in _newton_points(d, (7, 5), (3, 2), 0)]
     assert len(points) == 2 and all(a < p < b and is_dyadic(p)
                                     for p in points)
     lo, hi = points
     assert lo * lo < 2 < hi * hi
     assert hi - lo < (b - a) / 3  # narrower than trisection can get
     # Where 4 w^2 >= w the Newton step is skipped in favour of trisection.
-    assert _newton_points(d, Fraction(1), Fraction(3, 2), 0) == ()
+    assert _newton_points(d, (1, 1), (3, 2), 0) == ()
 
 
 @settings(max_examples=60, deadline=None)
@@ -247,3 +251,107 @@ def test_each_endpoint_moves_only_where_its_own_probe_holds(k, shift, gap,
         lo, hi = endpoints(d)
         assert lo == lo0 or left(lo), (source, n, lo)
         assert hi == hi0 or right(hi), (source, n, hi)
+
+
+# --- the integer narrowing against the Fraction reference -------------------
+
+# Cuts whose narrowing the reference must agree with, each with a value
+# near its root (a bracket is drawn around it).  The workload's kinds
+# take two radicands; sqrt4, max and min carry closed cuts, which enter
+# the Newton step at their midpoints with slack.  Two predicates go
+# through a division, one by a negative divisor; one has a quantifier in
+# its left predicate, so only its right one gives a Newton step; and two
+# comparisons of the last one step to the same points, probed once.
+REFERENCE_CUTS = {
+    "sqrt": lambda a, b: a ** (1 / 2),
+    "cbrt": lambda a, b: a ** (1 / 3),
+    "golden": lambda a, b: ((1 + 4 * a) ** (1 / 2) - 1) / 2,
+    "sqrt4": lambda a, b: a ** (1 / 4),
+    "max": lambda a, b: max(a ** (1 / 2), b ** (1 / 3)),
+    "min": lambda a, b: min(a ** (1 / 2), b ** (1 / 3)),
+    "cut y : [0, 4] left (y / (y + 1) < 2/3) "
+    "right (y / (y + 1) > 2/3)": lambda a, b: 2,
+    "cut y : [0, 5/2] left (1 / (y - 3) > (-1)) "
+    "right (1 / (y - 3) < (-1))": lambda a, b: 2,
+    "cut y : [0, 4] left (exists t : [0, 1], y < 1 + t) "
+    "right (y > 2)": lambda a, b: 2,
+    "cut y : [0, 4] left (y < 0 \\/ y * y < 2 /\\ 2 * y * y < 4) "
+    "right (y > 0 /\\ y * y > 2)": lambda a, b: 2 ** (1 / 2),
+}
+
+
+def reference_cut(name, a, b, warm):
+    """The sole disjunct of a cut of ``REFERENCE_CUTS``; a workload kind's
+    after ``warm`` sweeps, which narrow the closed cuts inside it."""
+    if name not in SOURCES:
+        return sole_disjunct(name)
+    d = sole_disjunct(SOURCES[name].format(a, b))
+    for n in range(warm):
+        d = refine_step(d, n)
+    return d
+
+
+def same_value_and_slope(less, var, m):
+    new = _value_and_slope(less, var, (m.numerator, m.denominator))
+    ref = reference_value_and_slope(less, var, m)
+    if ref is None:
+        return new is None
+    return all(Fraction(*x) == y for x, y in zip(new, ref))
+
+
+@settings(derandomize=True, max_examples=250, deadline=None)
+@given(st.sampled_from(sorted(REFERENCE_CUTS)), RADICANDS, RADICANDS,
+       st.integers(min_value=0, max_value=20),
+       st.integers(min_value=0, max_value=60),
+       st.integers(min_value=0, max_value=8),
+       st.integers(min_value=-2, max_value=3),
+       st.integers(min_value=-2, max_value=3),
+       st.integers(min_value=1, max_value=3),
+       st.integers(min_value=0, max_value=30))
+def test_integer_narrowing_matches_the_fraction_reference(
+        name, a, b, warm, twos, threes, below_root, above_root, scale, n):
+    # A bracket on the grid 2^-twos 3^-threes (trisection makes the
+    # powers of 3) around the root, or just beside it, handed in
+    # reduced or with a common factor: the integer narrowing gives the
+    # values the Fraction one does.
+    d = reference_cut(name, a, b, warm)
+    den = 2 ** twos * 3 ** threes
+    at = int(Fraction(REFERENCE_CUTS[name](a, b)) * den)
+    lo, hi = Fraction(at - below_root, den), Fraction(at + above_root, den)
+    if lo >= hi:
+        lo, hi = hi - Fraction(1, den), lo
+    pairs = [(q.numerator * scale, q.denominator * scale) for q in (lo, hi)]
+    points = _newton_points(d, *pairs, n)
+    assert [Fraction(*p) for p in points] == \
+        list(reference_newton_points(d, lo, hi, n))
+    new = _narrow(d, *pairs, n)
+    assert tuple(Fraction(*p) for p in new) == \
+        reference_narrow(d, lo, hi, n)
+    m = (lo + hi) / 2
+    for less in (*_comparisons(d.left), *_comparisons(d.right)):
+        assert same_value_and_slope(less, d.var, m)
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_CUTS))
+def test_every_reference_cut_takes_newton_points(name):
+    # The comparison above is not vacuous: each cut steps to Newton
+    # points once its bracket and its closed cuts are narrow.
+    d = reference_cut(name, 713, 500, 16)
+    root, gap = Fraction(REFERENCE_CUTS[name](713, 500)), Fraction(1, 1 << 20)
+    lo, hi = root - gap, root + gap
+    pairs = [(q.numerator, q.denominator) for q in (lo, hi)]
+    points = _newton_points(d, *pairs, 16)
+    assert points and [Fraction(*p) for p in points] == \
+        list(reference_newton_points(d, lo, hi, 16))
+
+
+def test_a_probe_tuple_reaches_a_quantifier_inside_the_predicate():
+    # The probe's point tuple is copied into the environment of the
+    # exists (``_bind``); the answers are those of the Fraction probes.
+    source = "cut y : [0, 4] left (exists t : [0, 1], y < 1 + t) right (y > 2)"
+    assert run(parse_expression(source), max_steps=10) == Diverged(10)
+    (d,) = normalize(parse_expression(source))
+    for n in range(10):
+        d = refine_step(d, n)
+    assert endpoints(d) == (Fraction(1766207, 884736),
+                            Fraction(524297, 262144))
