@@ -353,8 +353,12 @@ def box(lo, hi):
 
 
 def ends(g):
-    """``box`` of the endpoints of a GInterval ``g``; a tuple as it is."""
-    return g if type(g) is tuple else box(g.lo, g.hi)
+    """The integer tuple of a finite GInterval ``g``; a tuple, or a
+    GInterval with an infinite endpoint, as it is."""
+    if type(g) is tuple or g.lo.sign or g.hi.sign:
+        return g
+    p, q = g.lo.q, g.hi.q
+    return p.numerator, p.denominator, q.numerator, q.denominator
 
 
 def interval_of(x):

@@ -1,13 +1,13 @@
 """Print what msl answers to every benchmark item, with a digest.
 
-    python3 tools/transcript.py [--seeds N ...] [--passes P] [--out FILE]
+    python3 tools/transcript.py [--seeds N ...] [--out FILE]
 
 For each seed and each workload of ``perfbench/workloads.py`` (cuts,
 quantifiers, session), it sets up one session as the benchmark's worker
-does and runs every item ``--passes`` times in it (default 2, so that a
-second pass sees what the first left behind).  It prints the md5 of
-each workload's text and of the whole text; ``--out`` writes the text
-itself.  Two checkouts that print the same digests answer every item
+does and runs every item twice in it: the worker's timed loop runs pass
+after pass in one session, so the second pass sees what the first left
+behind.  It prints the md5 of each workload's text and of the whole
+text; ``--out`` writes the text itself.  Two checkouts that print the same digests answer every item
 with the same bytes.  Run it from the root of a checkout: msl is
 imported from ``src/`` there.
 """
@@ -25,14 +25,17 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 from worker import run_item, set_up  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
+# Two passes: the second sees the cut ranges and caches the first left.
+PASSES = 2
 
-def transcript(workload, seed, passes):
-    """The text of ``passes`` passes over the items of one workload, and
+
+def transcript(workload, seed):
+    """The text of ``PASSES`` passes over the items of one workload, and
     the number of outputs in it."""
     setup, items = WORKLOADS[workload](seed)
     state, _ = set_up(setup)
     lines = []
-    for p in range(passes):
+    for p in range(PASSES):
         for item in items:
             _, out, crash = run_item(state, item)
             if crash is not None:
@@ -49,13 +52,12 @@ def md5(text):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--seeds", type=int, nargs="+", default=[101])
-    parser.add_argument("--passes", type=int, default=2)
     parser.add_argument("--out", help="write the whole text to this file")
     args = parser.parse_args(argv)
     texts = []
     for seed in args.seeds:
         for workload in WORKLOADS:
-            text, outputs = transcript(workload, seed, args.passes)
+            text, outputs = transcript(workload, seed)
             print(f"{md5(text)}  seed {seed} {workload} ({outputs} outputs)")
             texts.append(text)
     whole = "".join(texts)
