@@ -226,15 +226,17 @@ def unreduced(x, data):
 @given(any_intervals(), st.data())
 def test_a_tuple_binding_passes_through_ends(x, data):
     # An environment may bind a variable to an integer tuple already:
-    # ``ends`` hands it back as it is.  ``box`` builds the tuple of two
-    # finite endpoints, else their GInterval.
+    # ``ends`` hands it back as it is, and an interval with an infinite
+    # endpoint too.  ``box`` builds the tuple of two finite endpoints,
+    # else their GInterval.
     b = box(x.lo, x.hi)
     if x.is_finite:
         t = unreduced(x, data)
         assert ends(t) is t
-        assert interval_of(b) == interval_of(t) == x
+        assert interval_of(b) == interval_of(t) == interval_of(ends(x)) == x
     else:
-        assert b == ends(x) == x
+        assert ends(x) is x
+        assert b == x
 
 
 @settings(derandomize=True, max_examples=300)
