@@ -26,8 +26,8 @@ from .evaluator import (
 )
 from .prelude import asset_path
 from .syntax import (
-    Def, Directive, Eval, Let, SourceError, Var, free_vars, parse_program,
-    type_str,
+    Def, Directive, Eval, Let, LexError, SourceError, Var, free_vars,
+    parse_program, tokenize, type_str,
 )
 from .typecheck import infer_type
 
@@ -259,14 +259,42 @@ def repl(state, stdin=None, out=None, err=None):
         if not line:
             break
         buffer += line
-        while ";;" in buffer:
-            split = buffer.index(";;") + 2
+        split = _item_end(buffer)
+        while split is not None:
             chunk, buffer = buffer[:split], buffer[split:]
             try:
                 execute_source(state, chunk, out=out, err=err)
             except KeyboardInterrupt:
                 print("interrupted", file=err)
+            split = _item_end(buffer)
     return 0
+
+
+def _item_end(text):
+    """The offset just past the first ``;;`` token of ``text``, or None
+    while there is none or a comment is still open.  Past a lexical
+    error, the item ends at the next ``;;`` characters."""
+    try:
+        tokens, error = tokenize(text), None
+    except LexError as exc:
+        error = exc
+        tokens = tokenize(text[:_offset(text, exc.loc)])
+    for tok in tokens:
+        if tok.kind == ";;":
+            return _offset(text, tok.loc) + 2
+    if error is None or error.message == "unterminated comment":
+        return None
+    end = text.find(";;", _offset(text, error.loc))
+    return None if end < 0 else end + 2
+
+
+def _offset(text, loc):
+    """The offset in ``text`` of a (line, column) location."""
+    line, col = loc
+    start = 0
+    for _ in range(line - 1):
+        start = text.index("\n", start) + 1
+    return start + col - 1
 
 
 def main(argv=None):

@@ -30,13 +30,13 @@ A folded constant is an operand with a point range and no slope, and
 point operations are exact, so it gives every reading the numbers a
 dedicated constant operation would.  Every reading computes on plain
 ints with unreduced denominators (``interval``): no ``Fraction`` is
-built inside the loop, and a value becomes a ``Fraction`` or
-``GInterval`` only where it leaves the reader.  So do the bindings and
-the narrowing of cuts: an environment binds a quantified variable or a
-cut probe's variable to the integer tuple of its box or point, and a
-cut's endpoints, its Newton steps and its trisection points are
-integer pairs until the two chosen endpoints become the ``Fraction``s
-of its new range.  The arithmetic is exact, so the answers are those of
+built inside the loop, and a value becomes a ``GInterval`` only where
+``real_approx`` hands it out.  So do the bindings and the narrowing of
+cuts: an environment binds a quantified variable or a cut probe's
+variable to the integer tuple of its box or point, and a cut's
+endpoints, its Newton steps and its trisection points are integer pairs
+until the two chosen endpoints become the ``Fraction``s of its new
+range.  The arithmetic is exact, so the answers are those of
 ``GInterval`` and ``Fraction`` arithmetic.
 
 Naive interval evaluation suffers the dependency problem: ``x*(1-x)``
@@ -73,9 +73,9 @@ dyadic grid a few bits finer than delta.  Near a simple root this
 doubles the correct bits per sweep.  A side where no Newton point holds
 probes at its trisection point, (2a + b)/3 or (a + 2b)/3, which gains
 0.58 bits.  In sweep n delta is at least 2^-(8 (n + 1))
-(``PROBE_BITS_PER_SWEEP``), so a cut nested in another cannot outrun
-the cut that reads it and grow its endpoints beyond what the answer
-needs.
+(``PROBE_BITS_PER_SWEEP``), which bounds the bits a cut gains per
+sweep.  A cut whose predicates read a variable bound above it is never
+probed, so its range never narrows.
 
 A sweep does each distinct piece of work once.  A closed prop's
 approximants depend on the node alone, so each is decided once and kept
@@ -199,28 +199,31 @@ PRUNED = _PrunedType()
 
 
 def real_approx(e, env, mode):
-    """Interval approximation of a join-free real expression: its program
-    (``compile_term``) read over generalized intervals in ``mode``.  A
-    one-instruction program returns its value by identity, so a variable
-    gives its binding as it is, an integer tuple where it is finite."""
+    """Interval approximation of a join-free real expression in ``mode``:
+    a cut's range, or the value of its program (``compile_term``) read
+    over generalized intervals."""
+    if isinstance(e, Cut):
+        r = e.range
+        if mode is LOWER:
+            return GInterval(r.lo, r.hi)
+        return GInterval(r.hi, r.lo)
+    return interval_of(_value(e, env, mode))
+
+
+def _value(e, env, mode):
+    """``real_approx`` of ``e`` as the readers hold it: an integer tuple
+    where finite (``interval``)."""
     code = e._code
     if code is None:
         if isinstance(e, Cut):
             r = e.range
-            if mode is LOWER:
-                return GInterval(r.lo, r.hi)
-            return GInterval(r.hi, r.lo)
+            return box(r.lo, r.hi) if mode is LOWER else box(r.hi, r.lo)
         if isinstance(e, Restrict):
             if prop_approx(e.guard, env, mode):
-                return real_approx(e.body, env, mode)
+                return _value(e.body, env, mode)
             return no_info(mode)
         code = compile_term(e)
-    if len(code) == 1:  # a constant's kept point, a binding, a leaf
-        op, x, y = code[0]
-        if op == "q":
-            return y
-        return _lookup(env, x) if op == "v" else real_approx(x, env, mode)
-    return interval_of(_read(code, len(code), env, mode)[-1])
+    return _read(code, len(code), env, mode)[-1]
 
 
 def _lookup(env, name):
@@ -254,7 +257,7 @@ def _read(code, stop, env, mode):
             except DivisionIndeterminate:
                 push(no_info(mode))
         else:
-            push(ends(real_approx(x, env, mode)))
+            push(_value(x, env, mode))
     return vals
 
 
@@ -264,12 +267,11 @@ def compile_term(t):
     opaque leaf, which it would hold.
 
     Each instruction ``(op, x, y)`` appends one value: ``("q", t,
-    point)`` a constant, its point interval both as the integer tuple t
-    (``interval``) and as a ``GInterval``; ``("v", name, None)`` a
-    variable; ``("o", leaf, None)`` a ``Cut`` or a ``Restrict``; ``(op,
-    j, k)`` for op in ``+ - * /`` values j and k combined; ``("^", j,
-    n)`` value j to the power n >= 2.  The last value is that of ``t``.
-    Powers below 2 fold too.
+    None)`` a constant, its point interval as the integer tuple t
+    (``interval``); ``("v", name, None)`` a variable; ``("o", leaf,
+    None)`` a ``Cut`` or a ``Restrict``; ``(op, j, k)`` for op in ``+ -
+    * /`` values j and k combined; ``("^", j, n)`` value j to the power
+    n >= 2.  The last value is that of ``t``.  Powers below 2 fold too.
     """
     code = t._code
     if code is None:
@@ -312,7 +314,7 @@ def _slot(v, code):
     """The slot of ``v``, pushing it first when it is a constant."""
     if isinstance(v, Fraction):
         n, d = v.numerator, v.denominator
-        code.append(("q", (n, d, n, d), GInterval.point(v)))
+        code.append(("q", (n, d, n, d), None))
         return len(code) - 1
     return v
 
@@ -739,10 +741,10 @@ def _split_quantifier(e, node, combine, st):
         return PRUNED  # pointwise-undefined body: the quantifier is bottom
     if not st.may_split():
         return node(e.var, e.range, body)
-    a, b = e.range.lo.q, e.range.hi.q
-    m = (a + b) / 2
-    return combine([node(e.var, Range(XRat(a), XRat(m)), body),
-                    node(e.var, Range(XRat(m), XRat(b)), body)])
+    lo, hi = e.range.lo, e.range.hi
+    m = XRat((lo.q + hi.q) / 2)
+    return combine([node(e.var, Range(lo, m), body),
+                    node(e.var, Range(m, hi), body)])
 
 
 def _refine_shared(e, st):

@@ -20,19 +20,19 @@ inf + -inf endpoint collapses the sum to the no-information interval
 of one sign and raises ``DivisionIndeterminate`` otherwise; the caller
 decides which orientation of "no information" fits its context.
 
-``GInterval`` is the reference semantics.  The evaluator's readers of
-compiled programs compute on plain ints instead (``add``, ``sub``,
-``mul``, ``power``, ``div``, ``below``): a finite interval is the tuple
-``(a, b, c, d)`` of <a/b, c/d>, with b, d > 0 and nothing reduced by a
-gcd.  Order tests cross-multiply, and sign tests read the numerator.
-A reader takes its values in with ``ends`` and hands its result out with
-``interval_of``, the one place where a tuple is normalized to
-``Fraction`` endpoints.  An environment binds a variable to such a
-tuple already where its box is finite (``box`` builds it from two
-endpoints), and ``ends`` of a tuple is that tuple.  An interval with an
-infinite endpoint (an unbounded cut, no information) stays a
-``GInterval``, and any operation on one goes through the ``GInterval``
-operator, so each value is that of the reference.
+``GInterval`` is the reference semantics and the boundary of the
+evaluator's readers of compiled programs, which compute on plain ints
+(``add``, ``sub``, ``mul``, ``power``, ``div``, ``below``): a finite
+interval is the tuple ``(a, b, c, d)`` of <a/b, c/d>, with b, d > 0 and
+nothing reduced by a gcd.  Order tests cross-multiply, and sign tests
+read the numerator.  ``box`` builds the tuple of two finite endpoints,
+as an environment binds a finite box and a reader takes a cut's range;
+``ends`` takes a ``GInterval`` binding in, and ``interval_of`` hands a
+result out, the one place where a tuple is normalized to ``Fraction``
+endpoints.  An interval with an infinite endpoint (an unbounded cut, no
+information) stays a ``GInterval``, and any operation on one goes
+through the ``GInterval`` operator, so each value is that of the
+reference.
 """
 
 from __future__ import annotations
@@ -85,27 +85,13 @@ class XRat:
             return NotImplemented
         return self._key() == other._key()
 
-    # When either operand is infinite, the order is that of the signs.
-    # Finite operands compare by cross-multiplication (denominators are
-    # positive), which skips building the _key tuples.
+    # a > b and a >= b reflect to b < a and b <= a.
 
     def __lt__(self, other):
-        if self.sign or other.sign:
-            return self.sign < other.sign
-        a, b = self.q, other.q
-        return a.numerator * b.denominator < b.numerator * a.denominator
+        return self._key() < other._key()
 
     def __le__(self, other):
-        if self.sign or other.sign:
-            return self.sign <= other.sign
-        a, b = self.q, other.q
-        return a.numerator * b.denominator <= b.numerator * a.denominator
-
-    def __gt__(self, other):
-        if self.sign or other.sign:
-            return self.sign > other.sign
-        a, b = self.q, other.q
-        return a.numerator * b.denominator > b.numerator * a.denominator
+        return self._key() <= other._key()
 
     def __hash__(self):
         return hash(self._key())
@@ -113,11 +99,11 @@ class XRat:
     def __neg__(self):
         if self.sign:
             return NEG_INF if self.sign > 0 else POS_INF
-        return _finite(-self.q)
+        return XRat(-self.q)
 
     def __add__(self, other):
         if self.sign == 0 and other.sign == 0:
-            return _finite(self.q + other.q)
+            return XRat(self.q + other.q)
         if self.sign == 0:
             return other
         if other.sign == 0 or other.sign == self.sign:
@@ -126,7 +112,7 @@ class XRat:
 
     def __mul__(self, other):
         if self.sign == 0 and other.sign == 0:
-            return _finite(self.q * other.q)
+            return XRat(self.q * other.q)
         # inf * 0 == 0 so products against exact zeros stay informative.
         if self.sign == 0 and self.q == 0:
             return ZERO
@@ -142,7 +128,7 @@ class XRat:
         if k == 0:
             return ONE
         if self.sign == 0:
-            return _finite(self.q ** k)
+            return XRat(self.q ** k)
         if self.sign > 0 or k % 2 == 0:
             return POS_INF
         return NEG_INF
@@ -150,7 +136,7 @@ class XRat:
     def reciprocal(self):
         if self.sign or self.q == 0:
             raise ZeroDivisionError("reciprocal needs a finite nonzero value")
-        return _finite(1 / self.q)
+        return XRat(1 / self.q)
 
     def __str__(self):
         if self.sign > 0:
@@ -167,21 +153,6 @@ NEG_INF = XRat(sign=-1)
 POS_INF = XRat(sign=1)
 ZERO = XRat(0)
 ONE = XRat(1)
-
-# Results built from values that are already exact skip the checks and
-# conversions of the public constructors: the slot descriptors fill a
-# bare instance directly.
-_new = object.__new__
-_set_sign = XRat.sign.__set__
-_set_q = XRat.q.__set__
-
-
-def _finite(q):
-    """The finite XRat of a Fraction ``q``."""
-    x = _new(XRat)
-    _set_sign(x, 0)
-    _set_q(x, q)
-    return x
 
 
 def _as_xrat(v):
@@ -226,7 +197,7 @@ class GInterval:
     @staticmethod
     def point(q):
         q = _as_xrat(q)
-        return _interval(q, q)
+        return GInterval(q, q)
 
     @property
     def is_proper(self):
@@ -237,7 +208,7 @@ class GInterval:
         return self.lo.is_finite and self.hi.is_finite
 
     def dual(self):
-        return _interval(self.hi, self.lo)
+        return GInterval(self.hi, self.lo)
 
     def __eq__(self, other):
         if not isinstance(other, GInterval):
@@ -246,14 +217,14 @@ class GInterval:
 
     def __add__(self, other):
         try:
-            return _interval(self.lo + other.lo, self.hi + other.hi)
+            return GInterval(self.lo + other.lo, self.hi + other.hi)
         except IndeterminateSum:
             # No-information fallback; only reachable when mixing
             # opposite-orientation unbounded intervals directly.
             return ENTIRE
 
     def __neg__(self):
-        return _interval(-self.hi, -self.lo)
+        return GInterval(-self.hi, -self.lo)
 
     def __sub__(self, other):
         return self + (-other)
@@ -263,36 +234,36 @@ class GInterval:
         ca, cb = _sign_class(self), _sign_class(other)
         if ca == _P:
             if cb == _P:
-                return _interval(a * c, b * d)
+                return GInterval(a * c, b * d)
             if cb == _Z:
-                return _interval(b * c, b * d)
+                return GInterval(b * c, b * d)
             if cb == _N:
-                return _interval(b * c, a * d)
-            return _interval(a * c, a * d)
+                return GInterval(b * c, a * d)
+            return GInterval(a * c, a * d)
         if ca == _Z:
             if cb == _P:
-                return _interval(a * d, b * d)
+                return GInterval(a * d, b * d)
             if cb == _Z:
-                return _interval(min(a * d, b * c), max(a * c, b * d))
+                return GInterval(min(a * d, b * c), max(a * c, b * d))
             if cb == _N:
-                return _interval(b * c, a * c)
-            return _interval(ZERO, ZERO)
+                return GInterval(b * c, a * c)
+            return GInterval(ZERO, ZERO)
         if ca == _N:
             if cb == _P:
-                return _interval(a * d, b * c)
+                return GInterval(a * d, b * c)
             if cb == _Z:
-                return _interval(a * d, a * c)
+                return GInterval(a * d, a * c)
             if cb == _N:
-                return _interval(b * d, a * c)
-            return _interval(b * d, b * c)
+                return GInterval(b * d, a * c)
+            return GInterval(b * d, b * c)
         # ca == _ZD
         if cb == _P:
-            return _interval(a * c, b * c)
+            return GInterval(a * c, b * c)
         if cb == _Z:
-            return _interval(ZERO, ZERO)
+            return GInterval(ZERO, ZERO)
         if cb == _N:
-            return _interval(b * d, a * d)
-        return _interval(max(a * c, b * d), min(a * d, b * c))
+            return GInterval(b * d, a * d)
+        return GInterval(max(a * c, b * d), min(a * d, b * c))
 
     def __truediv__(self, other):
         lo, hi = other.lo, other.hi
@@ -300,15 +271,15 @@ class GInterval:
             raise DivisionIndeterminate("unbounded divisor")
         if lo.q == 0 or hi.q == 0 or (lo.q > 0) != (hi.q > 0):
             raise DivisionIndeterminate("divisor touches zero")
-        return self * _interval(hi.reciprocal(), lo.reciprocal())
+        return self * GInterval(hi.reciprocal(), lo.reciprocal())
 
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a natural number")
         if k == 0:
-            return _interval(ONE, ONE)
+            return GInterval(ONE, ONE)
         if k % 2 == 1:
-            return _interval(self.lo ** k, self.hi ** k)
+            return GInterval(self.lo ** k, self.hi ** k)
         if not self.is_proper:
             return (self.dual() ** k).dual()
         lo_k, hi_k = self.lo ** k, self.hi ** k
@@ -316,22 +287,10 @@ class GInterval:
             m = ZERO
         else:
             m = min(lo_k, hi_k)
-        return _interval(m, max(lo_k, hi_k))
+        return GInterval(m, max(lo_k, hi_k))
 
     def __repr__(self):
         return f"GInterval({self.lo!r}, {self.hi!r})"
-
-
-_set_lo = GInterval.lo.__set__
-_set_hi = GInterval.hi.__set__
-
-
-def _interval(lo, hi):
-    """The GInterval of two XRat endpoints."""
-    g = _new(GInterval)
-    _set_lo(g, lo)
-    _set_hi(g, hi)
-    return g
 
 
 #: The mode-agnostic no-information interval.
@@ -347,7 +306,7 @@ def box(lo, hi):
     """The interval <lo, hi> of two XRat endpoints: its integer tuple
     when both are finite, else a ``GInterval``."""
     if lo.sign or hi.sign:
-        return _interval(lo, hi)
+        return GInterval(lo, hi)
     p, q = lo.q, hi.q
     return p.numerator, p.denominator, q.numerator, q.denominator
 
@@ -366,7 +325,7 @@ def interval_of(x):
     if type(x) is not tuple:
         return x
     a, b, c, d = x
-    return _interval(_finite(Fraction(a, b)), _finite(Fraction(c, d)))
+    return GInterval(Fraction(a, b), Fraction(c, d))
 
 
 def add(x, y):

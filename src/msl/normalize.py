@@ -89,40 +89,33 @@ def normalize(e):
 
 def mk_and(items):
     """Conjunction with flattening and literal folding."""
-    flat = []
-    for item in items:
-        if isinstance(item, FalseLit):
-            return FalseLit()
-        if isinstance(item, TrueLit):
-            continue
-        if isinstance(item, And):
-            flat.extend(item.items)
-        else:
-            flat.append(item)
-    if not flat:
-        return TrueLit()
-    if len(flat) == 1:
-        return flat[0]
-    return And(tuple(flat))
+    return _connective(items, And, TrueLit, FalseLit)
 
 
 def mk_or(items):
     """Disjunction with flattening and literal folding."""
+    return _connective(items, Or, FalseLit, TrueLit)
+
+
+def _connective(items, node, unit, zero):
+    """``node`` of ``items``, flattening nested ``node``s: ``zero`` if an
+    item is one, the lone item, or ``unit`` if none is left after
+    dropping the ``unit``s."""
     flat = []
     for item in items:
-        if isinstance(item, TrueLit):
-            return TrueLit()
-        if isinstance(item, FalseLit):
+        if isinstance(item, zero):
+            return zero()
+        if isinstance(item, unit):
             continue
-        if isinstance(item, Or):
+        if isinstance(item, node):
             flat.extend(item.items)
         else:
             flat.append(item)
     if not flat:
-        return FalseLit()
+        return unit()
     if len(flat) == 1:
         return flat[0]
-    return Or(tuple(flat))
+    return node(tuple(flat))
 
 
 def _embed(disjuncts):

@@ -450,8 +450,8 @@ def tokenize(source):
             continue
         if ch == "#":
             j = i + 1
-            if j < n and source[j].isdigit():
-                while j < n and source[j].isdigit():
+            if j < n and source[j].isdecimal():
+                while j < n and source[j].isdecimal():
                     j += 1
                 toks.append(Token("PROJ", _number(int, source[i + 1:j], loc),
                                   loc))
@@ -463,13 +463,13 @@ def tokenize(source):
                 raise LexError("expected digits or a name after '#'", loc)
             advance(j - i)
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < n and source[j].isdigit():
+            while j < n and source[j].isdecimal():
                 j += 1
-            if j < n and source[j] == "." and j + 1 < n and source[j + 1].isdigit():
+            if j + 1 < n and source[j] == "." and source[j + 1].isdecimal():
                 j += 1
-                while j < n and source[j].isdigit():
+                while j < n and source[j].isdecimal():
                     j += 1
             toks.append(Token("RAT", _number(Fraction, source[i:j], loc), loc))
             advance(j - i)

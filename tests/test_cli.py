@@ -11,6 +11,7 @@ import pytest
 
 from msl.cli import (
     SessionState, decimal_str, execute_item, execute_source, main, render,
+    repl,
 )
 from msl.evaluator import (
     BoolFF, BoolTT, Diverged, FunctionValue, PropFalseProven, PropTrue,
@@ -388,6 +389,23 @@ def test_main_trace_flag(tmp_path):
                              "exists x : [0,1], x < 1;;")
     assert code == 0
     assert "(witness x in [0, 1])" in out
+
+
+def test_repl_items_end_at_double_semicolon_tokens():
+    # An item ends at its first ";;" token, as in a file: not at ";;"
+    # inside a comment, even one left open at the end of a line.
+    for source, answers, errors in (
+            ("1 +\n  1;;\n", "real = 2 ± 0\n", ""),
+            ("(* a ;; b *) 1 + 1;;\n", "real = 2 ± 0\n", ""),
+            ("(* a\n;; b *) 1;; (* c\n*) 2;;\n",
+             "real = 1 ± 0\nreal = 2 ± 0\n", ""),
+            ("1 + ;;\n2;;\n", "real = 2 ± 0\n",
+             "error: 1:5: unexpected ';;'\n"),
+            ("2 $ 3;; 4;;\n", "real = 4 ± 0\n",
+             "error: 1:3: illegal character '$'\n")):
+        out, err = io.StringIO(), io.StringIO()
+        assert repl(SessionState(), io.StringIO(source), out, err) == 0
+        assert (out.getvalue(), err.getvalue()) == (answers, errors)
 
 
 def test_repl_via_subprocess():

@@ -64,15 +64,16 @@ def test_real_approx_restriction():
     assert real_approx(pe("(2 < 1) ~> 5"), {}, UPPER) == ENTIRE.dual()
 
 
-def test_one_instruction_programs_return_their_value_by_identity():
-    box, lit = I(F(1, 3), F(1, 2)), pe("3/2")
-    assert real_approx(Var("x"), {"x": box}, UPPER) is box
-    for binding in ((1, 3, 1, 2), (2, 4, 2, 4)):  # an integer tuple
-        for mode in (LOWER, UPPER):
-            assert real_approx(Var("x"), {"x": binding}, mode) is binding
-    point = real_approx(lit, {}, LOWER)
-    assert point == I(F(3, 2), F(3, 2))
-    assert real_approx(lit, {}, UPPER) is point is lit._code[0][2]
+def test_one_instruction_programs_return_a_ginterval():
+    # A variable bound to a GInterval or to an integer tuple, reduced or
+    # not, and a literal all come back as a GInterval of their value.
+    box = I(F(1, 3), F(1, 2))
+    for mode in (LOWER, UPPER):
+        for binding in (box, (1, 3, 1, 2), (2, 6, 3, 6)):
+            got = real_approx(Var("x"), {"x": binding}, mode)
+            assert type(got) is GInterval and got == box
+        got = real_approx(pe("3/2"), {}, mode)
+        assert type(got) is GInterval and got == I(F(3, 2), F(3, 2))
 
 
 def arithmetic_terms():
@@ -278,6 +279,48 @@ def test_refine_cut_unbounded_range_finds_finite_bounds():
 UNDECIDED = f"({SQRT2_CUT}) < 3/2"  # needs cut narrowing before it decides
 
 
+def test_refine_cut_half_bounded_ranges_find_the_missing_bound():
+    # The first candidates for the missing bound lie past the finite one,
+    # so they step out from it.
+    for source, root in (("cut y : (-inf, -10) left y < -20 right y > -20",
+                          -20),
+                         ("cut y : (10, inf) left y < 20 right y > 20", 20)):
+        assert run(pe(source)) == RealBall(F(root), F(11, 262144))
+
+
+def test_a_pruned_subterm_makes_its_enclosing_node_bottom():
+    # A refuted guard inside the body of a restriction whose own guard is
+    # undecided, inside a mkbool component, a quantifier body and a cut
+    # predicate.  A prop whose every disjunct is pruned is proven false;
+    # any other value is undefined.
+    dead = "((2 < 1) ~> 5)"
+    for source, outcome in (
+            (f"({UNDECIDED}) ~> {dead}", Diverged(1)),
+            (f"mkbool ({dead} < 6) (1 < 0)", Diverged(1)),
+            ("exists x : [0,1], ((2 < 1) ~> x) < 1", PropFalseProven()),
+            ("cut y : [0, 2] left ((2 < 1) ~> y) < 1 right y > 1",
+             Diverged(1))):
+        assert refine_step(pe(source)) is PRUNED, source
+        assert run(pe(source), max_steps=20) == outcome, source
+
+
+def test_run_drops_a_refuted_disjunct_from_a_prop_join():
+    # Kept, the refuted 2 < 1 would hold the join back from the proof of
+    # falsity that the other disjunct, left alone, supplies.
+    source = f"(2 < 1) || ({SQRT2_CUT}) > 3/2"
+    assert run(pe(source), max_steps=100) == PropFalseProven()
+
+
+def test_a_cut_with_a_free_variable_is_refined_but_never_narrowed():
+    # The cut reads the quantified x, so no probe binds its y alone: each
+    # sweep splits the forall and keeps every copy of the cut at [0, 3],
+    # where sqrt x < 2 is never decided.  Narrowing open cuts would
+    # change this outcome.
+    source = ("forall x : [1, 2], "
+              "(cut y : [0, 3] left y * y < x right y * y > x) < 2")
+    assert run(pe(source), max_steps=12) == Diverged(12)
+
+
 def test_refine_keeps_and_or_simplification():
     # proven conjuncts are dropped; the undecided one is refined in place
     got = refine_step(pe(f"(1 < 2) /\\ ({UNDECIDED})"))
@@ -375,8 +418,10 @@ def test_sweep_decides_each_closed_node_once(monkeypatch):
 def test_approximants_keep_their_three_argument_shape(monkeypatch):
     # Callers that wrap prop_approx/real_approx as (e, env, mode) and
     # refine_step/evaluate_step as below, such as perfbench's tracer, see
-    # every internal call go through them.  A compiled comparison is kept
-    # on its node, so each is compiled once, wrapped or not.
+    # every call of them go through the wrappers; inside a program an
+    # opaque leaf is read by the internal ``_value`` instead.  A compiled
+    # comparison is kept on its node, so each is compiled once, wrapped
+    # or not.
     source = (f"(exists x : [0,2], x * x < 1) /\\ ({SQRT2_CUT}) < 3/2 "
               "/\\ (forall y : [0,1], y < 2) "
               "/\\ (forall z : [0,1], z * (1 - z) < 1/4 + 1/1000000)")

@@ -28,6 +28,7 @@ def test_tokenize_decimals_are_exact():
     assert [t.kind for t in toks[:-1]] == ["RAT", "<", "IDENT"]
     assert toks[0].value == F(3, 2)
     assert tokenize("0.1")[0].value == F(1, 10)
+    assert tokenize("٣.5")[0].value == F(7, 2)  # Arabic-Indic digits
 
 
 def test_tokenize_restriction_and_join():
@@ -40,9 +41,15 @@ def test_tokenize_strips_comments():
 
 
 def test_tokenize_illegal_character_location():
-    with pytest.raises(LexError) as err:
-        tokenize("x +\n  ?")
-    assert err.value.loc == (2, 3)
+    # str.isdigit holds for ² (and ³, ①), which int and Fraction refuse:
+    # numerals and projection indices are decimal digits only.
+    for source, loc, message in (
+            ("x +\n  ?", (2, 3), "illegal character '?'"),
+            ("2²", (1, 2), "illegal character '²'"),
+            ("(1,2)#²", (1, 6), "expected digits or a name after '#'")):
+        with pytest.raises(LexError) as err:
+            tokenize(source)
+        assert (err.value.loc, err.value.message) == (loc, message)
 
 
 def test_tokenize_projection_vs_directive():
