@@ -256,18 +256,19 @@ def repl(state, stdin=None, out=None, err=None):
             out.write(prompt)
             out.flush()
         line = stdin.readline()
-        if not line:
-            break
         buffer += line
-        split = _item_end(buffer)
-        while split is not None:
+        split = _item_end(buffer) if line else len(buffer)
+        while split:
+            # At end of input the rest is run as a last item: a comment
+            # or blanks print nothing, an item without ';;' is an error.
             chunk, buffer = buffer[:split], buffer[split:]
             try:
                 execute_source(state, chunk, out=out, err=err)
             except KeyboardInterrupt:
                 print("interrupted", file=err)
             split = _item_end(buffer)
-    return 0
+        if not line:
+            return 0
 
 
 def _item_end(text):

@@ -22,21 +22,21 @@ refuting an existential only when the whole range fails and a universal
 only when some subrange fails everywhere.
 
 Each real term is compiled once into a straight-line program, kept on
-the node (``compile_term``) and read three ways: over generalized
-intervals (``real_approx``, and the naive test of a comparison), as a
-value and slope at a point for the Newton steps of cut probes
-(``_value_and_slope``), and as the centred form below (``Polynomial``).
-A folded constant is an operand with a point range and no slope, and
-point operations are exact, so it gives every reading the numbers a
-dedicated constant operation would.  Every reading computes on plain
-ints with unreduced denominators (``interval``): no ``Fraction`` is
-built inside the loop, and a value becomes a ``GInterval`` only where
-``real_approx`` hands it out.  So do the bindings and the narrowing of
-cuts: an environment binds a quantified variable or a cut probe's
-variable to the integer tuple of its box or point, and a cut's
-endpoints, its Newton steps and its trisection points are integer pairs
-until the two chosen endpoints become the ``Fraction``s of its new
-range.  The arithmetic is exact, so the answers are those of
+the node (``compile_term``) and read two ways: over generalized
+intervals (``real_approx``, the naive test of a comparison, and the
+value at the midpoint in a cut's Newton step), and in forward mode for
+the centred form below and the slope of a cut's Newton step
+(``Polynomial``).  A folded constant is an operand with a point range
+and no slope, and point operations are exact, so it gives every reading
+the numbers a dedicated constant operation would.  Every reading
+computes on plain ints with unreduced denominators (``interval``): no
+``Fraction`` is built inside the loop, and a value becomes a
+``GInterval`` only where ``real_approx`` hands it out.  So do the
+bindings and the narrowing of cuts: an environment binds a quantified
+variable or a cut probe's variable to the integer tuple of its box or
+point, and a cut's endpoints, its Newton steps and its trisection points
+are integers until the two chosen endpoints become the ``Fraction``s of
+its new range.  The arithmetic is exact, so the answers are those of
 ``GInterval`` and ``Fraction`` arithmetic.
 
 Naive interval evaluation suffers the dependency problem: ``x*(1-x)``
@@ -66,16 +66,20 @@ disjunct is precise enough to answer.
 A finite cut range [a, b] narrows by lower-mode probes of ``left`` and
 ``right`` at chosen points; an endpoint moves only to a point where its
 probe holds, so the choice of points bears on speed alone.  Each
-comparison of the predicates gives a Newton step r from the midpoint,
-computed exactly (closed cuts inside it enter at their midpoints), and
-the points r -+ delta with delta about (b - a)^2, rounded outward to a
-dyadic grid a few bits finer than delta.  Near a simple root this
-doubles the correct bits per sweep.  A side where no Newton point holds
-probes at its trisection point, (2a + b)/3 or (a + 2b)/3, which gains
-0.58 bits.  In sweep n delta is at least 2^-(8 (n + 1))
-(``PROBE_BITS_PER_SWEEP``), which bounds the bits a cut gains per
-sweep.  A cut whose predicates read a variable bound above it is never
-probed, so its range never narrows.
+comparison of the predicates that is a polynomial in the cut's variable
+gives an interval Newton step N = m - F(m) / F'(X) over X = [a, b]: F(m)
+is its difference read at the midpoint, with closed cuts inside it as
+their ranges, and F'(X) encloses its slope over X.  The cut probes just
+outside the two ends of N, on a dyadic grid about width(N)/8 apart.
+Near a simple root this doubles the correct bits per sweep.  A slope
+enclosure, or a divisor's range, that meets 0 gives no step, and a side
+where no Newton point holds probes at its trisection point, (2a + b)/3
+or (a + 2b)/3, which gains 0.58 bits.  The grid is no finer than the
+answer needs, the bits of 1/precision plus 8 guard bits, which ``run``
+passes to the sweeps (``_DEMAND_BITS``); past those a cut gains at most
+8 bits per sweep (``PROBE_BITS_PER_SWEEP``).  A cut whose predicates
+read a variable bound above it is never probed, so its range never
+narrows.
 
 A sweep does each distinct piece of work once.  A closed prop's
 approximants depend on the node alone, so each is decided once and kept
@@ -98,10 +102,10 @@ shapes of ``syntax``; ``rebuild`` keeps a node whose children all stay.
 from __future__ import annotations
 
 import enum
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from math import gcd
 
 from .interval import (
     DivisionIndeterminate, ENTIRE, GInterval, XRat, add, below, box, div,
@@ -400,20 +404,29 @@ def _prop_approx(e, env, mode):
 class Polynomial:
     """``lhs - rhs`` of a comparison whose sides are polynomials.
 
-    ``code`` is the program of the difference, with no opaque leaf and
-    no ``/``, over the variables ``names``, each held by its index.  A
-    fourth field, ``ranged``, marks the values whose range ``spread``
-    needs.  Evaluation uses plain ints: boxes are the integer tuples of
-    proper intervals (``interval.ends``), one per name, and a result is
-    a pair (numerator, denominator > 0).
+    ``code`` is the program of the difference, with no opaque leaf, over
+    the variables ``names``, each held by its index.  A fourth field,
+    ``ranged``, marks the values whose range ``slopes`` needs.
+    Evaluation uses plain ints: boxes are the integer tuples of proper
+    intervals (``interval.ends``), one per name, and a result is a pair
+    (numerator, denominator > 0).
+
+    For the slope of a cut's Newton step the sides may also divide, and
+    a closed cut with a finite range is a constant, its range.  Either
+    clears ``centred``: ``at_midpoint`` reads neither, so the centred
+    test keeps the naive one there (``compile_polynomial``).
     """
 
-    __slots__ = ("names", "code")
+    __slots__ = ("names", "code", "centred")
 
     def __init__(self, less):
-        index, code = {}, []
+        index, code, self.centred = {}, [], True
         for op, x, y in compile_term(less):
-            if op == "o" or op == "/":
+            self.centred = self.centred and op not in ("o", "/")
+            if op == "o" and isinstance(x, Cut) and x.range.is_finite \
+                    and not free_vars(x):
+                op, x = "q", box(x.range.lo, x.range.hi)
+            if op == "o":
                 raise ValueError("not a polynomial")
             if op == "v":
                 x = index.setdefault(x, len(index))
@@ -426,7 +439,7 @@ class Polynomial:
             elif op == "*":  # each factor's range scales the other's slope
                 ranged[x] = ranged[i] or code[y][0] != "q"
                 ranged[y] = ranged[i] or code[x][0] != "q"
-            elif ranged[i] and op in ("+", "-"):
+            elif op == "/" or ranged[i] and op in ("+", "-"):
                 ranged[x] = ranged[y] = True
         self.names = tuple(index)
         self.code = [(*ins, r) for ins, r in zip(code, ranged)]
@@ -457,7 +470,18 @@ class Polynomial:
 
     def spread(self, boxes):
         """The sum over i of r_i * max|d_i f(X)|, r_i the half-width of
-        box i, as a pair: f(m) +- spread encloses f over the boxes.
+        box i, as a pair: f(m) +- spread encloses f over the boxes."""
+        n, d = 0, 1
+        for (a, b, c, e), (p, q, r, s) in zip(boxes, self.slopes(boxes) or ()):
+            # (c/e - a/b) / 2 * max(-p/q, r/s)
+            g, h = (-p, q) if -p * s >= r * q else (r, s)
+            m, k = (c * b - a * e) * g, 2 * b * e * h
+            n, d = n * k + m * d, d * k
+        return n, d
+
+    def slopes(self, boxes):
+        """The enclosures d_i f(X) over the boxes X, one integer tuple
+        per name, or None when f is constant on them.
 
         Forward-mode differentiation in interval arithmetic: each value
         carries its range when it is ``ranged`` and, unless it is
@@ -495,33 +519,37 @@ class Polynomial:
                     gw = [mul(u, g) for g in gw]
             elif op == "+":
                 r = add(u, w) if ranged else None
-            else:
+            elif op == "-":
                 r = sub(u, w) if ranged else None
                 if gw is not None:
                     gw = [(-c, d, -a, b) for a, b, c, d in gw]
+            else:
+                # d(u/w) = du / w + (u/w) * -dw / w; raises where w meets 0
+                r = div(u, w)
+                if gu is not None:
+                    gu = [div(g, w) for g in gu]
+                if gw is not None:
+                    gw = [div(mul(r, (-c, d, -a, b)), w)
+                          for a, b, c, d in gw]
             if gu is None or gw is None:
                 grad = gw if gu is None else gu
             else:
                 grad = [add(g, h) for g, h in zip(gu, gw)]
             vals.append((r, grad))
-        n, d = 0, 1
-        for (a, b, c, e), (p, q, r, s) in zip(boxes, vals[-1][1] or ()):
-            # (c/e - a/b) / 2 * max(-p/q, r/s)
-            g, h = (-p, q) if -p * s >= r * q else (r, s)
-            m, k = (c * b - a * e) * g, 2 * b * e * h
-            n, d = n * k + m * d, d * k
-        return n, d
+        return vals[-1][1]
 
 
 def compile_polynomial(less):
     """The ``Polynomial`` of a comparison, or None when a side is not a
-    polynomial.  It depends on the node alone and is kept on it
-    (``_poly``, False when it does not compile)."""
+    polynomial in its variables alone.  It depends on the node alone and
+    is kept on it (``_poly``, False when it does not compile)."""
     poly = less._poly
     if poly is None:
         try:
             poly = Polynomial(less)
-        except ValueError:  # an opaque leaf or a division
+            if not poly.centred:
+                poly = False
+        except ValueError:  # an opaque leaf
             poly = False
         keep(less, "_poly", poly)
     return poly or None
@@ -569,12 +597,26 @@ def _centred_decides(e, env, mode):
 #: time, which moves the horizon forward.
 SWEEP_VISIT_CAP = 10_000
 
-#: Bits of precision a cut's Newton-chosen probe points may gain per
-#: sweep: in sweep n they lie at least 2^-(8 (n + 1)) from the Newton
-#: point.  Without this ceiling a cut nested in another doubles its
-#: endpoint bits every sweep while the outer cut is still trisecting, so
-#: its exact arithmetic grows far beyond what the answer needs.
+#: Bits a cut may gain per sweep beyond what the answer needs.  In sweep
+#: n the grid of its Newton points is no finer than 2^-max(D, min(8 (n +
+#: 1), 2 j + 8)), where D is the bits of the run's 1/precision plus
+#: ``DEMAND_GUARD_BITS`` (``_DEMAND_BITS``) and 2^-j is the largest power
+#: of 2 at most 1 and at most the width of the cut's range.  So a cut
+#: that feeds the answer converges quadratically up to D, and one that
+#: needs more (a scaled or nested cut, a comparison) gains at most 8 bits
+#: per sweep beyond it.  The 2 j + 8 term holds a step whose N is a point
+#: (f linear in the cut's variable) to about the doubling of a Newton
+#: step, where the sweep index, large once an unbounded cut finds its
+#: bounds, would set it thousands of bits deep.  Without a ceiling a cut
+#: nested in another doubles its endpoint bits every sweep while the
+#: outer cut is still trisecting, so its exact arithmetic grows far
+#: beyond the answer's.
 PROBE_BITS_PER_SWEEP = 8
+DEMAND_GUARD_BITS = 8
+
+#: D of the run in progress (``run`` sets it; 0 outside a run).  It
+#: reaches the sweeps this way because ``refine_step`` keeps its shape.
+_DEMAND_BITS = ContextVar("msl_demand_bits", default=0)
 
 
 class _Sweep:
@@ -838,61 +880,75 @@ def _newton_points(e, a, b, n):
     """Dyadic probe points inside (a, b), ascending, for the cut ``e``:
     pairs (numerator, 2^k) with one k for all, a and b as in ``_narrow``.
 
-    Each comparison reachable through ``And``/``Or`` in ``left`` and
-    ``right`` whose difference f = lhs - rhs has a slope at the midpoint
-    m gives the Newton step r = m - f(m) / f'(m).  Near a simple root
-    the step is off by O(w^2), w = b - a, so the points are r -+ delta
-    with delta = max(w^2 + slack, 2^-(8 (n + 1))), rounded outward to a
-    dyadic grid about 3 bits finer than delta: 2^-k with k = 3 plus the
-    bits of delta's reduced denominator less those of its numerator.
-    ``slack`` is the width of the closed cuts inside f, which enter at
-    their midpoints.  A step is dropped when r leaves (a, b) or when
-    4 delta >= w, where trisection does at least as well.  All of it is
-    computed on ints, by cross-multiplication.
+    Each comparison of ``_sides`` gives the interval Newton step N =
+    m - F(m) / F'(X) of its f = lhs - rhs over X = [a, b] (Moore): F(m)
+    is f read at the midpoint m, closed cuts as their ranges, and F'(X)
+    encloses the slope of f over X (``Polynomial.slopes``).  A root of f
+    in X lies in N.  A slope enclosure, or a divisor's range, that meets
+    0 gives no step (``DivisionIndeterminate``).  Each end of N is
+    rounded outward, strictly, to multiples of 2^-k: 2^-k is the largest
+    power of 2 at most width(N) / 8 and at most 1, but no finer than the
+    ceiling of ``PROBE_BITS_PER_SWEEP``.  Rounding strictly outward
+    brackets an exact dyadic root too.  All of it is computed on integer
+    tuples (``interval``).
     """
     (an, ad), (bn, bd) = a, b
-    wn, wd = bn * ad - an * bd, ad * bd  # w
-    sq, sqd = wn * wn, wd * wd  # w^2
-    shift = PROBE_BITS_PER_SWEEP * (n + 1)
-    # delta without slack: max(w^2, 2^-shift)
-    ln, ld = (sq, sqd) if sq << shift >= sqd else (1, 1 << shift)
-    if 4 * ln * wd >= wn * ld:
-        return ()
     m = an * bd + bn * ad, 2 * ad * bd
-    sides = []  # each comparison once: a swapped one steps to the same r
-    for less in (*_comparisons(e.left), *_comparisons(e.right)):
-        if less not in sides and Less(less.rhs, less.lhs) not in sides:
-            sides.append(less)
+    at_m = {e.var: m + m}
+    wn, wd = bn * ad - an * bd, ad * bd  # width(X)
+    if not wn:
+        return []
+    step = PROBE_BITS_PER_SWEEP
+    cap = max(_DEMAND_BITS.get(),
+              min(step * (n + 1), 2 * _finer(wn, wd) + step))
     grid = []  # (numerator, k) of each point
-    for less in sides:
-        f = _value_and_slope(less, e.var, m)
-        if f is None or not f[1][0]:
+    for less, poly in _sides(e):
+        code = compile_term(less)
+        try:
+            ln, ld, hn, hd = sub(m + m, div(_read(code, len(code), at_m,
+                                                  LOWER)[-1],
+                                            poly.slopes([a + b])[0]))
+        except DivisionIndeterminate:
             continue
-        (fn, fd), (pn, pd), (sn, sd) = f
-        # r = m - f / f', its denominator made positive
-        rn, rd = m[0] * fd * pn - fn * pd * m[1], m[1] * fd * pn
-        if rd < 0:
-            rn, rd = -rn, -rd
-        dn, dd = ln, ld
-        if sn:  # delta = max(least, w^2 + slack)
-            tn, td = sq * sd + sn * sqd, sqd * sd
-            if tn * ld > ln * td:
-                dn, dd = tn, td
-        if not (an * rd < rn * ad and rn * bd < bn * rd) \
-                or 4 * dn * wd >= wn * dd:
-            continue
-        # r -+ delta rounded outward to multiples of 2^-k.
-        g = gcd(dn, dd)
-        k = 3 + (dd // g).bit_length() - (dn // g).bit_length()
-        den = rd * dd
-        for num in ((rn * dd - dn * rd) << k) // den, \
-                -((-(rn * dd + dn * rd) << k) // den):
+        vn, vd = hn * ld - ln * hd, ld * hd  # width(N)
+        k = min(cap, _finer(vn, vd << 3)) if vn else cap
+        for num in -((-ln << k) // ld) - 1, (hn << k) // hd + 1:
             if an << k < num * ad and num * bd < bn << k:
                 grid.append((num, k))
     # Two comparisons may round to different grids: compare on the finest.
     top = max((k for _, k in grid), default=0)
     return [(num, 1 << top)
             for num in sorted({num << top - k for num, k in grid})]
+
+
+def _finer(n, d):
+    """The least k >= 0 with 2^-k <= n / d, for n, d > 0."""
+    k = max(0, d.bit_length() - n.bit_length())
+    return k + (n << k < d)
+
+
+def _sides(e):
+    """The comparisons of the closed cut ``e`` reachable through
+    ``And``/``Or`` in ``left`` and ``right`` that are polynomials in its
+    variable, closed cuts taken as constants (``Polynomial``), each with
+    its polynomial.  A swapped comparison steps to the same points, so
+    only the first of the two is kept.  The list is kept on ``left``
+    with the ``right`` it was made with (``_sides``)."""
+    kept = e.left._sides
+    if kept is None or kept[0] is not e.right:
+        seen, sides = [], []
+        for less in (*_comparisons(e.left), *_comparisons(e.right)):
+            if less in seen or Less(less.rhs, less.lhs) in seen:
+                continue
+            seen.append(less)
+            try:
+                poly = Polynomial(less)
+            except ValueError:  # an opaque leaf
+                continue
+            if poly.names == (e.var,):
+                sides.append((less, poly))
+        kept = keep(e.left, "_sides", (e.right, sides))
+    return kept[1]
 
 
 def _comparisons(p):
@@ -902,55 +958,6 @@ def _comparisons(p):
     elif isinstance(p, (And, Or)):
         for item in p.items:
             yield from _comparisons(item)
-
-
-def _value_and_slope(t, var, x):
-    """(t, dt/dvar, slack) at var = x, each a pair (numerator,
-    denominator > 0), as x is: the program of ``t``, a term or a
-    comparison, read in forward mode over integer pairs, each value as
-    (f, g, p, q) for f/g and its slope p/q.
-
-    A closed cut with a finite range is the constant at its midpoint and
-    adds its width to the slack.  None when ``t`` has another free
-    variable or another opaque leaf, or divides by zero.
-    """
-    vals, sn, sd = [], 0, 1
-    for op, u, w in compile_term(t):
-        if op == "v":
-            if u != var:
-                return None
-            vals.append((*x, 1, 1))
-        elif op == "q":
-            vals.append((u[0], u[1], 0, 1))
-        elif op == "o":
-            if not isinstance(u, Cut) or free_vars(u) \
-                    or not u.range.is_finite:
-                return None
-            a, b, c, d = box(u.range.lo, u.range.hi)
-            vals.append((a * d + c * b, 2 * b * d, 0, 1))
-            sn, sd = sn * b * d + (c * b - a * d) * sd, sd * b * d
-        elif op == "^":
-            f, g, p, q = vals[u]
-            e = f ** (w - 1)
-            vals.append((e * f, g ** w, w * e * p, g ** (w - 1) * q))
-        else:
-            (f, g, p, q), (h, k, r, s) = vals[u], vals[w]
-            if op == "+":
-                vals.append((f * k + h * g, g * k, p * s + r * q, q * s))
-            elif op == "-":
-                vals.append((f * k - h * g, g * k, p * s - r * q, q * s))
-            elif op == "*":  # d(u*w) = du * w + u * dw
-                vals.append((f * h, g * k, p * h * g * s + f * r * q * k,
-                             q * k * g * s))
-            elif not h:
-                return None
-            else:  # d(u/w) = (du * w - u * dw) / w^2
-                sign = 1 if h > 0 else -1
-                vals.append((sign * f * k, sign * g * h,
-                             (p * h * g * s - f * r * q * k) * k,
-                             q * g * s * h * h))
-    f, g, p, q = vals[-1]
-    return (f, g), (p, q), (sn, sd)
 
 
 # ---------------------------------------------------------------------------
@@ -1021,6 +1028,17 @@ def run(e, precision=DEFAULT_PRECISION, max_steps=DEFAULT_MAX_STEPS,
     if not is_base(ty):
         return FunctionValue()
     live = normalize(e)
+    demand = _DEMAND_BITS.set(
+        (precision.denominator // precision.numerator).bit_length()
+        + DEMAND_GUARD_BITS)
+    try:
+        return _run(live, precision, ty, max_steps, witness_log)
+    finally:
+        _DEMAND_BITS.reset(demand)
+
+
+def _run(live, precision, ty, max_steps, witness_log):
+    """The loop of ``run`` over the disjuncts ``live`` of its term."""
     for step in range(max_steps):
         sole = len(live) == 1
         for d in live:

@@ -96,6 +96,7 @@ class Expr:
     _code = None  # evaluator.compile_term of a real term or a comparison
     _ty = None  # typecheck.infer_type of a closed let-bound
     _nform = None  # normalize._nf of a closed node: its disjuncts
+    _sides = None  # evaluator._sides of a closed cut, on its left
 
 
 def keep(e, attr, value):

@@ -2,22 +2,19 @@
 
 Everything here is computed by a route unrelated to the interpreter:
 bisection, grid search over exact rationals, closed-form kinematics, and
-interval arithmetic by structural recursion instead of compiled programs.
-The one exception is the cut narrowing over ``Fraction``s, the
-interpreter's earlier version, kept as the reference for its integer
-arithmetic.
+interval arithmetic by structural recursion instead of compiled programs,
+the interval Newton steps of cut narrowing included.
 """
 
+import math
 from fractions import Fraction
 
 from msl.cli import SessionState, _wrap_definitions, execute_item
-from msl.evaluator import (
-    LOWER, PROBE_BITS_PER_SWEEP, _comparisons, compile_term, prop_approx, run,
-)
-from msl.interval import ENTIRE, DivisionIndeterminate, GInterval, XRat, ends
+from msl.evaluator import LOWER, run
+from msl.interval import ENTIRE, DivisionIndeterminate, GInterval, XRat
 from msl.syntax import (
-    Arith, Cut, Less, Pow, RatLit, Restrict, TrueLit, Var, free_vars,
-    parse_expression, parse_program,
+    And, Arith, Cut, Exists, FalseLit, Less, Or, Pow, RatLit, Restrict,
+    TrueLit, Var, free_vars, parse_expression, parse_program,
 )
 from msl.typecheck import infer_type
 
@@ -86,29 +83,162 @@ def reference_real_approx(e, env, mode):
         return no_info
 
 
-# --- cut narrowing over Fractions --------------------------------------------
-# The narrowing of a finite cut as it was written over ``Fraction``s,
-# before it moved to plain ints: the reference for ``msl.evaluator``'s
-# ``_narrow``, ``_newton_points`` and ``_value_and_slope``, which must
-# give the same values.  It probes with ``prop_approx`` under
-# ``GInterval`` points and reads the compiled programs, as it did.
+# --- cut narrowing by interval Newton steps ---------------------------------
+# The narrowing of a finite cut written over ``Fraction``s and
+# ``GInterval``s by recursion over the predicate trees: the reference
+# for ``msl.evaluator``'s ``_narrow`` and ``_newton_points``, which read
+# compiled programs on integer tuples and must give the same points.  It
+# probes with its own lower approximant (``reference_holds``).
+
+#: D, the bits a cut's probe grid may reach at once, is the bits of
+#: 1/precision plus ``GUARD_BITS``; past D a cut gains at most
+#: ``PACE_BITS`` per sweep.
+GUARD_BITS = 8
+PACE_BITS = 8
 
 
-def reference_narrow(e, a, b, n):
-    """The range [a, b] of the finite cut ``e`` after the probes of sweep n.
+def reference_demand_bits(precision):
+    """D for a run at ``precision``."""
+    return int(1 / Fraction(precision)).bit_length() + GUARD_BITS
 
-    The lower endpoint moves to the highest Newton-chosen point where the
-    lower-mode probe of ``left`` holds, the upper one to the lowest point
-    above it where that of ``right`` holds.  A side with no such point
-    probes at its trisection point instead.  Soundness needs nothing of
-    the points: an endpoint moves only where its probe holds.
+
+def reference_holds(p, env):
+    """The lower approximant of a prop with the naive interval test at
+    each comparison, by recursion over its tree: an ``exists`` binds its
+    low end, a ``forall`` its range."""
+    if isinstance(p, (TrueLit, FalseLit)):
+        return isinstance(p, TrueLit)
+    if isinstance(p, (And, Or)):
+        each = (reference_holds(q, env) for q in p.items)
+        return all(each) if isinstance(p, And) else any(each)
+    if isinstance(p, Less):
+        return (reference_real_approx(p.lhs, env, LOWER).hi
+                < reference_real_approx(p.rhs, env, LOWER).lo)
+    r = p.range
+    bound = GInterval(r.lo, r.lo if isinstance(p, Exists) else r.hi)
+    return reference_holds(p.body, {**env, p.var: bound})
+
+
+def _least_k(w, f):
+    """The least k >= 0 with f * 2^-k <= w, for w > 0."""
+    k = 0
+    while w * 2 ** k < f:
+        k += 1
+    return k
+
+
+def _comparisons_of(p):
+    if isinstance(p, Less):
+        return [p]
+    if isinstance(p, (And, Or)):
+        return [c for q in p.items for c in _comparisons_of(q)]
+    return []
+
+
+def _polynomial_in(t, var):
+    """Is the real term ``t`` built of literals, ``var``, ``+ - * /``,
+    powers and closed cuts with finite ranges alone?"""
+    if isinstance(t, Var):
+        return t.name == var
+    if isinstance(t, Cut):
+        return t.range.is_finite and not free_vars(t)
+    if isinstance(t, Pow):
+        return _polynomial_in(t.base, var)
+    if isinstance(t, Arith):
+        return _polynomial_in(t.lhs, var) and _polynomial_in(t.rhs, var)
+    return isinstance(t, RatLit)
+
+
+def reference_slope(t, var, x):
+    """An enclosure of dt/dvar over var in the proper interval ``x``, by
+    forward differentiation in ``GInterval`` arithmetic over the tree of
+    ``t``, closed cuts as constants; None where ``t`` does not depend on
+    ``var``.  Raises ``DivisionIndeterminate`` where a divisor's range
+    meets 0."""
+    def span(u):
+        return reference_real_approx(u, {var: x}, LOWER)
+
+    if isinstance(t, Var):
+        return GInterval(1, 1)
+    if isinstance(t, (RatLit, Cut)):
+        return None
+    if isinstance(t, Pow):  # d(u^k) = k * u^(k-1) * du
+        du = reference_slope(t.base, var, x)
+        if du is None or t.exp == 0:
+            return None
+        return GInterval.point(t.exp) * span(t.base) ** (t.exp - 1) * du
+    du, dw = reference_slope(t.lhs, var, x), reference_slope(t.rhs, var, x)
+    if t.op == "*":  # d(u*w) = du * w + u * dw
+        du = None if du is None else du * span(t.rhs)
+        dw = None if dw is None else span(t.lhs) * dw
+    elif t.op == "/":  # d(u/w) = du / w + (u/w) * -dw / w
+        w = span(t.rhs)
+        r = span(t.lhs) / w
+        du = None if du is None else du / w
+        dw = None if dw is None else r * -dw / w
+    elif t.op == "-" and dw is not None:
+        dw = -dw
+    if du is None or dw is None:
+        return dw if du is None else du
+    return du + dw
+
+
+def reference_newton_points(e, a, b, n, demand=0):
+    """Dyadic probe points inside (a, b), ascending, for the cut ``e``
+    in sweep n of a run whose D is ``demand`` (0 outside a run).
+
+    Each comparison reachable through ``And``/``Or`` in ``left`` and
+    ``right`` (a swapped one only once) that is a polynomial in the
+    cut's variable gives the interval Newton step N = m - F(m) / F'(X)
+    over X = [a, b], with m the midpoint, F(m) f = lhs - rhs at m and
+    F'(X) an enclosure of its slope over X; none when F'(X), or the
+    range of a divisor in f, meets 0.
+    The ends of N are rounded strictly outward to multiples of 2^-k:
+    k is the least k >= 0 with 2^-k <= width(N) / 8, but at most
+    max(D, min(8 (n + 1), 2 j + 8)), j the least j >= 0 with 2^-j <=
+    b - a.
     """
-    var = e.var
+    var, x, m = e.var, GInterval(a, b), (a + b) / 2
+    if a == b:
+        return []
+    cap = max(demand, min(PACE_BITS * (n + 1),
+                          2 * _least_k(b - a, 1) + PACE_BITS))
+    sides = []
+    for less in _comparisons_of(e.left) + _comparisons_of(e.right):
+        if less not in sides and Less(less.rhs, less.lhs) not in sides:
+            sides.append(less)
+    points = set()
+    for less in sides:
+        f = Arith("-", less.lhs, less.rhs)
+        if not (_polynomial_in(f, var) and var in free_vars(f)):
+            continue
+        try:
+            slope = reference_slope(f, var, x)
+            if slope is None:
+                continue
+            at_m = reference_real_approx(f, {var: GInterval.point(m)}, LOWER)
+            step = GInterval.point(m) - at_m / slope
+        except DivisionIndeterminate:
+            continue
+        width = step.hi.q - step.lo.q
+        k = min(cap, _least_k(width, 8)) if width else cap
+        for p in (Fraction(math.ceil(step.lo.q * 2 ** k) - 1, 2 ** k),
+                  Fraction(math.floor(step.hi.q * 2 ** k) + 1, 2 ** k)):
+            if a < p < b:
+                points.add(p)
+    return sorted(points)
 
+
+def reference_narrow(e, a, b, n, demand=0):
+    """The range [a, b] of the finite cut ``e`` after the probes of sweep
+    n: the lower endpoint moves to the highest Newton point where the
+    lower approximant of ``left`` holds, the upper one to the lowest
+    point above it where that of ``right`` holds.  A side with no such
+    point probes at its trisection point instead."""
     def holds(side, p):
-        return prop_approx(side, {var: GInterval.point(p)}, LOWER)
+        return reference_holds(side, {e.var: GInterval.point(p)})
 
-    points = reference_newton_points(e, a, b, n)
+    points = reference_newton_points(e, a, b, n, demand)
     lo = next((p for p in reversed(points) if holds(e.left, p)), None)
     if lo is None:
         q1 = (2 * a + b) / 3
@@ -118,102 +248,6 @@ def reference_narrow(e, a, b, n):
         q2 = (a + 2 * b) / 3
         hi = q2 if holds(e.right, q2) else b
     return lo, hi
-
-
-def reference_newton_points(e, a, b, n):
-    """Dyadic probe points inside (a, b), ascending, for the cut ``e``.
-
-    Each comparison reachable through ``And``/``Or`` in ``left`` and
-    ``right`` whose difference f = lhs - rhs has a slope at the midpoint
-    m gives the Newton step r = m - f(m) / f'(m).  Near a simple root
-    the step is off by O(w^2), w = b - a, so the points are r -+ delta
-    with delta = max(w^2 + slack, 2^-(8 (n + 1))), rounded outward to a
-    dyadic grid about 3 bits finer than delta.  ``slack`` is the width
-    of the closed cuts inside f, which enter at their midpoints.  A
-    step is dropped when r leaves (a, b) or when 4 delta >= w, where
-    trisection does at least as well.
-    """
-    w = b - a
-    floor = Fraction(1, 1 << PROBE_BITS_PER_SWEEP * (n + 1))
-    least = max(w * w, floor)  # delta without slack
-    if 4 * least >= w:
-        return ()
-    m = (a + b) / 2
-    sides = []  # each comparison once: a swapped one steps to the same r
-    for less in (*_comparisons(e.left), *_comparisons(e.right)):
-        if less not in sides and Less(less.rhs, less.lhs) not in sides:
-            sides.append(less)
-    points = []
-    for less in sides:
-        f = reference_value_and_slope(less, e.var, m)
-        if f is None or not f[1]:
-            continue
-        r = m - f[0] / f[1]
-        slack = f[2]
-        delta = max(least, w * w + slack) if slack else least
-        if not a < r < b or 4 * delta >= w:
-            continue
-        # r -+ delta rounded outward to multiples of 2^-k, in integers.
-        k = 3 + delta.denominator.bit_length() - delta.numerator.bit_length()
-        rn, rd = r.numerator, r.denominator
-        dn, dd = delta.numerator, delta.denominator
-        den = rd * dd
-        for num in ((rn * dd - dn * rd) << k) // den, \
-                -((-(rn * dd + dn * rd) << k) // den):
-            p = Fraction(num, 1 << k)
-            if a < p < b and p not in points:
-                points.append(p)
-    return sorted(points)
-
-
-def reference_value_and_slope(t, var, x):
-    """(t, dt/dvar, slack) at var = x as Fractions: the program of ``t``,
-    a term or a comparison, read in forward mode over integer pairs
-    (numerator, denominator > 0), each value as (f, g, p, q) for f/g and
-    its slope p/q.
-
-    A closed cut with a finite range is the constant at its midpoint and
-    adds its width to ``slack``.  None when ``t`` has another free
-    variable or another opaque leaf, or divides by zero.
-    """
-    vals, sn, sd = [], 0, 1
-    for op, u, w in compile_term(t):
-        if op == "v":
-            if u != var:
-                return None
-            vals.append((x.numerator, x.denominator, 1, 1))
-        elif op == "q":
-            vals.append((u[0], u[1], 0, 1))
-        elif op == "o":
-            if not isinstance(u, Cut) or free_vars(u) \
-                    or not u.range.is_finite:
-                return None
-            a, b, c, d = ends(GInterval(u.range.lo, u.range.hi))
-            vals.append((a * d + c * b, 2 * b * d, 0, 1))
-            sn, sd = sn * b * d + (c * b - a * d) * sd, sd * b * d
-        elif op == "^":
-            f, g, p, q = vals[u]
-            e = f ** (w - 1)
-            vals.append((e * f, g ** w, w * e * p, g ** (w - 1) * q))
-        else:
-            (f, g, p, q), (h, k, r, s) = vals[u], vals[w]
-            if op == "+":
-                vals.append((f * k + h * g, g * k, p * s + r * q, q * s))
-            elif op == "-":
-                vals.append((f * k - h * g, g * k, p * s - r * q, q * s))
-            elif op == "*":  # d(u*w) = du * w + u * dw
-                vals.append((f * h, g * k, p * h * g * s + f * r * q * k,
-                             q * k * g * s))
-            elif not h:
-                return None
-            else:  # d(u/w) = (du * w - u * dw) / w^2
-                sign = 1 if h > 0 else -1
-                vals.append((sign * f * k, sign * g * h,
-                             (p * h * g * s - f * r * q * k) * k,
-                             q * g * s * h * h))
-    f, g, p, q = vals[-1]
-    return Fraction(f, g), Fraction(p, q), Fraction(sn, sd)
-
 
 
 def centred_form(less, boxes):

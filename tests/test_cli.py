@@ -121,8 +121,8 @@ max half (half + 1/2);;
     _, out, err, _, _ = run_script(script)
     witness = "(witness y in [3/8, 1/2])\n"
     assert err == ""
-    assert out == (2 * witness + "real = 2 ± 0.000274658203125\n"
-                   + 4 * witness + "real = 1.5 ± 0.00001049041748046875\n")
+    assert out == (2 * witness + "real = 2 ± 0.00000762939453125\n"
+                   + 4 * witness + "real = 1.5 ± 0.00000762939453125\n")
 
 
 def test_use_cycle_is_rejected(tmp_path):
@@ -403,6 +403,19 @@ def test_repl_items_end_at_double_semicolon_tokens():
              "error: 1:5: unexpected ';;'\n"),
             ("2 $ 3;; 4;;\n", "real = 4 ± 0\n",
              "error: 1:3: illegal character '$'\n")):
+        out, err = io.StringIO(), io.StringIO()
+        assert repl(SessionState(), io.StringIO(source), out, err) == 0
+        assert (out.getvalue(), err.getvalue()) == (answers, errors)
+
+
+def test_repl_runs_the_rest_of_its_input_as_a_last_item():
+    # An item left without ';;' at end of input is reported, as batch
+    # mode reports it, not dropped; a trailing comment stays silent.
+    for source, answers, errors in (
+            ("1 + 1;;\n2 + 2", "real = 2 ± 0\n",
+             "error: 2:6: expected ';;' to end the item\n"),
+            ("1 + 1;;\n(* c *)", "real = 2 ± 0\n", ""),
+            ("1 + 1;;\n(* c ;; *)\n  \n", "real = 2 ± 0\n", "")):
         out, err = io.StringIO(), io.StringIO()
         assert repl(SessionState(), io.StringIO(source), out, err) == 0
         assert (out.getvalue(), err.getvalue()) == (answers, errors)

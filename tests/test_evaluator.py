@@ -285,7 +285,7 @@ def test_refine_cut_half_bounded_ranges_find_the_missing_bound():
     for source, root in (("cut y : (-inf, -10) left y < -20 right y > -20",
                           -20),
                          ("cut y : (10, inf) left y < 20 right y > 20", 20)):
-        assert run(pe(source)) == RealBall(F(root), F(11, 262144))
+        assert run(pe(source)) == RealBall(F(root), F(1, 262144))
 
 
 def test_a_pruned_subterm_makes_its_enclosing_node_bottom():

@@ -44,7 +44,7 @@ let golden = fun a : real =>
 let sqrt_of = fun a : real =>
   cut r : [0, 64] left (r < 0 \\/ r * r < a) right (r > 0 /\\ r * r > a);;
 """
-E6, E48 = "1/1000000", "1/1" + "0" * 48
+E6, E45, E48, E100 = ("1/1" + "0" * k for k in (6, 45, 48, 100))
 # A cut whose Newton slope goes through a division.
 SLOPE_THROUGH_DIVISION = ("cut y : [0, 4] left (y / (y + 1) < 2/3) "
                           "right (y / (y + 1) > 2/3);;")
@@ -68,6 +68,12 @@ BENCHMARK_SESSIONS = (
          100_000),
         ("cut x : (-inf, inf) left (x < 2 ^ 300) right (x > 2 ^ 300);;", E6,
          1000),
+        # Interval Newton steps paced by the precision: a scaled cut, an
+        # exact dyadic root, a deep precision and a comparison.
+        ("1000000 * sqrt 2;;", E6, 100_000),
+        ("golden 552;;", E45, 100_000),
+        ("sqrt 2;;", E100, 100_000),
+        ("sqrt 2 < 14142135623731/10000000000000;;", "1/1000", 100_000),
     )),
     ("quantifiers", '#use "prelude.msl";;\n#trace on;;\n', (
         ("forall x : [0, 1], (-1) * x * x + (2/3) * x + (1/4) "

@@ -1,13 +1,14 @@
-"""Cut probes at Newton-chosen dyadic points.
+"""Cut probes at the dyadic points of interval Newton steps.
 
 An endpoint of a finite cut moves only where a lower-mode probe of
 ``left``/``right`` holds, wherever the probe point comes from.  These
 tests check with exact ``Fraction`` arithmetic that every endpoint still
 brackets the cut's value, that the points a Newton step picks are
 dyadic, that no cut needs more sweeps than trisection would, and that
-the per-sweep precision ceiling bounds the bits of the endpoints.
+the precision ceiling bounds the bits of the endpoints.
 """
 
+import contextlib
 import dataclasses
 from fractions import Fraction
 
@@ -16,16 +17,21 @@ from hypothesis import given, settings, strategies as st
 
 import msl.evaluator
 from msl.evaluator import (
-    Diverged, PROBE_BITS_PER_SWEEP, _comparisons, _narrow, _newton_points,
-    _value_and_slope, evaluate_step, refine_step, run,
+    Diverged, PROBE_BITS_PER_SWEEP, Polynomial, PropTrue, RealBall,
+    _DEMAND_BITS, _comparisons, _narrow, _newton_points, evaluate_step,
+    refine_step, run,
+)
+from msl.interval import (
+    DivisionIndeterminate, GInterval, XRat, box, interval_of,
 )
 from msl.normalize import normalize
 from msl.prelude import load_prelude
 from msl.syntax import (
-    Cut, Def, Expr, Let, REAL, parse_expression, parse_program,
+    Arith, Cut, Def, Expr, Let, REAL, parse_expression, parse_program,
 )
 from oracles import (
-    reference_narrow, reference_newton_points, reference_value_and_slope,
+    reference_demand_bits, reference_narrow, reference_newton_points,
+    reference_slope,
 )
 
 CUT_DEFS = """
@@ -132,12 +138,24 @@ def max_bits(e):
     return out
 
 
+@contextlib.contextmanager
+def demand(precision):
+    """Sweeps inside paced for a run at ``precision``, as ``run`` paces
+    its own (``test_run_passes_its_precision_to_the_sweeps``)."""
+    token = _DEMAND_BITS.set(reference_demand_bits(precision))
+    try:
+        yield
+    finally:
+        _DEMAND_BITS.reset(token)
+
+
 def sweeps_to(d, precision, limit=2000):
     """The number of sweeps after which ``d`` evaluates at ``precision``."""
-    for n in range(limit):
-        if evaluate_step(d, precision, REAL) is not None:
-            return n
-        d = refine_step(d, n)
+    with demand(precision):
+        for n in range(limit):
+            if evaluate_step(d, precision, REAL) is not None:
+                return n
+            d = refine_step(d, n)
     raise AssertionError(f"no answer within {limit} sweeps")
 
 
@@ -187,18 +205,22 @@ def test_no_cut_needs_more_sweeps_than_trisection(kind, a, b, digits):
 
 
 def test_endpoint_bits_stay_under_the_sweep_ceiling():
-    # Without the ceiling the inner cuts double their endpoint bits every
-    # sweep while the outer max is still trisecting.
+    # The grid of sweep n is no finer than 2^-max(D, 8 (n + 1)).  Without
+    # a ceiling the inner cuts double their endpoint bits every sweep
+    # while the outer max is still trisecting.
     d = sole_disjunct(SOURCES["max"].format(713, 500))
     precision = Fraction(1, 10 ** 32)
-    for n in range(60):
-        if evaluate_step(d, precision, REAL) is not None:
-            break
-        d = refine_step(d, n)
-        assert max_bits(d) <= PROBE_BITS_PER_SWEEP * (n + 1) + 16, n
-    else:
-        pytest.fail("no answer within 60 sweeps")
-    assert n <= 30  # trisection needs about 120
+    ceiling = reference_demand_bits(precision)
+    with demand(precision):
+        for n in range(60):
+            if evaluate_step(d, precision, REAL) is not None:
+                break
+            d = refine_step(d, n)
+            assert max_bits(d) <= max(ceiling, PROBE_BITS_PER_SWEEP
+                                      * (n + 1)) + 16, n
+        else:
+            pytest.fail("no answer within 60 sweeps")
+    assert n <= 10  # trisection needs about 120
 
 
 def test_newton_points_straddle_the_root_on_a_dyadic_grid():
@@ -210,8 +232,53 @@ def test_newton_points_straddle_the_root_on_a_dyadic_grid():
     lo, hi = points
     assert lo * lo < 2 < hi * hi
     assert hi - lo < (b - a) / 3  # narrower than trisection can get
-    # Where 4 w^2 >= w the Newton step is skipped in favour of trisection.
-    assert _newton_points(d, (1, 1), (3, 2), 0) == ()
+    # Where the slope enclosure meets 0 the step is skipped in favour of
+    # trisection: y^3 - 2 has slope [0, 768] over [0, 16].
+    assert _newton_points(sole_disjunct("cbrt 2"), (0, 1), (16, 1), 0) == []
+
+
+def test_an_exact_dyadic_root_is_bracketed_strictly():
+    # golden 552 is 23: at convergence N is the point 23, and its ends
+    # are rounded strictly outward, so both probes hold.
+    assert run(sole_disjunct("golden 552"), Fraction(1, 10 ** 45),
+               max_steps=9) == RealBall(Fraction(23), Fraction(1, 2 ** 158))
+
+
+@pytest.mark.parametrize("source, digits, sweeps", [
+    ("1000000 * sqrt 2", 6, 12),
+    ("golden 552", 45, 8),
+    ("sqrt 2", 100, 16),
+    ("max (sqrt 713) (cbrt 500)", 48, 12),
+])
+def test_interval_newton_answers_within_its_sweeps(source, digits, sweeps):
+    # Quadratic convergence up to the precision's bits, then 8 bits per
+    # sweep.  Sweep-paced Newton probes took 17, 19, 42 and 23 sweeps.
+    out = run(sole_disjunct(source), Fraction(1, 10 ** digits),
+              max_steps=sweeps + 1)
+    assert isinstance(out, RealBall), out
+
+
+def test_a_comparison_past_the_precision_still_decides():
+    # The prop needs about 44 bits of sqrt 2 at precision 1/1000 (18):
+    # past D the cut keeps gaining 8 bits per sweep (18 sweeps before).
+    source = "sqrt 2 < 14142135623731/10000000000000"
+    assert run(sole_disjunct(source), max_steps=13) == PropTrue()
+
+
+def test_run_passes_its_precision_to_the_sweeps(monkeypatch):
+    seen = []
+    refine = msl.evaluator.refine_step
+
+    def refine_step(e, round_index=0, witness_log=None):
+        seen.append(_DEMAND_BITS.get())
+        return refine(e, round_index, witness_log)
+
+    monkeypatch.setattr(msl.evaluator, "refine_step", refine_step)
+    for precision in (Fraction(1, 1000), Fraction(1, 10 ** 48), Fraction(3)):
+        seen.clear()
+        run(sole_disjunct("sqrt 2"), precision)
+        assert seen and set(seen) == {reference_demand_bits(precision)}
+        assert _DEMAND_BITS.get() == 0  # reset when the run ends
 
 
 @settings(max_examples=60, deadline=None)
@@ -258,9 +325,9 @@ def test_each_endpoint_moves_only_where_its_own_probe_holds(k, shift, gap,
 # Cuts whose narrowing the reference must agree with, each with a value
 # near its root (a bracket is drawn around it).  The workload's kinds
 # take two radicands; sqrt4, max and min carry closed cuts, which enter
-# the Newton step at their midpoints with slack.  Two predicates go
-# through a division, one by a negative divisor; one has a quantifier in
-# its left predicate, so only its right one gives a Newton step; and two
+# the Newton step as their ranges.  Two predicates go through a
+# division, one by a negative divisor; one has a quantifier in its left
+# predicate, so only its right one gives a Newton step; and two
 # comparisons of the last one step to the same points, probed once.
 REFERENCE_CUTS = {
     "sqrt": lambda a, b: a ** (1 / 2),
@@ -279,6 +346,9 @@ REFERENCE_CUTS = {
     "right (y > 0 /\\ y * y > 2)": lambda a, b: 2 ** (1 / 2),
 }
 
+# Precisions of the run the sweep belongs to: None outside a run.
+PRECISIONS = st.one_of(st.none(), st.integers(min_value=0, max_value=60))
+
 
 def reference_cut(name, a, b, warm):
     """The sole disjunct of a cut of ``REFERENCE_CUTS``; a workload kind's
@@ -291,14 +361,6 @@ def reference_cut(name, a, b, warm):
     return d
 
 
-def same_value_and_slope(less, var, m):
-    new = _value_and_slope(less, var, (m.numerator, m.denominator))
-    ref = reference_value_and_slope(less, var, m)
-    if ref is None:
-        return new is None
-    return all(Fraction(*x) == y for x, y in zip(new, ref))
-
-
 @settings(derandomize=True, max_examples=250, deadline=None)
 @given(st.sampled_from(sorted(REFERENCE_CUTS)), RADICANDS, RADICANDS,
        st.integers(min_value=0, max_value=20),
@@ -307,13 +369,15 @@ def same_value_and_slope(less, var, m):
        st.integers(min_value=-2, max_value=3),
        st.integers(min_value=-2, max_value=3),
        st.integers(min_value=1, max_value=3),
-       st.integers(min_value=0, max_value=30))
+       st.integers(min_value=0, max_value=30),
+       PRECISIONS)
 def test_integer_narrowing_matches_the_fraction_reference(
-        name, a, b, warm, twos, threes, below_root, above_root, scale, n):
+        name, a, b, warm, twos, threes, below_root, above_root, scale, n,
+        digits):
     # A bracket on the grid 2^-twos 3^-threes (trisection makes the
     # powers of 3) around the root, or just beside it, handed in
     # reduced or with a common factor: the integer narrowing gives the
-    # values the Fraction one does.
+    # values the Fraction one does, in a run at 10^-digits or outside one.
     d = reference_cut(name, a, b, warm)
     den = 2 ** twos * 3 ** threes
     at = int(Fraction(REFERENCE_CUTS[name](a, b)) * den)
@@ -321,15 +385,36 @@ def test_integer_narrowing_matches_the_fraction_reference(
     if lo >= hi:
         lo, hi = hi - Fraction(1, den), lo
     pairs = [(q.numerator * scale, q.denominator * scale) for q in (lo, hi)]
-    points = _newton_points(d, *pairs, n)
+    bits = 0
+    if digits is not None:
+        bits = reference_demand_bits(Fraction(1, 10 ** digits))
+    token = _DEMAND_BITS.set(bits)
+    try:
+        points = _newton_points(d, *pairs, n)
+        new = _narrow(d, *pairs, n)
+    finally:
+        _DEMAND_BITS.reset(token)
     assert [Fraction(*p) for p in points] == \
-        list(reference_newton_points(d, lo, hi, n))
-    new = _narrow(d, *pairs, n)
+        reference_newton_points(d, lo, hi, n, bits)
     assert tuple(Fraction(*p) for p in new) == \
-        reference_narrow(d, lo, hi, n)
-    m = (lo + hi) / 2
+        reference_narrow(d, lo, hi, n, bits)
+    # The slope enclosure of each polynomial comparison over the bracket,
+    # or the divisor that meets 0 there.
     for less in (*_comparisons(d.left), *_comparisons(d.right)):
-        assert same_value_and_slope(less, d.var, m)
+        try:
+            poly = Polynomial(less)
+        except ValueError:
+            continue
+        if poly.names != (d.var,):
+            continue
+        slope = ref = DivisionIndeterminate
+        with contextlib.suppress(DivisionIndeterminate):
+            slope = poly.slopes([box(XRat(lo), XRat(hi))])
+            slope = slope and interval_of(slope[0])
+        with contextlib.suppress(DivisionIndeterminate):
+            ref = reference_slope(Arith("-", less.lhs, less.rhs), d.var,
+                                  GInterval(lo, hi))
+        assert slope == ref
 
 
 @pytest.mark.parametrize("name", sorted(REFERENCE_CUTS))
@@ -340,9 +425,16 @@ def test_every_reference_cut_takes_newton_points(name):
     root, gap = Fraction(REFERENCE_CUTS[name](713, 500)), Fraction(1, 1 << 20)
     lo, hi = root - gap, root + gap
     pairs = [(q.numerator, q.denominator) for q in (lo, hi)]
-    points = _newton_points(d, *pairs, 16)
-    assert points and [Fraction(*p) for p in points] == \
-        list(reference_newton_points(d, lo, hi, 16))
+    for digits in (None, 6, 48):
+        bits = 0 if digits is None else \
+            reference_demand_bits(Fraction(1, 10 ** digits))
+        token = _DEMAND_BITS.set(bits)
+        try:
+            points = [Fraction(*p) for p in _newton_points(d, *pairs, 16)]
+        finally:
+            _DEMAND_BITS.reset(token)
+        assert points
+        assert points == reference_newton_points(d, lo, hi, 16, bits)
 
 
 def test_a_probe_tuple_reaches_a_quantifier_inside_the_predicate():
@@ -352,6 +444,8 @@ def test_a_probe_tuple_reaches_a_quantifier_inside_the_predicate():
     assert run(parse_expression(source), max_steps=10) == Diverged(10)
     (d,) = normalize(parse_expression(source))
     for n in range(10):
+        expected = reference_narrow(d, *endpoints(d), n)
         d = refine_step(d, n)
-    assert endpoints(d) == (Fraction(1766207, 884736),
-                            Fraction(524297, 262144))
+        assert endpoints(d) == expected, n
+    assert endpoints(d) == (Fraction(93086395, 47775744),
+                            Fraction(131073, 65536))
