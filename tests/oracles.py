@@ -188,8 +188,9 @@ def reference_newton_points(e, a, b, n, demand=0):
     in sweep n of a run whose D is ``demand`` (0 outside a run).
 
     Each comparison reachable through ``And``/``Or`` in ``left`` and
-    ``right`` (a swapped one only once) that is a polynomial in the
-    cut's variable gives the interval Newton step N = m - F(m) / F'(X)
+    ``right`` (a swapped one only once) that is a polynomial or a
+    rational function of the cut's variable alone, closed cuts as
+    constants, gives the interval Newton step N = m - F(m) / F'(X)
     over X = [a, b], with m the midpoint, F(m) f = lhs - rhs at m and
     F'(X) an enclosure of its slope over X; none when F'(X), or the
     range of a divisor in f, meets 0.
