@@ -110,13 +110,17 @@ def _directive(state, item):
     return state, None
 
 
-def _run_source(state, source, where=""):
+def _run_source(state, source, where="", start=None):
     """Execute the items of a source text in order, yielding (rendered
     text, None) per answer and (None, error text) per error.  An error
     ends its own item, a parse error the whole text.  ``where`` ("" or
-    the ``#use`` argument and a colon) names the file in error texts."""
+    the ``#use`` argument and a colon) names the file in error texts;
+    ``start``, when given, is the location of the text in its input."""
     try:
-        items = parse_program(source)
+        # perfbench's counting pass wraps ``parse_program`` in a function
+        # of one argument, and runs no text with a ``start``.
+        items = parse_program(source) if start is None else \
+            parse_program(source, start)
     except SourceError as exc:
         yield None, where + exc.format()
         return
@@ -230,13 +234,15 @@ def decimal_str(q):
 # Driver
 
 
-def execute_source(state, source, out=None, err=None):
-    """Run every item of a source text; returns (had_error, had_divergence)."""
+def execute_source(state, source, out=None, err=None, start=None):
+    """Run every item of a source text; returns (had_error,
+    had_divergence).  Error locations count from ``start``, the (line,
+    column) of the text in a longer input, or from (1, 1)."""
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
     had_error = False
     divergences = state.divergences
-    for text, error in _run_source(state, source):
+    for text, error in _run_source(state, source, start=start):
         if error is None:
             print(text, file=out)
         else:
@@ -249,7 +255,7 @@ def repl(state, stdin=None, out=None, err=None):
     stdin = sys.stdin if stdin is None else stdin
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
-    buffer = ""
+    buffer, start = "", (1, 1)  # start: the location of the buffer
     prompt = "msl> " if stdin.isatty() else ""
     while True:
         if prompt:
@@ -263,9 +269,10 @@ def repl(state, stdin=None, out=None, err=None):
             # or blanks print nothing, an item without ';;' is an error.
             chunk, buffer = buffer[:split], buffer[split:]
             try:
-                execute_source(state, chunk, out=out, err=err)
+                execute_source(state, chunk, out=out, err=err, start=start)
             except KeyboardInterrupt:
                 print("interrupted", file=err)
+            start = _past(chunk, start)
             split = _item_end(buffer)
         if not line:
             return 0
@@ -287,6 +294,14 @@ def _item_end(text):
         return None
     end = text.find(";;", _offset(text, error.loc))
     return None if end < 0 else end + 2
+
+
+def _past(text, loc):
+    """The location just past ``text`` when it starts at ``loc``."""
+    lines = text.count("\n")
+    if lines:
+        return loc[0] + lines, len(text) - text.rindex("\n")
+    return loc[0], loc[1] + len(text)
 
 
 def _offset(text, loc):

@@ -21,23 +21,25 @@ the ranges so the same endpoint test becomes the optimistic reading,
 refuting an existential only when the whole range fails and a universal
 only when some subrange fails everywhere.
 
-Each real term is compiled once into a straight-line program, kept on
-the node (``compile_term``) and read two ways: over generalized
-intervals (``real_approx``, the naive test of a comparison, and the
-value at the midpoint in a cut's Newton step), and in forward mode for
-the centred form below and the slope of a cut's Newton step
-(``Polynomial``).  A folded constant is an operand with a point range
-and no slope, and point operations are exact, so it gives every reading
-the numbers a dedicated constant operation would.  Every reading
-computes on plain ints with unreduced denominators (``interval``): no
-``Fraction`` is built inside the loop, and a value becomes a
-``GInterval`` only where ``real_approx`` hands it out.  So do the
-bindings and the narrowing of cuts: an environment binds a quantified
-variable or a cut probe's variable to the integer tuple of its box or
-point, and a cut's endpoints, its Newton steps and its trisection points
-are integers until the two chosen endpoints become the ``Fraction``s of
-its new range.  The arithmetic is exact, so the answers are those of
-``GInterval`` and ``Fraction`` arithmetic.
+Each real term, and the difference lhs - rhs of each comparison, is
+compiled once into a straight-line program, kept on the node
+(``compile_term``).  That one program is read three ways: over
+generalized intervals (``_read``: ``real_approx``, the naive test of a
+comparison, and the values of a cut's Newton step), exactly at a point
+(``_at_point``: f(m) in the centred form below), and in forward mode
+over values ``_read`` returned (``_slopes``: the slopes of the centred
+form and of a Newton step).  A folded constant is an operand with a
+point range and no slope, and point operations are exact, so it gives
+every reading the numbers a dedicated constant operation would.  Every
+reading computes on plain ints with unreduced denominators
+(``interval``): no ``Fraction`` is built inside the loop, and a value
+becomes a ``GInterval`` only where ``real_approx`` hands it out.  So do
+the bindings and the narrowing of cuts: an environment binds a
+quantified variable or a cut probe's variable to the integer tuple of
+its box or point, and a cut's endpoints, its Newton steps and its
+trisection points are integers until the two chosen endpoints become the
+``Fraction``s of its new range.  The arithmetic is exact, so the answers
+are those of ``GInterval`` and ``Fraction`` arithmetic.
 
 Naive interval evaluation suffers the dependency problem: ``x*(1-x)``
 over a box of width w is overestimated by about w, so near an extremum
@@ -53,8 +55,11 @@ undualized boxes.  That is sound in upper mode as well: there every
 quantified variable is bound to a dual box, and every interval operation
 is dual-homomorphic, so the upper-mode enclosure of a polynomial is
 exactly the dual of its enclosure over the proper boxes, and any tighter
-outer enclosure may stand in for it.  Cuts, restrictions, division,
-unbounded boxes, cut probes and closed nodes keep the naive test.
+outer enclosure may stand in for it.  For the same reason each slope
+read from the values of upper mode's naive test is the dual of its
+enclosure over the proper boxes: the test swaps its ends.  Cuts,
+restrictions, division, unbounded boxes, cut probes and closed nodes
+keep the naive test.
 
 Refinement rewrites an expression without changing its meaning: decided
 props collapse to literals, cut ranges narrow by probes, quantifiers
@@ -69,28 +74,28 @@ probe holds, so the choice of points bears on speed alone.  Each
 comparison of the predicates that is a polynomial in the cut's variable
 gives an interval Newton step N = m - F(m) / F'(X) over X = [a, b]: F(m)
 is its difference read at the midpoint, with closed cuts inside it as
-their ranges, and F'(X) encloses its slope over X.  The cut probes just
-outside the two ends of N, on a dyadic grid about width(N)/8 apart.
-Near a simple root this doubles the correct bits per sweep.  A slope
-enclosure, or a divisor's range, that meets 0 gives no step, and a side
-where no Newton point holds probes at its trisection point, (2a + b)/3
-or (a + 2b)/3, which gains 0.58 bits.  The grid is no finer than the
-answer needs, the bits of 1/precision plus 8 guard bits, which ``run``
-passes to the sweeps (``_DEMAND_BITS``); past those a cut gains at most
-8 bits per sweep (``PROBE_BITS_PER_SWEEP``).  A cut whose predicates
-read a variable bound above it is never probed, so its range never
-narrows.
+their ranges, and F'(X) encloses its slope over X, read in forward mode
+over its values on X (``_slopes``).  The cut probes just outside the two
+ends of N, on a dyadic grid about width(N)/8 apart.  Near a simple root
+this doubles the correct bits per sweep.  A slope enclosure, or a
+divisor's range, that meets 0 gives no step, and a side where no Newton
+point holds probes at its trisection point, (2a + b)/3 or (a + 2b)/3,
+which gains 0.58 bits.  The grid is no finer than the answer needs, the
+bits of 1/precision plus 8 guard bits, which ``run`` passes to the
+sweeps (``_DEMAND_BITS``); past those a cut gains at most 8 bits per
+sweep (``PROBE_BITS_PER_SWEEP``).  A cut whose predicates read a
+variable bound above it is never probed, so its range never narrows.
 
 A sweep does each distinct piece of work once.  A closed prop's
 approximants depend on the node alone, so each is decided once and kept
-on the node, as is a comparison's compiled centred form.  A settled
-subtree -- only variables, literals, ``+ - * /`` and powers, under
-comparisons and connectives that have free variables and that
-``mk_and``/``mk_or`` would not fold -- cannot change, so it comes back
-by identity without a walk.  ``normalize`` makes equal closed cuts one
-object, and a sweep refines each once and hands the result to its other
-occurrences.  Work is metered in node visits, and a sweep stops refining
-after ``SWEEP_VISIT_CAP`` of them.  Skipped work still counts: a settled
+on the node, as is each comparison's program.  A settled subtree -- only
+variables, literals, ``+ - * /`` and powers, under comparisons and
+connectives that have free variables and that ``mk_and``/``mk_or`` would
+not fold -- cannot change, so it comes back by identity without a walk.
+``normalize`` makes equal closed cuts one object, and a sweep refines
+each once and hands the result to its other occurrences.  Work is
+metered in node visits, and a sweep stops refining after
+``SWEEP_VISIT_CAP`` of them.  Skipped work still counts: a settled
 subtree adds its node count, and a shared cut adds the visits of its
 first walk and logs its witnesses again.  A shared cut is reused only
 when a walk of it would run in full below the cap.  So the cap binds
@@ -328,8 +333,9 @@ class SweepEnv(dict):
     closed nodes, whose approximants depend on the node alone and are
     kept on it by ``prop_approx``.  Binding a quantifier body's
     variables, it lets the body's comparisons use the centred test
-    (``_centred_decides``) and keeps nothing.  Plain dicts (a cut probe,
-    ``evaluate_step``) keep the naive test and ignore kept values.
+    (``_centred_decides``) on the values of their naive test, and keeps
+    nothing.  Plain dicts (a cut probe, ``evaluate_step``) keep the
+    naive test and ignore kept values.
 
     Every environment binds a variable to the integer tuple of its box
     where the box is finite (``interval.box``), else to its
@@ -374,17 +380,17 @@ def _prop_approx(e, env, mode):
         code = compile_term(e)
         op, x, y = code[-1]
         if op == "q":
-            holds = x[0] < 0
-        else:
-            vals = _read(code, len(code) - 1, env, mode)
-            holds = below(vals[x], vals[y])
+            return x[0] < 0
+        vals = _read(code, len(code) - 1, env, mode)
+        holds = below(vals[x], vals[y])
         if type(env) is SweepEnv and env:
             # The centred test may only add decisions: a proof in lower
             # mode, a refutation in upper mode.
             if mode is LOWER and not holds:
-                return _centred_decides(e, env, LOWER)
+                return _centred_decides(code, vals, free_vars(e), env, LOWER)
             if mode is UPPER and holds:
-                return not _centred_decides(e, env, UPPER)
+                return not _centred_decides(code, vals, free_vars(e), env,
+                                            UPPER)
         return holds
     if isinstance(e, Forall):
         lo, hi = e.range.lo, e.range.hi
@@ -401,131 +407,114 @@ def _prop_approx(e, env, mode):
 # The centred form of a polynomial comparison
 
 
-class Polynomial:
-    """``lhs - rhs`` of a comparison whose sides are polynomials.
+def _centred_decides(code, vals, names, env, mode):
+    """Does the centred form of ``lhs - rhs`` over the undualized boxes
+    of ``env`` prove the comparison (LOWER) or refute it (UPPER)?
+    ``code`` is its program, ``vals`` the values of all but its last
+    instruction that the naive test read, and ``names`` its free
+    variables.
 
-    ``code`` is the program of the difference, with no opaque leaf, over
-    the variables ``names``, each held by its index.  A fourth field,
-    ``ranged``, marks the values whose range ``slopes`` needs.
-    Evaluation uses plain ints: boxes are the integer tuples of proper
-    intervals (``interval.ends``), one per name, and a result is a pair
-    (numerator, denominator > 0).
-
-    For the slope of a cut's Newton step the sides may also divide, and
-    a closed cut with a finite range is a constant, its range.  Either
-    clears ``centred``: ``at_midpoint`` reads neither, so the centred
-    test keeps the naive one there (``compile_polynomial``).
+    The module docstring gives the soundness argument for both modes.
+    Its premise is checked here: every box has the orientation its mode
+    binds (proper or a point in LOWER, dual or a point in UPPER).
+    Unbounded boxes, opaque leaves and division keep the naive test.
     """
+    point, widths = {}, []  # the midpoint and width of each box
+    for name in names:
+        x = ends(env[name])
+        if type(x) is not tuple:
+            return False
+        a, b, c, d = x if mode is LOWER else x[2:] + x[:2]
+        if a * d > c * b:
+            return False
+        point[name] = a * d + c * b, 2 * b * d
+        widths.append((c * b - a * d, b * d))
+    if not any(w for w, _ in widths):
+        return False  # the naive test was exact
+    mid = _at_point(code, point)
+    if mid is None or (mid[0] < 0) is not (mode is LOWER):
+        return False
+    n, d = mid
+    m, k = 0, 1  # the spread: sum_i width_i / 2 * max|d_i f(X)|
+    for (w, v), slope in zip(widths, _slopes(code, vals, tuple(point)) or ()):
+        # Over upper mode's dual boxes each slope is the dual of its
+        # enclosure over the proper ones.
+        p, q, r, s = slope if mode is LOWER else slope[2:] + slope[:2]
+        g, h = (-p, q) if -p * s >= r * q else (r, s)
+        m, k = m * 2 * v * h + w * g * k, k * 2 * v * h
+    # f(m) + spread < 0, f(m) - spread >= 0
+    return n * k + m * d < 0 if mode is LOWER else n * k - m * d >= 0
 
-    __slots__ = ("names", "code", "centred")
 
-    def __init__(self, less):
-        index, code, self.centred = {}, [], True
-        for op, x, y in compile_term(less):
-            self.centred = self.centred and op not in ("o", "/")
-            if op == "o" and isinstance(x, Cut) and x.range.is_finite \
-                    and not free_vars(x):
-                op, x = "q", box(x.range.lo, x.range.hi)
-            if op == "o":
-                raise ValueError("not a polynomial")
-            if op == "v":
-                x = index.setdefault(x, len(index))
-            code.append((op, x, y))
-        ranged = [False] * len(code)
-        for i in range(len(code) - 1, -1, -1):
-            op, x, y = code[i]
-            if op == "^":
-                ranged[x] = True
-            elif op == "*":  # each factor's range scales the other's slope
-                ranged[x] = ranged[i] or code[y][0] != "q"
-                ranged[y] = ranged[i] or code[x][0] != "q"
-            elif op == "/" or ranged[i] and op in ("+", "-"):
-                ranged[x] = ranged[y] = True
-        self.names = tuple(index)
-        self.code = [(*ins, r) for ins, r in zip(code, ranged)]
+def _at_point(code, point):
+    """The exact value of ``code`` at ``point``, which maps each variable
+    to a pair (numerator, denominator > 0), as such a pair, or None at an
+    opaque leaf or a division."""
+    out = []
+    push = out.append
+    for op, x, y in code:
+        if op == "*":
+            (n, d), (m, k) = out[x], out[y]
+            push((n * m, d * k))
+        elif op == "+" or op == "-":
+            (n, d), (m, k) = out[x], out[y]
+            push((n * k + m * d if op == "+" else n * k - m * d, d * k))
+        elif op == "v":
+            push(point[x])
+        elif op == "q":
+            push(x[:2])
+        elif op == "^":
+            n, d = out[x]
+            push((n ** y, d ** y))
+        else:
+            return None
+    return out[-1]
 
-    def at_midpoint(self, boxes):
-        """f(m): the exact value at the midpoint m of the boxes, as a
-        pair (numerator, denominator > 0)."""
-        point = [(a * d + c * b, 2 * b * d) for a, b, c, d in boxes]
-        vals = []
-        for op, x, y, _ in self.code:
-            if op == "v":
-                v = point[x]
-            elif op == "q":
-                v = x[:2]
-            elif op == "^":
-                n, d = vals[x]
-                v = n ** y, d ** y
-            else:
-                (n, d), (m, e) = vals[x], vals[y]
-                if op == "*":
-                    v = n * m, d * e
-                elif op == "+":
-                    v = n * e + m * d, d * e
-                else:
-                    v = n * e - m * d, d * e
-            vals.append(v)
-        return vals[-1]
 
-    def spread(self, boxes):
-        """The sum over i of r_i * max|d_i f(X)|, r_i the half-width of
-        box i, as a pair: f(m) +- spread encloses f over the boxes."""
-        n, d = 0, 1
-        for (a, b, c, e), (p, q, r, s) in zip(boxes, self.slopes(boxes) or ()):
-            # (c/e - a/b) / 2 * max(-p/q, r/s)
-            g, h = (-p, q) if -p * s >= r * q else (r, s)
-            m, k = (c * b - a * e) * g, 2 * b * e * h
-            n, d = n * k + m * d, d * k
-        return n, d
+def _slopes(code, vals, names):
+    """The enclosures d_i f(X) of the value f of ``code`` over boxes X,
+    one integer tuple per variable of ``names``, or None when f is
+    constant on them.  ``vals`` are the values of all but the last
+    instruction that ``_read`` returned over X.
 
-    def slopes(self, boxes):
-        """The enclosures d_i f(X) over the boxes X, one integer tuple
-        per name, or None when f is constant on them.
-
-        Forward-mode differentiation in interval arithmetic: each value
-        carries its range when it is ``ranged`` and, unless it is
-        constant, its gradient, one interval per variable.  Variables
-        bound to a point count as constants.
-        """
-        vals = []  # (range or None, gradient or None)
-        for op, x, y, ranged in self.code:
-            if op == "v":
-                a, b, c, d = boxes[x]
-                grad = None
-                if a * d != c * b:
-                    grad = [(0, 1, 0, 1)] * len(boxes)
-                    grad[x] = (1, 1, 1, 1)
-                vals.append((boxes[x], grad))
-                continue
-            if op == "q":
-                vals.append((x, None))
-                continue
-            u, gu = vals[x]
-            if op == "^":
-                # d(u^k) = k * u^(k-1) * du
-                if gu is not None:
-                    a, b, c, d = power(u, y - 1)
-                    gu = [mul((y * a, b, y * c, d), g) for g in gu]
-                vals.append((power(u, y) if ranged else None, gu))
-                continue
-            w, gw = vals[y]
+    Forward-mode differentiation in interval arithmetic: each value's
+    gradient is one interval per name, or None where it is constant, as
+    an opaque leaf is.  Variables bound to a point count as constants.
+    Raises ``DivisionIndeterminate`` at a division that ``_read`` read
+    as no information.
+    """
+    grads = []
+    for i, (op, x, y) in enumerate(code):
+        if op == "v":
+            a, b, c, d = vals[i]
+            grad = None
+            if a * d != c * b:
+                grad = [(0, 1, 0, 1)] * len(names)
+                grad[names.index(x)] = (1, 1, 1, 1)
+        elif op == "^":
+            # d(u^k) = k * u^(k-1) * du
+            grad = grads[x]
+            if grad is not None:
+                a, b, c, d = power(vals[x], y - 1)
+                grad = [mul((y * a, b, y * c, d), g) for g in grad]
+        elif op == "q" or op == "o":
+            grad = None
+        else:
+            gu, gw = grads[x], grads[y]
             if op == "*":
                 # d(u*w) = du * w + u * dw
-                r = mul(u, w) if ranged else None
                 if gu is not None:
-                    gu = [mul(g, w) for g in gu]
+                    gu = [mul(g, vals[y]) for g in gu]
                 if gw is not None:
-                    gw = [mul(u, g) for g in gw]
-            elif op == "+":
-                r = add(u, w) if ranged else None
+                    gw = [mul(vals[x], g) for g in gw]
             elif op == "-":
-                r = sub(u, w) if ranged else None
                 if gw is not None:
                     gw = [(-c, d, -a, b) for a, b, c, d in gw]
-            else:
-                # d(u/w) = du / w + (u/w) * -dw / w; raises where w meets 0
-                r = div(u, w)
+            elif op == "/":
+                # d(u/w) = du / w + (u/w) * -dw / w
+                r, w = vals[i], vals[y]
+                if type(r) is not tuple:
+                    raise DivisionIndeterminate("divisor touches zero")
                 if gu is not None:
                     gu = [div(g, w) for g in gu]
                 if gw is not None:
@@ -535,55 +524,8 @@ class Polynomial:
                 grad = gw if gu is None else gu
             else:
                 grad = [add(g, h) for g, h in zip(gu, gw)]
-            vals.append((r, grad))
-        return vals[-1][1]
-
-
-def compile_polynomial(less):
-    """The ``Polynomial`` of a comparison, or None when a side is not a
-    polynomial in its variables alone.  It depends on the node alone and
-    is kept on it (``_poly``, False when it does not compile)."""
-    poly = less._poly
-    if poly is None:
-        try:
-            poly = Polynomial(less)
-            if not poly.centred:
-                poly = False
-        except ValueError:  # an opaque leaf
-            poly = False
-        keep(less, "_poly", poly)
-    return poly or None
-
-
-def _centred_decides(e, env, mode):
-    """Does the centred form of ``lhs - rhs`` over the undualized boxes
-    of ``env`` prove ``e`` (LOWER) or refute it (UPPER)?
-
-    The module docstring gives the soundness argument for both modes.
-    Its premise is checked here: every box has the orientation its mode
-    binds (proper or a point in LOWER, dual or a point in UPPER).
-    Unbounded boxes keep the naive test.
-    """
-    poly = compile_polynomial(e)
-    if poly is None:
-        return False
-    boxes, points = [], True
-    for name in poly.names:
-        x = ends(env[name])
-        if type(x) is not tuple:
-            return False
-        a, b, c, d = x if mode is LOWER else x[2:] + x[:2]
-        if a * d > c * b:
-            return False
-        boxes.append((a, b, c, d))
-        points = points and a * d == c * b
-    if points:
-        return False  # the naive test was exact
-    n, d = poly.at_midpoint(boxes)
-    if (n < 0) is not (mode is LOWER):
-        return False
-    m, e = poly.spread(boxes)  # f(m) + spread < 0, f(m) - spread >= 0
-    return n * e + m * d < 0 if mode is LOWER else n * e - m * d >= 0
+        grads.append(grad)
+    return grads[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -883,7 +825,7 @@ def _newton_points(e, a, b, n):
     Each comparison of ``_sides`` gives the interval Newton step N =
     m - F(m) / F'(X) of its f = lhs - rhs over X = [a, b] (Moore): F(m)
     is f read at the midpoint m, closed cuts as their ranges, and F'(X)
-    encloses the slope of f over X (``Polynomial.slopes``).  A root of f
+    encloses the slope of f over X (``_slopes``).  A root of f
     in X lies in N.  A slope enclosure, or a divisor's range, that meets
     0 gives no step (``DivisionIndeterminate``).  Each end of N is
     rounded outward, strictly, to multiples of 2^-k: 2^-k is the largest
@@ -901,13 +843,16 @@ def _newton_points(e, a, b, n):
     step = PROBE_BITS_PER_SWEEP
     cap = max(_DEMAND_BITS.get(),
               min(step * (n + 1), 2 * _finer(wn, wd) + step))
+    over_x = {e.var: a + b}
     grid = []  # (numerator, k) of each point
-    for less, poly in _sides(e):
+    for less in _sides(e):
         code = compile_term(less)
         try:
+            vals = _read(code, len(code) - 1, over_x, LOWER)
+            # None: f is constant on X, its slope 0
+            slope = _slopes(code, vals, (e.var,)) or [(0, 1, 0, 1)]
             ln, ld, hn, hd = sub(m + m, div(_read(code, len(code), at_m,
-                                                  LOWER)[-1],
-                                            poly.slopes([a + b])[0]))
+                                                  LOWER)[-1], slope[0]))
         except DivisionIndeterminate:
             continue
         vn, vd = hn * ld - ln * hd, ld * hd  # width(N)
@@ -929,11 +874,11 @@ def _finer(n, d):
 
 def _sides(e):
     """The comparisons of the closed cut ``e`` reachable through
-    ``And``/``Or`` in ``left`` and ``right`` that are polynomials in its
-    variable, closed cuts taken as constants (``Polynomial``), each with
-    its polynomial.  A swapped comparison steps to the same points, so
-    only the first of the two is kept.  The list is kept on ``left``
-    with the ``right`` it was made with (``_sides``)."""
+    ``And``/``Or`` in ``left`` and ``right`` that give Newton steps: its
+    variable is their only free one, and closed cuts with finite ranges
+    are the only opaque leaves of their programs.  A swapped comparison steps to the
+    same points, so only the first of the two is kept.  The list is kept
+    on ``left`` with the ``right`` it was made with (``_sides``)."""
     kept = e.left._sides
     if kept is None or kept[0] is not e.right:
         seen, sides = [], []
@@ -941,12 +886,11 @@ def _sides(e):
             if less in seen or Less(less.rhs, less.lhs) in seen:
                 continue
             seen.append(less)
-            try:
-                poly = Polynomial(less)
-            except ValueError:  # an opaque leaf
-                continue
-            if poly.names == (e.var,):
-                sides.append((less, poly))
+            if free_vars(less) == {e.var} and all(
+                    isinstance(x, Cut) and x.range.is_finite
+                    and not free_vars(x)
+                    for op, x, _ in compile_term(less) if op == "o"):
+                sides.append(less)
         kept = keep(e.left, "_sides", (e.right, sides))
     return kept[1]
 

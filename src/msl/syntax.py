@@ -96,7 +96,8 @@ class Expr:
     _code = None  # evaluator.compile_term of a real term or a comparison
     _ty = None  # typecheck.infer_type of a closed let-bound
     _nform = None  # normalize._nf of a closed node: its disjuncts
-    _sides = None  # evaluator._sides of a closed cut, on its left
+    _sides = None  # evaluator._sides of a closed cut, on its left:
+    # the comparisons that give it Newton steps
 
 
 def keep(e, attr, value):
@@ -171,8 +172,6 @@ class Or(Expr):
 class Less(Expr):
     lhs: Expr = None
     rhs: Expr = None
-
-    _poly = None  # evaluator.compile_polynomial
 
 
 @dataclass(frozen=True)
@@ -401,10 +400,11 @@ class Token:
     loc: Loc
 
 
-def tokenize(source):
-    """Scan source text into a token list (comments stripped)."""
+def tokenize(source, start=(1, 1)):
+    """Scan source text into a token list (comments stripped).  ``start``
+    is the (line, column) of its first character."""
     toks = []
-    i, line, col = 0, 1, 1
+    i, (line, col) = 0, start
     n = len(source)
 
     def advance(k):
@@ -825,9 +825,10 @@ class _Parser:
         return num
 
 
-def parse_program(source):
-    """Parse a whole program into a list of top-level items."""
-    return _Parser(tokenize(source)).program()
+def parse_program(source, start=(1, 1)):
+    """Parse a whole program into a list of top-level items; ``start`` is
+    as in ``tokenize``."""
+    return _Parser(tokenize(source, start)).program()
 
 
 def parse_expression(source):

@@ -402,7 +402,14 @@ def test_repl_items_end_at_double_semicolon_tokens():
             ("1 + ;;\n2;;\n", "real = 2 ± 0\n",
              "error: 1:5: unexpected ';;'\n"),
             ("2 $ 3;; 4;;\n", "real = 4 ± 0\n",
-             "error: 1:3: illegal character '$'\n")):
+             "error: 1:3: illegal character '$'\n"),
+            # Locations count from the start of the input, as in batch
+            # mode, not from the start of each item.
+            ("1;;\n2;;\n3 +;;\n4;;\n5 + ;;\n",
+             "real = 1 ± 0\nreal = 2 ± 0\nreal = 4 ± 0\n",
+             "error: 3:4: unexpected ';;'\nerror: 5:5: unexpected ';;'\n"),
+            ("1 + 1;; 2 +;;\n", "real = 2 ± 0\n",
+             "error: 1:12: unexpected ';;'\n")):
         out, err = io.StringIO(), io.StringIO()
         assert repl(SessionState(), io.StringIO(source), out, err) == 0
         assert (out.getvalue(), err.getvalue()) == (answers, errors)

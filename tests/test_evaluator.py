@@ -1,6 +1,7 @@
 """Approximation, refinement, and run-loop behavior."""
 
 import importlib
+import io
 import os
 import random
 from fractions import Fraction
@@ -8,13 +9,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import msl.cli
 import msl.evaluator
 from msl.evaluator import (
     BoolFF, BoolTT, Diverged, FunctionValue, LOWER, PRUNED, PropFalseProven,
-    PropTrue, RealBall, SweepEnv, TupleOf, UPPER, compile_polynomial,
-    evaluate_step, prop_approx, real_approx, refine_step, run,
+    PropTrue, RealBall, SweepEnv, TupleOf, UPPER, _at_point, _read, _slopes,
+    compile_term, evaluate_step, prop_approx, real_approx, refine_step, run,
 )
-from msl.interval import ENTIRE, GInterval, POS_INF, XRat, ends
+from msl.interval import ENTIRE, GInterval, POS_INF, XRat
 from msl.syntax import (
     And, Arith, BOOL, Exists, FalseLit, Forall, Less, Or, PROP, Pow,
     ProductTy, Range, RatLit, REAL, Restrict, TrueLit, Var, parse_expression,
@@ -415,6 +417,22 @@ def test_sweep_decides_each_closed_node_once(monkeypatch):
     assert seen and len(seen) == len(set(seen))
 
 
+def count_compilations(monkeypatch):
+    """The reprs of the comparisons whose programs are compiled from now
+    on, one entry per compilation.  A repr keeps no node alive, so no
+    closed cut outlives its run to be interned in the next."""
+    compiled = []
+    emit = msl.evaluator._emit
+
+    def counting(t, code):
+        if isinstance(t, Less):
+            compiled.append(repr(t))
+        return emit(t, code)
+
+    monkeypatch.setattr(msl.evaluator, "_emit", counting)
+    return compiled
+
+
 def test_approximants_keep_their_three_argument_shape(monkeypatch):
     # Callers that wrap prop_approx/real_approx as (e, env, mode) and
     # refine_step/evaluate_step as below, such as perfbench's tracer, see
@@ -425,16 +443,7 @@ def test_approximants_keep_their_three_argument_shape(monkeypatch):
     source = (f"(exists x : [0,2], x * x < 1) /\\ ({SQRT2_CUT}) < 3/2 "
               "/\\ (forall y : [0,1], y < 2) "
               "/\\ (forall z : [0,1], z * (1 - z) < 1/4 + 1/1000000)")
-    compiled = []
-
-    class Counting(msl.evaluator.Polynomial):
-        __slots__ = ()
-
-        def __init__(self, less):
-            compiled.append(less)
-            super().__init__(less)
-
-    monkeypatch.setattr(msl.evaluator, "Polynomial", Counting)
+    compiled = count_compilations(monkeypatch)
     expected_log, log = [], []
     expected = run(pe(source), max_steps=60, witness_log=expected_log)
     expected_compiled, compiled[:] = list(compiled), []
@@ -457,20 +466,38 @@ def test_approximants_keep_their_three_argument_shape(monkeypatch):
     assert log == expected_log
     assert compiled == expected_compiled
     assert len(compiled) == len(set(compiled))  # each comparison once
-    assert pe("z * (1 - z) < 1/4 + 1/1000000") in compiled
+    assert repr(pe("z * (1 - z) < 1/4 + 1/1000000")) in compiled
 
 
 def test_the_globals_perfbench_patches_exist(monkeypatch):
-    # perfbench's tracer replaces these module globals by name.  Without
+    # perfbench's tracer replaces these module globals by name, and its
+    # counting pass (``--trace 1``) patches or reads a few more.  Without
     # this check a refactor that drops one breaks only the traced run.
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     monkeypatch.syspath_prepend(os.path.join(root, "perfbench"))
-    from tracing import APPROX_POINTS, SPAN_POINTS
+    from tracing import APPROX_POINTS, SPAN_POINTS, Counter, Patches
     points = [(module, name) for module, name, _ in SPAN_POINTS]
     points += [("msl.evaluator", name) for name in APPROX_POINTS]
     for module, name in points:
         fn = getattr(importlib.import_module(module), name, None)
         assert callable(fn), f"{module}.{name}"
+    # Installed, the counting pass counts an item run as the benchmark
+    # runs it; restored, it leaves every global as it found it.
+    owners = (msl.cli, msl.evaluator, GInterval, XRat)
+    before = [dict(vars(owner)) for owner in owners]
+    counter, patches = Counter(0), Patches()
+    counter.install(patches)
+    try:
+        out, err = io.StringIO(), io.StringIO()
+        msl.cli.execute_source(msl.cli.SessionState(), f"{SQRT2_CUT};;",
+                               out=out, err=err)
+    finally:
+        patches.restore()
+    assert out.getvalue().startswith("real = ") and not err.getvalue()
+    assert counter.c["steps"] and counter.c["tokens"]
+    assert counter.c["refine_calls"] and counter.c["evaluate_hits"] == 1
+    assert counter.c["disjuncts_out"] == 1
+    assert [dict(vars(owner)) for owner in owners] == before
 
 
 # --- evaluate_step ----------------------------------------------------------------
@@ -661,10 +688,18 @@ def poly_less_and_boxes(data):
 
 def centred_enclosure(less, boxes):
     """The centred form f(m) + sum_i d_i f(X) * (X_i - m_i) of lhs - rhs
-    as a (lo, hi) pair: it contains f at every point of the boxes."""
-    poly = compile_polynomial(less)
-    pairs = [ends(boxes[v]) for v in poly.names]
-    mid, spread = F(*poly.at_midpoint(pairs)), F(*poly.spread(pairs))
+    as a (lo, hi) pair, read from its program as the centred test reads
+    it: it contains f at every point of the boxes."""
+    code = compile_term(less)
+    vals = _read(code, len(code) - 1, boxes, LOWER)
+    point = {v: ((box.lo.q + box.hi.q) / 2).as_integer_ratio()
+             for v, box in boxes.items()}
+    mid = F(*_at_point(code, point))
+    spread = F(0)
+    for v, slope in zip(point, _slopes(code, vals, tuple(point)) or ()):
+        slope = I(F(*slope[:2]), F(*slope[2:]))
+        spread += (boxes[v].hi.q - boxes[v].lo.q) / 2 * \
+            max(-slope.lo.q, slope.hi.q)
     return mid - spread, mid + spread
 
 
@@ -737,8 +772,13 @@ def test_centred_test_stays_off_the_naive_environments():
 
 
 def test_centred_test_keeps_naive_path_for_cuts_and_unbounded_boxes():
-    assert compile_polynomial(pe(f"x * ({SQRT2_CUT}) < 1")) is None
-    assert compile_polynomial(pe("x / 2 < 1")) is None
+    # Only the centred test proves the first; a division or a cut, even
+    # one that adds nothing to the naive reading, keeps the naive test.
+    for body, proved in (("x * (1 - x)", True), ("x * (1 - x) / 1", False),
+                         (f"x * (1 - x) + 0 * ({SQRT2_CUT})", False)):
+        e = pe(f"forall x : [9/20, 11/20], {body} < 1/4 + 1/100")
+        assert prop_approx(e, SweepEnv(), LOWER) is proved
+        assert prop_approx(e, {}, LOWER) is False
     body = pe("x * (1 - x) < 1/4 + 1/100")
     unbounded = sweep_env({"x": I(F(1, 4), POS_INF)})
     assert prop_approx(body, unbounded, LOWER) is False
@@ -752,16 +792,7 @@ def test_refine_returns_unchanged_nodes_by_identity():
 
 
 def test_run_compiles_each_comparison_once(monkeypatch):
-    compiled = []
-
-    class Counting(msl.evaluator.Polynomial):
-        __slots__ = ()
-
-        def __init__(self, less):
-            compiled.append(less)
-            super().__init__(less)
-
-    monkeypatch.setattr(msl.evaluator, "Polynomial", Counting)
+    compiled = count_compilations(monkeypatch)
     e = pe("forall x : [0, 1], x * (1 - x) < 1/4 + 1/1000000")
     assert run(e) == PropTrue()
     assert len(compiled) == 1

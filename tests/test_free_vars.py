@@ -159,7 +159,7 @@ def test_shadowing_binders():
 
 
 #: What a node may keep (see ``Expr``), with stand-in values.
-KEPT = {"_settled": 1, "_lower": True, "_upper": True, "_poly": False,
+KEPT = {"_settled": 1, "_lower": True, "_upper": True, "_sides": (None, []),
         "_ty": object(), "_nform": (), "_code": []}
 
 

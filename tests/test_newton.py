@@ -17,9 +17,9 @@ from hypothesis import given, settings, strategies as st
 
 import msl.evaluator
 from msl.evaluator import (
-    Diverged, PROBE_BITS_PER_SWEEP, Polynomial, PropTrue, RealBall,
-    _DEMAND_BITS, _comparisons, _narrow, _newton_points, evaluate_step,
-    refine_step, run,
+    Diverged, LOWER, PROBE_BITS_PER_SWEEP, PropTrue, RealBall, _DEMAND_BITS,
+    _narrow, _newton_points, _read, _sides, _slopes, compile_term,
+    evaluate_step, refine_step, run,
 )
 from msl.interval import (
     DivisionIndeterminate, GInterval, XRat, box, interval_of,
@@ -398,18 +398,15 @@ def test_integer_narrowing_matches_the_fraction_reference(
         reference_newton_points(d, lo, hi, n, bits)
     assert tuple(Fraction(*p) for p in new) == \
         reference_narrow(d, lo, hi, n, bits)
-    # The slope enclosure of each polynomial comparison over the bracket,
+    # The slope enclosure of each comparison that steps over the bracket,
     # or the divisor that meets 0 there.
-    for less in (*_comparisons(d.left), *_comparisons(d.right)):
-        try:
-            poly = Polynomial(less)
-        except ValueError:
-            continue
-        if poly.names != (d.var,):
-            continue
+    over = {d.var: box(XRat(lo), XRat(hi))}
+    for less in _sides(d):
+        code = compile_term(less)
         slope = ref = DivisionIndeterminate
         with contextlib.suppress(DivisionIndeterminate):
-            slope = poly.slopes([box(XRat(lo), XRat(hi))])
+            slope = _slopes(code, _read(code, len(code) - 1, over, LOWER),
+                            (d.var,))
             slope = slope and interval_of(slope[0])
         with contextlib.suppress(DivisionIndeterminate):
             ref = reference_slope(Arith("-", less.lhs, less.rhs), d.var,
@@ -435,6 +432,22 @@ def test_every_reference_cut_takes_newton_points(name):
             _DEMAND_BITS.reset(token)
         assert points
         assert points == reference_newton_points(d, lo, hi, 16, bits)
+
+
+@pytest.mark.parametrize("lower", [
+    # ``y ^ 0`` leaves the read of y in the program but folds to 1: the
+    # comparison is constant in y, its slope 0.
+    "y * y < 2) /\\ y ^ 0 < 2",
+    # The divisor's range holds 0 in every sweep, so the quotient reads
+    # as no information, though it is constant in y.
+    "y * y < 2 + 0 * (1 / ((cut z : [0, 2] left z < 1 right z > 1) - 1)))",
+])
+def test_a_comparison_without_a_slope_gives_no_step(lower):
+    # The cut answers as it does without the comparison.
+    plain = "cut y : [0, 4] left (y < 0 \\/ y * y < 2) right " \
+        "(y > 0 /\\ y * y > 2)"
+    extra = plain.replace("y * y < 2)", lower)
+    assert run(parse_expression(extra)) == run(parse_expression(plain))
 
 
 def test_a_probe_tuple_reaches_a_quantifier_inside_the_predicate():
