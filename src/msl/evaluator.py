@@ -825,9 +825,9 @@ def _newton_points(e, a, b, n):
     Each comparison of ``_sides`` gives the interval Newton step N =
     m - F(m) / F'(X) of its f = lhs - rhs over X = [a, b] (Moore): F(m)
     is f read at the midpoint m, closed cuts as their ranges, and F'(X)
-    encloses the slope of f over X (``_slopes``).  A root of f
-    in X lies in N.  A slope enclosure, or a divisor's range, that meets
-    0 gives no step (``DivisionIndeterminate``).  Each end of N is
+    encloses the slope of f over X (``_slopes``).  A root of f in X lies
+    in N.  A slope enclosure, or a divisor's range, that meets 0 gives
+    no step (``DivisionIndeterminate``).  Each end of N is
     rounded outward, strictly, to multiples of 2^-k: 2^-k is the largest
     power of 2 at most width(N) / 8 and at most 1, but no finer than the
     ceiling of ``PROBE_BITS_PER_SWEEP``.  Rounding strictly outward
@@ -876,9 +876,10 @@ def _sides(e):
     """The comparisons of the closed cut ``e`` reachable through
     ``And``/``Or`` in ``left`` and ``right`` that give Newton steps: its
     variable is their only free one, and closed cuts with finite ranges
-    are the only opaque leaves of their programs.  A swapped comparison steps to the
-    same points, so only the first of the two is kept.  The list is kept
-    on ``left`` with the ``right`` it was made with (``_sides``)."""
+    are the only opaque leaves of their programs.  A swapped comparison
+    steps to the same points, so only the first of the two is kept.  The
+    list is kept on ``left`` with the ``right`` it was made with
+    (``_sides``)."""
     kept = e.left._sides
     if kept is None or kept[0] is not e.right:
         seen, sides = [], []
