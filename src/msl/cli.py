@@ -157,9 +157,10 @@ def _use(state, item):
 
 
 def _read_source(path, name, loc=None):
-    """The text of a UTF-8 source file, or a SourceError saying why not."""
+    """The text of a UTF-8 source file, less a leading byte-order mark, or
+    a SourceError saying why not."""
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             return handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         reason = getattr(exc, "strerror", None) or exc

@@ -113,8 +113,8 @@ from fractions import Fraction
 from itertools import islice
 
 from .interval import (
-    DivisionIndeterminate, ENTIRE, GInterval, XRat, add, below, box, div,
-    ends, interval_of, mul, power, sub,
+    DivisionIndeterminate, ENTIRE, XRat, add, below, box, div, ends,
+    interval_of, mul, power, sub,
 )
 from .normalize import mk_and, mk_or, normalize
 from .syntax import (
@@ -211,11 +211,6 @@ def real_approx(e, env, mode):
     """Interval approximation of a join-free real expression in ``mode``:
     a cut's range, or the value of its program (``compile_term``) read
     over generalized intervals."""
-    if isinstance(e, Cut):
-        r = e.range
-        if mode is LOWER:
-            return GInterval(r.lo, r.hi)
-        return GInterval(r.hi, r.lo)
     return interval_of(_value(e, env, mode))
 
 
@@ -280,7 +275,8 @@ def compile_term(t):
     (``interval``); ``("v", name, None)`` a variable; ``("o", leaf,
     None)`` a ``Cut`` or a ``Restrict``; ``(op, j, k)`` for op in ``+ -
     * /`` values j and k combined; ``("^", j, n)`` value j to the power
-    n >= 2.  The last value is that of ``t``.  Powers below 2 fold too.
+    n >= 2.  The last value is that of ``t``.  Powers below 2 fold too,
+    a power 0 without its base.
     """
     code = t._code
     if code is None:
@@ -306,11 +302,13 @@ def _emit(t, code):
             return u + w if op == "+" else u - w if op == "-" else u * w
         code.append((op, _slot(u, code), _slot(w, code)))
     elif kind is Pow:
+        if not t.exp:
+            return Fraction(1)  # before the base, which would be dead code
         base, k = _emit(t.base, code), t.exp
         if isinstance(base, Fraction):
             return base ** k
-        if k < 2:
-            return base if k else Fraction(1)
+        if k == 1:
+            return base
         code.append(("^", base, k))
     elif kind is Cut or kind is Restrict:
         code.append(("o", t, None))

@@ -35,6 +35,10 @@ Comments are "(* ... *)" and nest.  Decimal literals are exact
 rationals: 0.1 parses to 1/10.  A literal quotient such as 1/10 and a
 negated literal such as -3 are folded to single rational literals.
 
+The lexer finds each token by matching one regular expression
+(``_TOKEN``) at the current offset; the named group that matched is the
+token's class, and its offset gives its line and column.
+
 The operator levels (``_JOIN`` ... ``_MUL``) drive both the parser and
 the printer.  The node shapes (``children``, ``rebuild``) serve every
 traversal that only needs to know where a node's children are:
@@ -43,6 +47,7 @@ traversal that only needs to know where a node's children are:
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from operator import attrgetter, is_
@@ -378,6 +383,14 @@ class Directive:
 
 # ---------------------------------------------------------------------------
 # Lexer
+#
+# One pattern, matched at each offset in turn, finds the next token: its
+# named group is the token's class.  Code finishes what the pattern
+# cannot say: a comment's nesting, that a word or a directive starts with
+# a letter or "_" (``\w`` also matches "²", which is not ``isalpha``),
+# numeral conversion, and every error.  A token's column is its offset
+# less ``base``, the offset of the last newline before it (on the first
+# line, minus the start column).
 
 KEYWORDS = {
     "True", "False", "cut", "left", "right", "exists", "forall", "fun",
@@ -385,12 +398,17 @@ KEYWORDS = {
     "bool",
 }
 
-# Multi-character symbols first so the scanner takes the longest match.
-SYMBOLS = [
-    ";;", "~>", "=>", "->", "\\/", "/\\", "||",
-    "(", ")", "[", "]", ",", ":", "=", "<", ">",
-    "+", "-", "*", "/", "^",
-]
+# Multi-character symbols first so the pattern takes the longest match.
+_TOKEN = re.compile(r"""
+    (?P<blank>[ \t\r\n]+)
+  | (?P<comment>\(\*)
+  | (?P<string>"[^"\n]*"?)
+  | \#(?: (?P<proj>\d+) | (?P<directive>\w*) )
+  | (?P<rat>\d+(?:\.\d+)?)
+  | (?P<word>\w[\w']*)
+  | (?P<symbol>;; | ~> | => | -> | \\/ | /\\ | \|\| | [\[\](),:=<>+\-*/^])
+""", re.VERBOSE)
+_NESTING = re.compile(r"\(\*|\*\)")
 
 
 @dataclass(frozen=True)
@@ -404,93 +422,45 @@ def tokenize(source, start=(1, 1)):
     """Scan source text into a token list (comments stripped).  ``start``
     is the (line, column) of its first character."""
     toks = []
-    i, (line, col) = 0, start
-    n = len(source)
-
-    def advance(k):
-        nonlocal i, line, col
-        for _ in range(k):
-            if source[i] == "\n":
-                line += 1
-                col = 1
+    i, line, base = 0, start[0], -start[1]
+    while i < len(source):
+        loc = (line, i - base)
+        m = _TOKEN.match(source, i)
+        kind, text = (m.lastgroup, m.group()) if m else (None, None)
+        if kind == "comment":
+            depth = 1
+            for mark in _NESTING.finditer(source, m.end()):
+                depth += 1 if mark.group() == "(*" else -1
+                if not depth:
+                    text = source[i:mark.end()]
+                    break
             else:
-                col += 1
-            i += 1
-
-    while i < n:
-        ch = source[i]
-        if ch in " \t\r\n":
-            advance(1)
-            continue
-        loc = (line, col)
-        if source.startswith("(*", i):
-            depth, j = 1, i + 2
-            while j < n and depth:
-                if source.startswith("(*", j):
-                    depth += 1
-                    j += 2
-                elif source.startswith("*)", j):
-                    depth -= 1
-                    j += 2
-                else:
-                    j += 1
-            if depth:
                 raise LexError("unterminated comment", loc)
-            advance(j - i)
-            continue
-        if ch == '"':
-            j = i + 1
-            while j < n and source[j] != '"':
-                if source[j] == "\n":
-                    raise LexError("unterminated string", loc)
-                j += 1
-            if j >= n:
+        elif kind == "string":
+            if text == '"' or text[-1] != '"':
                 raise LexError("unterminated string", loc)
-            toks.append(Token("STRING", source[i + 1:j], loc))
-            advance(j + 1 - i)
-            continue
-        if ch == "#":
-            j = i + 1
-            if j < n and source[j].isdecimal():
-                while j < n and source[j].isdecimal():
-                    j += 1
-                toks.append(Token("PROJ", _number(int, source[i + 1:j], loc),
-                                  loc))
-            elif j < n and (source[j].isalpha() or source[j] == "_"):
-                while j < n and (source[j].isalnum() or source[j] == "_"):
-                    j += 1
-                toks.append(Token("DIRECTIVE", source[i + 1:j], loc))
-            else:
+            toks.append(Token("STRING", text[1:-1], loc))
+        elif kind == "proj":
+            toks.append(Token("PROJ", _number(int, text[1:], loc), loc))
+        elif kind == "directive":
+            if not (text[1:2].isalpha() or text[1:2] == "_"):
                 raise LexError("expected digits or a name after '#'", loc)
-            advance(j - i)
-            continue
-        if ch.isdecimal():
-            j = i
-            while j < n and source[j].isdecimal():
-                j += 1
-            if j + 1 < n and source[j] == "." and source[j + 1].isdecimal():
-                j += 1
-                while j < n and source[j].isdecimal():
-                    j += 1
-            toks.append(Token("RAT", _number(Fraction, source[i:j], loc), loc))
-            advance(j - i)
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] in "_'"):
-                j += 1
-            word = source[i:j]
-            toks.append(Token(word if word in KEYWORDS else "IDENT", word, loc))
-            advance(j - i)
-            continue
-        for sym in SYMBOLS:
-            if source.startswith(sym, i):
-                toks.append(Token(sym, sym, loc))
-                advance(len(sym))
-                break
-        else:
-            raise LexError(f"illegal character {ch!r}", loc)
-    toks.append(Token("EOF", None, (line, col)))
+            toks.append(Token("DIRECTIVE", text[1:], loc))
+        elif kind == "rat":
+            toks.append(Token("RAT", _number(Fraction, text, loc), loc))
+        elif kind == "word" and (text[0].isalpha() or text[0] == "_"):
+            toks.append(Token(text if text in KEYWORDS else "IDENT", text,
+                              loc))
+        elif kind == "symbol":
+            toks.append(Token(text, text, loc))
+        elif kind != "blank":
+            raise LexError(f"illegal character {source[i]!r}", loc)
+        newlines = text.count("\n")
+        if newlines:
+            line += newlines
+            base = i + text.rindex("\n")
+        i += len(text)
+    toks.append(Token("EOF", None, (line, i - base)))
     return toks
 
 
@@ -818,10 +788,10 @@ class _Parser:
         num = self.expect("RAT").value
         if self.peek().kind == "/":
             self.next()
-            den = self.expect("RAT").value
-            if den == 0:
-                raise ParseError("zero denominator", self.peek().loc)
-            num = num / den
+            den = self.expect("RAT")
+            if den.value == 0:
+                raise ParseError("zero denominator", den.loc)
+            num = num / den.value
         return num
 
 

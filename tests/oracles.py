@@ -13,8 +13,9 @@ from msl.cli import SessionState, _wrap_definitions, execute_item
 from msl.evaluator import LOWER, run
 from msl.interval import ENTIRE, DivisionIndeterminate, GInterval, XRat
 from msl.syntax import (
-    And, Arith, Cut, Exists, FalseLit, Less, Or, Pow, RatLit, Restrict,
-    TrueLit, Var, free_vars, parse_expression, parse_program,
+    KEYWORDS, And, Arith, Cut, Exists, FalseLit, Less, LexError, Or, Pow,
+    RatLit, Restrict, Token, TrueLit, Var, _number, free_vars,
+    parse_expression, parse_program,
 )
 from msl.typecheck import infer_type
 
@@ -48,6 +49,111 @@ def grid_min_abs(f, lo, hi, steps):
     lo, hi = F(lo), F(hi)
     step = (hi - lo) / steps
     return min(abs(f(lo + k * step)) for k in range(steps + 1))
+
+
+# The lexer as a hand-written scanner, kept as the reference for the
+# pattern ``syntax.tokenize`` matches.
+_SYMBOLS = [
+    ";;", "~>", "=>", "->", "\\/", "/\\", "||",
+    "(", ")", "[", "]", ",", ":", "=", "<", ">",
+    "+", "-", "*", "/", "^",
+]
+
+
+def reference_tokenize(source, start=(1, 1)):
+    """``syntax.tokenize`` as a character-by-character scanner: it steps
+    through the text and tracks line and column one character at a time,
+    and tries each symbol in turn, longest first."""
+    toks = []
+    i, (line, col) = 0, start
+    n = len(source)
+
+    def advance(k):
+        nonlocal i, line, col
+        for _ in range(k):
+            if source[i] == "\n":
+                line += 1
+                col = 1
+            else:
+                col += 1
+            i += 1
+
+    while i < n:
+        ch = source[i]
+        if ch in " \t\r\n":
+            advance(1)
+            continue
+        loc = (line, col)
+        if source.startswith("(*", i):
+            depth, j = 1, i + 2
+            while j < n and depth:
+                if source.startswith("(*", j):
+                    depth += 1
+                    j += 2
+                elif source.startswith("*)", j):
+                    depth -= 1
+                    j += 2
+                else:
+                    j += 1
+            if depth:
+                raise LexError("unterminated comment", loc)
+            advance(j - i)
+            continue
+        if ch == '"':
+            j = i + 1
+            while j < n and source[j] != '"':
+                if source[j] == "\n":
+                    raise LexError("unterminated string", loc)
+                j += 1
+            if j >= n:
+                raise LexError("unterminated string", loc)
+            toks.append(Token("STRING", source[i + 1:j], loc))
+            advance(j + 1 - i)
+            continue
+        if ch == "#":
+            j = i + 1
+            if j < n and source[j].isdecimal():
+                while j < n and source[j].isdecimal():
+                    j += 1
+                toks.append(Token("PROJ", _number(int, source[i + 1:j], loc),
+                                  loc))
+            elif j < n and (source[j].isalpha() or source[j] == "_"):
+                while j < n and (source[j].isalnum() or source[j] == "_"):
+                    j += 1
+                toks.append(Token("DIRECTIVE", source[i + 1:j], loc))
+            else:
+                raise LexError("expected digits or a name after '#'", loc)
+            advance(j - i)
+            continue
+        if ch.isdecimal():
+            j = i
+            while j < n and source[j].isdecimal():
+                j += 1
+            if j + 1 < n and source[j] == "." and source[j + 1].isdecimal():
+                j += 1
+                while j < n and source[j].isdecimal():
+                    j += 1
+            toks.append(Token("RAT", _number(Fraction, source[i:j], loc), loc))
+            advance(j - i)
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (source[j].isalnum() or source[j] in "_'"):
+                j += 1
+            word = source[i:j]
+            toks.append(Token(word if word in KEYWORDS else "IDENT", word,
+                              loc))
+            advance(j - i)
+            continue
+        for sym in _SYMBOLS:
+            if source.startswith(sym, i):
+                toks.append(Token(sym, sym, loc))
+                advance(len(sym))
+                break
+        else:
+            raise LexError(f"illegal character {ch!r}", loc)
+    toks.append(Token("EOF", None, (line, col)))
+    return toks
 
 
 def reference_real_approx(e, env, mode):

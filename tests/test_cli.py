@@ -343,6 +343,18 @@ def test_main_reports_unreadable_files_and_goes_on(tmp_path, capsys):
     assert out == "real = 2 ± 0\n"
 
 
+def test_a_leading_byte_order_mark_is_dropped(tmp_path, capsys):
+    # Editors on some systems start a UTF-8 file with U+FEFF: it is read
+    # as the encoding's mark, not as the first character of the text.
+    path = tmp_path / "bom.msl"
+    path.write_bytes(b"\xef\xbb\xbf1 + 1;;\n")
+    assert main([str(path), "--no-repl"]) == 0
+    assert capsys.readouterr() == ("real = 2 ± 0\n", "")
+    state = SessionState(base_dirs=(str(tmp_path),))
+    _, out, err, had_error, _ = run_script('#use "bom.msl";;', state)
+    assert (out, err, had_error) == ("real = 2 ± 0\n", "", False)
+
+
 def test_main_divergence_exit_two(tmp_path):
     code, out, _ = _run_main(["--max-steps", "25"], tmp_path,
                              "(2 < 1) ~> 1;;")

@@ -784,6 +784,18 @@ def test_centred_test_keeps_naive_path_for_cuts_and_unbounded_boxes():
     assert prop_approx(body, unbounded, LOWER) is False
 
 
+def test_a_power_zero_leaves_no_code_for_its_base():
+    # (1 / y) ^ 0 is the constant 1 before its base is read, so the
+    # division inside it neither stays in the program nor turns the
+    # centred test off; splitting proves the prop either way.
+    code = compile_term(pe("(1 / y) ^ 0 + y * y < 2"))
+    assert [op for op, _, _ in code if op == "/"] == []
+    e = pe("forall x : [9/20, 11/20], "
+           "x * (1 - x) + (1 / x) ^ 0 < 5/4 + 1/100")
+    assert prop_approx(e, SweepEnv(), LOWER) is True
+    assert run(e) == PropTrue()
+
+
 def test_refine_returns_unchanged_nodes_by_identity():
     e = pe("forall x : [0, 1], x * (1 - x) < 1/4")
     halves = refine_step(e)

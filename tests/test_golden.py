@@ -1,10 +1,11 @@
 """The shipped examples print exactly the bytes committed under
 ``tests/golden``: ``<name>.<format>.out`` is the standard output of
 ``msl <name>.msl --no-repl --trace-witness --format <format>`` (witness
-tracing on, as ``#trace on;;`` turns it on), and ``benchmark_items.out``
-is the transcript of the benchmark-shaped items below.  A change that is
-meant to change an answer updates these files and says which lines
-moved."""
+tracing on, as ``#trace on;;`` turns it on), and of the same example
+piped into the REPL, ``msl --trace-witness --format <format> <
+<name>.msl``.  ``benchmark_items.out`` is the transcript of the
+benchmark-shaped items below.  A change that is meant to change an
+answer updates these files and says which lines moved."""
 
 import io
 import os
@@ -18,15 +19,29 @@ from msl.prelude import asset_path
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
+def assert_prints_golden(capsys, code, name, fmt):
+    out, err = capsys.readouterr()
+    with open(os.path.join(GOLDEN, f"{name}.{fmt}.out"), encoding="utf-8",
+              newline="") as handle:
+        assert (code, err, out) == (0, "", handle.read())
+
+
 @pytest.mark.parametrize("fmt", ["decimal", "interval"])
 @pytest.mark.parametrize("name", ["prelude", "car", "roots"])
 def test_shipped_example_prints_the_committed_bytes(capsys, name, fmt):
     code = main([asset_path(f"{name}.msl"), "--no-repl", "--trace-witness",
                  "--format", fmt])
-    out, err = capsys.readouterr()
-    with open(os.path.join(GOLDEN, f"{name}.{fmt}.out"), encoding="utf-8",
-              newline="") as handle:
-        assert (code, err, out) == (0, "", handle.read())
+    assert_prints_golden(capsys, code, name, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["decimal", "interval"])
+@pytest.mark.parametrize("name", ["prelude", "car", "roots"])
+def test_shipped_example_piped_into_the_repl_prints_the_committed_bytes(
+        capsys, monkeypatch, name, fmt):
+    with open(asset_path(f"{name}.msl"), encoding="utf-8") as handle:
+        monkeypatch.setattr("sys.stdin", io.StringIO(handle.read()))
+    code = main(["--trace-witness", "--format", fmt])
+    assert_prints_golden(capsys, code, name, fmt)
 
 
 # Benchmark-shaped items: one session per workload, built as the

@@ -1,5 +1,6 @@
 """Lexer, parser, and printer tests, including the round-trip property."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from msl.syntax import (
     parse_expression, parse_program, pretty_print, tokenize, ArrowTy, PROP,
     BOOL, ProductTy,
 )
+from oracles import reference_tokenize
 
 F = Fraction
 
@@ -55,6 +57,51 @@ def test_tokenize_illegal_character_location():
 def test_tokenize_projection_vs_directive():
     assert kinds("t#2") == ["IDENT", "PROJ"]
     assert kinds("#precision 1") == ["DIRECTIVE", "RAT"]
+
+
+def test_tokenize_error_messages_and_locations():
+    big = "9" * (sys.get_int_max_str_digits() + 1)
+    for source, loc, message in (
+            ('#use "lib\n.msl";;', (1, 6), "unterminated string"),
+            ('x "ab', (1, 3), "unterminated string"),
+            ("1 (* a (* b *)", (1, 3), "unterminated comment"),
+            ("(* a *)\n (* b (* c *) *) (* (* *)", (2, 18),
+             "unterminated comment"),
+            (f"t#{big}", (1, 2),
+             f"number of {len(big)} characters is too long")):
+        with pytest.raises(LexError) as err:
+            tokenize(source)
+        assert (err.value.loc, err.value.message) == (loc, message)
+    with pytest.raises(ParseError) as err:
+        parse_program("#foo 1;;")
+    assert (err.value.loc, err.value.message) == ((1, 1),
+                                                  "unknown directive #foo")
+
+
+# Every token class, and the characters where a scanner could go wrong:
+# a decimal digit outside ASCII, "²" and "Ⅻ" (alphanumeric, not letters),
+# open strings and comments, CR, LF and tab.
+_LEXEMES = (" ", "\t", "\r", "\n", "(*", "*)", '"', "#", "0", "7", "٣",
+            "²", "Ⅻ", "é", ".", "'", "_", "x", "y2", "precision", "let",
+            "True", ";;", ";", "~>", "~", "=>", "->", "\\/", "/\\", "||",
+            "|", "(", ")", "[", "]", ",", ":", "=", "<", ">", "+", "-", "*",
+            "/", "^", "\\", "?", "\u00a0",
+            "9" * (sys.get_int_max_str_digits() + 1))
+
+
+def _scan(tokenizer, source, start):
+    try:
+        return [(t.kind, t.value, t.loc) for t in tokenizer(source, start)]
+    except LexError as exc:
+        return exc.message, exc.loc
+
+
+@settings(derandomize=True, max_examples=2000, deadline=None)
+@given(st.lists(st.sampled_from(_LEXEMES), max_size=12).map("".join),
+       st.sampled_from([(1, 1), (3, 7)]))
+def test_tokenize_matches_the_reference_scanner(source, start):
+    assert (_scan(tokenize, source, start)
+            == _scan(reference_tokenize, source, start))
 
 
 # --- parser ------------------------------------------------------------------
@@ -176,6 +223,16 @@ def test_parse_errors():
         parse_program("let x = (1;;")  # unbalanced paren must not hang
     with pytest.raises(ParseError):
         parse_program("let x = (1")
+
+
+def test_zero_denominator_is_located_at_the_zero():
+    for source, loc in (("#precision 1/0;;", (1, 14)),
+                        ("cut x : [0, 1/0] left x < 1 right x > 1;;",
+                         (1, 15))):
+        with pytest.raises(ParseError) as err:
+            parse_program(source)
+        assert (err.value.loc, err.value.message) == (loc,
+                                                      "zero denominator")
 
 
 def test_parse_mkbool_forms():
