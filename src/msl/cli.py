@@ -8,8 +8,9 @@ type-checks it, runs the refinement loop, and renders the outcome.
 Directives: #precision <rational>, #use "<path>", #trace on|off.
 Flags: --precision, --max-steps, --format {decimal,interval},
 --trace-witness, --no-repl, plus source files executed in order before
-the REPL starts.  Exit status: 1 after any parse/type error, else 2 if
-any batch evaluation diverged, else 0; 130 when Ctrl-C stops the files.
+the REPL starts.  Only those files' items set the exit status, not the
+REPL's, piped stdin included: 1 after any parse/type error, else 2 if
+any evaluation diverged, else 0; 130 when Ctrl-C stops the files.
 """
 
 from __future__ import annotations
@@ -263,6 +264,8 @@ def repl(state, stdin=None, out=None, err=None):
             out.write(prompt)
             out.flush()
         line = stdin.readline()
+        if not buffer and start == (1, 1):  # drop a BOM, as from a file
+            line = line.removeprefix("\ufeff")
         buffer += line
         split = _item_end(buffer) if line else len(buffer)
         while split:

@@ -32,8 +32,9 @@ form and of a Newton step).  A folded constant is an operand with a
 point range and no slope, and point operations are exact, so it gives
 every reading the numbers a dedicated constant operation would.  Every
 reading computes on plain ints with unreduced denominators
-(``interval``): no ``Fraction`` is built inside the loop, and a value
-becomes a ``GInterval`` only where ``real_approx`` hands it out.  So do
+(``interval``): no ``Fraction`` is built inside the loop.  A value
+becomes a ``GInterval`` only where ``real_approx`` hands it out, and
+``evaluate_step`` answers a real from its integer tuple.  So do
 the bindings and the narrowing of cuts: an environment binds a
 quantified variable or a cut probe's variable to the integer tuple of
 its box or point, and a cut's endpoints, its Newton steps and its
@@ -113,8 +114,8 @@ from fractions import Fraction
 from itertools import islice
 
 from .interval import (
-    DivisionIndeterminate, ENTIRE, GInterval, XRat, add, below, box, div,
-    ends, interval_of, mul, power, sub,
+    DivisionIndeterminate, ENTIRE, XRat, add, below, box, div, ends,
+    interval_of, mul, power, sub,
 )
 from .normalize import mk_and, mk_or, normalize
 from .syntax import (
@@ -209,17 +210,7 @@ PRUNED = _PrunedType()
 
 def real_approx(e, env, mode):
     """Interval approximation of a join-free real expression in ``mode``:
-    a cut's range, or the value of its program (``compile_term``) read
-    over generalized intervals."""
-    if isinstance(e, Cut):
-        # The range as it is.  ``interval_of(_value(...))`` gives the
-        # same interval through reduced Fractions, about ten times slower
-        # on a narrowed cut's wide endpoints, and ``evaluate_step`` asks
-        # for it at every step.
-        r = e.range
-        if mode is LOWER:
-            return GInterval(r.lo, r.hi)
-        return GInterval(r.hi, r.lo)
+    its ``_value`` as a ``GInterval`` with reduced endpoints."""
     return interval_of(_value(e, env, mode))
 
 
@@ -917,7 +908,8 @@ def _comparisons(p):
 
 
 def evaluate_step(e, precision, ty):
-    """An Outcome for one base-typed disjunct if it is refined enough."""
+    """An Outcome for one base-typed disjunct if it is refined enough: a
+    real once its lower-mode ``_value`` is proper and below ``precision``."""
     if ty == PROP:
         if isinstance(e, TrueLit):
             return PropTrue()
@@ -941,12 +933,14 @@ def evaluate_step(e, precision, ty):
                 return None
             items.append(out)
         return TupleOf(tuple(items))
-    box = real_approx(e, {}, LOWER)  # real
-    if not (box.is_finite and box.is_proper):
+    x = ends(_value(e, {}, LOWER))  # real: a tuple unless an end is infinite
+    if type(x) is not tuple:
         return None
-    a, b = box.lo.q, box.hi.q
-    if b - a < precision:
-        return RealBall((a + b) / 2, (b - a) / 2)
+    a, b, c, d = x
+    w = c * b - a * d  # the width c/d - a/b over b * d
+    if 0 <= w and w * precision.denominator < precision.numerator * b * d:
+        return RealBall(Fraction(a * d + c * b, 2 * b * d),
+                        Fraction(w, 2 * b * d))
     return None
 
 

@@ -355,6 +355,25 @@ def test_a_leading_byte_order_mark_is_dropped(tmp_path, capsys):
     assert (out, err, had_error) == ("real = 2 ± 0\n", "", False)
 
 
+def test_the_repl_drops_a_leading_byte_order_mark_as_a_file_does(tmp_path,
+                                                                 capsys):
+    # Locations count from after the mark, as in a file; a mark past the
+    # start of the input is a character of the text.
+    def piped(text):
+        out, err = io.StringIO(), io.StringIO()
+        assert repl(SessionState(), io.StringIO(text), out, err) == 0
+        return out.getvalue(), err.getvalue()
+
+    path = tmp_path / "bom.msl"
+    for text in ("1 + 1;;\n", "1 +;;\n"):
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        main([str(path), "--no-repl"])
+        assert piped("\ufeff" + text) == tuple(capsys.readouterr())
+    assert piped("\ufeff1 +;;\n") == ("", "error: 1:4: unexpected ';;'\n")
+    assert piped("1;;\n\ufeff2;;\n") == (
+        "real = 1 ± 0\n", "error: 2:1: illegal character '\\ufeff'\n")
+
+
 def test_main_divergence_exit_two(tmp_path):
     code, out, _ = _run_main(["--max-steps", "25"], tmp_path,
                              "(2 < 1) ~> 1;;")

@@ -521,6 +521,78 @@ def test_evaluate_step_tuple():
     assert evaluate_step(pe(f"(1 + 1, 2 < 1)"), F(1, 10), ty) is None
 
 
+UNBOUNDED_CUT = "cut z : (-inf, 1] left z < 1 right 1 < z"
+
+
+def narrowed_cuts(source, sweeps):
+    """The closed cut of ``source`` and what each of ``sweeps`` refinement
+    sweeps narrows it to."""
+    cuts = [pe(source)]
+    for step in range(sweeps):
+        cuts.append(refine_step(cuts[-1], step))
+    return cuts
+
+
+def closed_real_terms():
+    """Sums, differences and products of closed cuts (the square root of
+    2 and the cube root of 5, each as refinement narrows it, and an
+    unbounded cut), literals and restrictions, the refuted ones
+    included."""
+    cuts = (narrowed_cuts(SQRT2_CUT, 12)
+            + narrowed_cuts("cut x : [1,2] left (x < 0 \\/ x^3 < 5) "
+                            "right (x > 0 /\\ x^3 > 5)", 12)
+            + [pe(UNBOUNDED_CUT)])
+    leaves = st.one_of(st.sampled_from(cuts), st.sampled_from(cuts),
+                       rationals().map(RatLit))
+    return st.recursive(leaves, lambda kids: st.one_of(
+        st.builds(Arith, st.sampled_from("+-*"), kids, kids),
+        st.builds(Restrict, st.sampled_from((TrueLit(), FalseLit())),
+                  kids)), max_leaves=6)
+
+
+def reference_answer(t, precision):
+    """The ball of ``t``'s reference interval when that is finite, proper
+    and narrower than ``precision``, else None."""
+    box = reference_real_approx(t, {}, LOWER)
+    if not (box.is_finite and box.is_proper):
+        return None
+    lo, hi = box.lo.q, box.hi.q
+    return RealBall((lo + hi) / 2, (hi - lo) / 2) if hi - lo < precision \
+        else None
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(closed_real_terms(), st.integers(min_value=0, max_value=120),
+       st.fractions(min_value=F(1, 2), max_value=F(1)))
+def test_evaluate_step_answers_a_real_as_its_reference_interval(t, k, m):
+    precision = m / 2 ** k
+    assert evaluate_step(t, precision, REAL) == \
+        reference_answer(t, precision)
+
+
+@pytest.mark.parametrize("source", [
+    "cut x : [1/3, 1/2] left x < 0 right x > 1",
+    "(cut x : [1/3, 1/2] left x < 0 right x > 1) * 3 - 1/7",
+    f"({SQRT2_CUT}) + ({SQRT2_CUT})",
+    f"0 * ({UNBOUNDED_CUT})",  # a finite value of an unbounded cut
+])
+def test_evaluate_step_answers_only_below_the_precision(source):
+    # The width must be strictly below the precision: equal gives None.
+    box = reference_real_approx(pe(source), {}, LOWER)
+    width = box.hi.q - box.lo.q
+    ball = RealBall((box.lo.q + box.hi.q) / 2, width / 2)
+    tiny = F(1, 10 ** 40)
+    for precision, expected in ((width, None), (width + tiny, ball)):
+        if precision > 0:
+            assert evaluate_step(pe(source), precision, REAL) == expected
+
+
+def test_evaluate_step_gives_no_answer_without_a_finite_interval():
+    for source in (UNBOUNDED_CUT, "(2 < 1) ~> 5", f"1 + ({UNBOUNDED_CUT})",
+                   "1 / (cut x : [-1, 1] left x < 0 right x > 0)"):
+        assert evaluate_step(pe(source), F(10 ** 9), REAL) is None
+
+
 # --- run --------------------------------------------------------------------------
 
 def test_run_sqrt2_cut():
