@@ -76,7 +76,9 @@ comparison of the predicates that is a polynomial in the cut's variable
 gives an interval Newton step N = m - F(m) / F'(X) over X = [a, b]: F(m)
 is its difference read at the midpoint, with closed cuts inside it as
 their ranges, and F'(X) encloses its slope over X, read in forward mode
-over its values on X (``_slopes``).  The cut probes just outside the two
+over its values on X (``_slopes``).  A comparison whose naive test
+already separates its sides over X keeps one sign there, so X holds no
+root of it, and it gives no step.  The cut probes just outside the two
 ends of N, on a dyadic grid about width(N)/8 apart.  Near a simple root
 this doubles the correct bits per sweep.  A slope enclosure, or a
 divisor's range, that meets 0 gives no step, and a side where no Newton
@@ -824,8 +826,10 @@ def _newton_points(e, a, b, n):
     m - F(m) / F'(X) of its f = lhs - rhs over X = [a, b] (Moore): F(m)
     is f read at the midpoint m, closed cuts as their ranges, and F'(X)
     encloses the slope of f over X (``_slopes``).  A root of f in X lies
-    in N.  A slope enclosure, or a divisor's range, that meets 0 gives
-    no step (``DivisionIndeterminate``).  Each end of N is
+    in N.  A comparison that the naive test decides over X, either way,
+    has no root there and gives no step: its sides are read over X for
+    the slope anyway.  A slope enclosure, or a divisor's range, that
+    meets 0 gives no step (``DivisionIndeterminate``).  Each end of N is
     rounded outward, strictly, to multiples of 2^-k: 2^-k is the largest
     power of 2 at most width(N) / 8 and at most 1, but no finer than the
     ceiling of ``PROBE_BITS_PER_SWEEP``.  Rounding strictly outward
@@ -847,6 +851,10 @@ def _newton_points(e, a, b, n):
         code = compile_term(less)
         try:
             vals = _read(code, len(code) - 1, over_x, LOWER)
+            op, x, y = code[-1]
+            if op == "-" and (below(vals[x], vals[y])
+                              or below(vals[y], vals[x])):
+                continue  # f keeps one sign on X: no root there
             # None: f is constant on X, its slope 0
             slope = _slopes(code, vals, (e.var,)) or [(0, 1, 0, 1)]
             ln, ld, hn, hd = sub(m + m, div(_read(code, len(code), at_m,

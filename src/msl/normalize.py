@@ -23,13 +23,25 @@ duplicate disjuncts of a join are dropped.
 
 Nothing is substituted.  The one walk reads an environment that maps
 each name a ``let`` or a beta step binds to one normal disjunct of its
-value.  A function is normal when it is applied, so it holds no name of
-the environment, and its body is read under its parameter alone.  A
-binder (``fun``, ``cut``, ``exists``, ``forall``) keeps the entries whose
-names are free in it.  When a value it keeps has the binder's variable
-free, the variable gets primes until the name is free neither in a kept
-value nor in the binder, and the environment maps the old name to the
-new one.
+value.  An application ``f a1 ... an`` normalizes its head and then
+each argument once.  For each choice of one disjunct of each, a function
+binds its leading parameters to the arguments all at once, and its
+innermost body is read once under those bindings alone: a function is
+normal when it is applied, so it holds no name of the environment.
+Arguments left over go to each disjunct of what that body returns, and
+a head that is not a function is applied by rebuilding its ``App``
+nodes.  So a curried function applied to all its arguments is walked
+once, and none of its inner ``fun``s is built.  A binder (``fun``,
+``cut``, ``exists``, ``forall``) keeps the entries whose names are free
+in it.  When a value it keeps has the binder's variable free, the
+variable gets primes until the name is free neither in a kept value nor
+in the binder, and the environment maps the old name to the new one.
+The names are those of one beta step per argument, but for two cases
+where the steps see other values: a function whose normal form binds a
+primed name, which a step's renamed parameter can push one prime
+further, and an argument that drops a later parameter, which then keeps
+no value in the later step.  Either way the terms differ in bound names
+alone.
 A ``let`` name never reaches the output, so it is never renamed.  The
 context types the variables of the output: a restriction is at prop
 when its body's normal form is.
@@ -161,14 +173,16 @@ def _nf(e, ctx, env):
         var, ctx, env = _enter(e, e.var_ty, ctx, env)
         return [Lambda(var, e.var_ty, d) for d in _nf(e.body, ctx, env)]
     if isinstance(e, App):
+        # The spine ``f a1 ... an``: the head, then each argument, once.
+        args = []
+        while isinstance(e, App):
+            args.append(e.arg)
+            e = e.fn
+        args.reverse()
         out = []
-        for fn in _nf(e.fn, ctx, env):
-            for arg in _nf(e.arg, ctx, env):
-                if isinstance(fn, Lambda):
-                    # A normal function holds no name of ``env``.
-                    out.extend(_nf(fn.body, ctx, {fn.var: arg}))
-                else:
-                    out.append(App(fn, arg))
+        for fn, *row in product(_nf(e, ctx, env),
+                                *[_nf(arg, ctx, env) for arg in args]):
+            out.extend(_apply(fn, row, ctx))
         return _dedup(out)
     if isinstance(e, Let):
         bounds = _nf(e.bound, ctx, env)
@@ -225,6 +239,25 @@ def _enter(e, ty, ctx, env):
         env[var] = Var(fresh)
         var = fresh
     return var, {**ctx, var: ty}, env
+
+
+def _apply(fn, args, ctx):
+    """The disjuncts of the normal ``fn`` applied to the normal ``args``:
+    its leading parameters are bound at once, and what it returns takes
+    the arguments left over."""
+    env = {}
+    while args and isinstance(fn, Lambda):
+        # A normal function holds no name of the caller's environment.
+        env[fn.var] = args[0]
+        fn, args = fn.body, args[1:]
+    if not env:
+        for arg in args:
+            fn = App(fn, arg)
+        return [fn]
+    out = _nf(fn, ctx, env)
+    if args:
+        return [d for result in out for d in _apply(result, args, ctx)]
+    return out
 
 
 # Each live closed cut that ``_nf`` built, mapped to a weak reference to

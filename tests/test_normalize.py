@@ -1,20 +1,26 @@
 """Normalization: bound names, reduction, join hoisting, prop fusing."""
 
+import dataclasses
+import importlib
+import io
 import random
 from fractions import Fraction
 
 import pytest
 
+from msl.cli import SessionState, _wrap_definitions, execute_source
 from msl.normalize import mk_and, mk_or, normalize
 from msl.prelude import load_prelude
 from msl.syntax import (
-    And, App, Arith, Exists, FalseLit, Forall, Join, Less, Let, Or,
-    Pow, RatLit, Restrict, Tuple, TrueLit, Var, free_vars, parse_expression,
-    pretty_print,
+    And, App, Arith, Cut, Exists, Expr, FalseLit, Forall, Join, Lambda, Less,
+    Let, Or, Pow, RatLit, Restrict, Tuple, TrueLit, Var, free_vars,
+    parse_expression, pretty_print,
 )
 from msl.typecheck import infer_type
 
 F = Fraction
+# The module, not the function that ``msl`` exports under its name.
+NORMALIZE = importlib.import_module("msl.normalize")
 
 
 def nf(source, prelude=()):
@@ -78,9 +84,169 @@ def printed(source):
                  id="shadow_let"),
     pytest.param("let x = 7 in fun x : real => x", "fun x : real => x",
                  id="shadow_binder"),
+    # Application spines: every argument is bound at once.
+    pytest.param(
+        "forall w : [0,1], forall y : [0,1], "
+        "(fun x : real => fun w : real => exists y : [0,1], y < x + w) w y",
+        "forall w : [0, 1], forall y : [0, 1], "
+        "exists y' : [0, 1], y' < w + y", id="spine_capture"),
+    pytest.param("(fun x : real => fun x : real => x) 1 2 < 3", "2 < 3",
+                 id="spine_shadow"),
+    pytest.param("(fun f : real -> real => f) (fun x : real => x + 1) 2 < 4",
+                 "2 + 1 < 4", id="spine_returns_function"),
+    pytest.param(
+        "(fun x : real => fun y : real => (x || y)) (1 || 2) (3 || 4) < 5",
+        "1 < 5 | 2 < 5 | 3 < 5 | 4 < 5", id="spine_joins"),
 ])
 def test_bound_names_are_read_without_capture(source, expected):
     assert printed(source) == expected
+
+
+# --- application spines ----------------------------------------------------------
+
+NAMES = ("x", "y", "w")
+CONNECTIVES = ("/\\", "\\/", "||")
+
+
+def _spine_real(rng, scope, depth, redexes):
+    """A real term over ``scope`` with binders named from ``NAMES``."""
+    roll = rng.random()
+    if depth <= 0 or roll < 0.3:
+        if scope and rng.random() < 0.7:
+            return rng.choice(scope)
+        return str(rng.randint(0, 4))
+    lhs = _spine_real(rng, scope, depth - 1, redexes)
+    if roll < 0.5:
+        rhs = _spine_real(rng, scope, depth - 1, redexes)
+        return f"({lhs} {rng.choice('+*')} {rhs})"
+    if roll < 0.62:
+        return f"({lhs} || {_spine_real(rng, scope, depth - 1, redexes)})"
+    v = rng.choice(NAMES)
+    if roll < 0.8 or not redexes:
+        left = _spine_prop(rng, scope + [v], depth - 1, redexes)
+        right = _spine_prop(rng, scope + [v], depth - 1, redexes)
+        return f"(cut {v} : [0, 2] left {left} right {right})"
+    body = _spine_real(rng, scope + [v], depth - 1, redexes)
+    return f"((fun {v} : real => {body}) {lhs})"
+
+
+def _spine_prop(rng, scope, depth, redexes):
+    roll = rng.random()
+    if depth <= 0 or roll < 0.35:
+        lhs = _spine_real(rng, scope, depth - 1, redexes)
+        return f"({lhs} < {_spine_real(rng, scope, depth - 1, redexes)})"
+    if roll < 0.55:
+        lhs = _spine_prop(rng, scope, depth - 1, redexes)
+        rhs = _spine_prop(rng, scope, depth - 1, redexes)
+        return f"({lhs} {rng.choice(CONNECTIVES)} {rhs})"
+    v = rng.choice(NAMES)
+    body = _spine_prop(rng, scope + [v], depth - 1, redexes)
+    return f"({rng.choice(('exists', 'forall'))} {v} : [0, 1], {body})"
+
+
+def spine_case(rng):
+    """A curried function of 2 or 3 parameters, applied to all its
+    arguments under ``forall``s of some of the same names: the head, the
+    direct application, and the same application split by ``let``s into
+    one-argument steps."""
+    outer = rng.sample(NAMES, rng.randint(0, 3))
+    params = [rng.choice(NAMES) for _ in range(rng.randint(2, 3))]
+    at_prop = rng.random() < 0.5
+    redexes = rng.random() < 0.5
+    body = (_spine_prop if at_prop else _spine_real)(
+        rng, list(params), 3, redexes)
+    fn = "(" + "".join(f"fun {p} : real => " for p in params) + body + ")"
+    args = [f"({_spine_real(rng, list(outer), 1, False)})" for _ in params]
+    head = "".join(f"forall {v} : [0, 1], " for v in outer)
+    tail = "" if at_prop else " < 1"
+    split, g = head, fn
+    for i, arg in enumerate(args[:-1]):
+        split += f"let g{i} = {g} {arg} in "
+        g = f"g{i}"
+    return (fn, f"{head}{fn} {' '.join(args)}{tail}",
+            f"{split}{g} {args[-1]}{tail}")
+
+
+def alpha(e, names=None, depth=0):
+    """``e`` with each bound variable named after its binding depth: two
+    terms that differ in bound names alone give equal results."""
+    names = names or {}
+    if isinstance(e, Var):
+        return Var(names.get(e.name, e.name))
+    changes = {}
+    if isinstance(e, (Lambda, Cut, Exists, Forall)):
+        changes["var"] = bound = f"#{depth}"
+        names, depth = {**names, e.var: bound}, depth + 1
+    for f in dataclasses.fields(e):
+        value = getattr(e, f.name)
+        if isinstance(value, Expr):
+            changes[f.name] = alpha(value, names, depth)
+        elif f.name == "items":
+            changes[f.name] = tuple(alpha(v, names, depth) for v in value)
+    return dataclasses.replace(e, **changes)
+
+
+def test_a_spine_normalizes_as_its_one_argument_steps():
+    # The same disjuncts in the same order.  The same names too, unless
+    # the head's normal form binds a primed name: see the next test.  The
+    # arguments are reals, so none of them drops a later parameter.
+    rng = random.Random(20261019)
+    for _ in range(600):
+        fn, direct, split = spine_case(rng)
+        got, want = nf(direct), nf(split)
+        assert list(map(alpha, got)) == list(map(alpha, want)), direct
+        if "'" not in printed(fn):
+            assert list(map(pretty_print, got)) == \
+                list(map(pretty_print, want)), direct
+
+
+@pytest.mark.parametrize("outer, fn, a1, a2, spine, steps", [
+    # The head's normal form binds x' (the inner redex renames exists x).
+    # One step at a time, w := x renames the parameter x to x', so the
+    # kept exists x' becomes x''; the spine binds w and x at once.
+    pytest.param(
+        "forall x : [0,1], ",
+        "(fun w : real => fun x : real => "
+        "(fun y : real => exists x : [0,1], x < y + w) x)", "x", "1",
+        "forall x : [0, 1], exists x' : [0, 1], x' < 1 + x",
+        "forall x : [0, 1], exists x'' : [0, 1], x'' < 1 + x",
+        id="kept_prime"),
+    # h := fun z => 1 drops w, so the step that binds w := y finds w free
+    # nowhere; the spine reads exists y under w := y and renames it.
+    pytest.param(
+        "forall y : [0,1], ",
+        "(fun h : real -> real => fun w : real => "
+        "exists y : [0,1], y < h w)", "(fun z : real => 1)", "y",
+        "forall y : [0, 1], exists y' : [0, 1], y' < 1",
+        "forall y : [0, 1], exists y : [0, 1], y < 1",
+        id="dropped_parameter"),
+])
+def test_a_spine_may_name_a_binder_unlike_its_steps(outer, fn, a1, a2,
+                                                    spine, steps):
+    assert printed(f"{outer}{fn} {a1} {a2}") == spine
+    assert printed(f"{outer}let g = {fn} {a1} in g {a2}") == steps
+    assert alpha(*nf(spine)) == alpha(*nf(steps))
+
+
+def test_a_kept_function_is_applied_without_walking_a_fun():
+    # ``accel x v`` binds both parameters of accel's normal form at once:
+    # no ``fun`` of it is walked, so none is rebuilt.
+    state = SessionState()
+    execute_source(state, '#use "car.msl";;', out=io.StringIO())
+    e = _wrap_definitions(state, parse_expression("accel (-7/2) 13/4"))
+    walked = []
+    real_nf = NORMALIZE._nf
+
+    def counting(e, ctx, env):
+        walked.append(type(e))
+        return real_nf(e, ctx, env)
+
+    NORMALIZE._nf = counting
+    try:
+        normalize(e)
+    finally:
+        NORMALIZE._nf = real_nf
+    assert walked and walked.count(Lambda) == 0
 
 
 # --- reduction ----------------------------------------------------------------
