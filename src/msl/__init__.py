@@ -14,8 +14,7 @@ from .evaluator import (
     prop_approx, real_approx, refine_step, run,
 )
 from .interval import (
-    DivisionIndeterminate, ENTIRE, GInterval, IndeterminateSum, NEG_INF,
-    POS_INF, XRat,
+    DivisionIndeterminate, ENTIRE, GInterval, NEG_INF, POS_INF, XRat,
 )
 from .normalize import normalize
 from .prelude import load_prelude
@@ -27,7 +26,7 @@ from .typecheck import TypecheckError, infer_type, is_base
 
 __all__ = [
     "BoolFF", "BoolTT", "Diverged", "DivisionIndeterminate", "ENTIRE",
-    "FunctionValue", "GInterval", "IndeterminateSum", "LOWER", "LexError",
+    "FunctionValue", "GInterval", "LOWER", "LexError",
     "Mode", "NEG_INF", "Outcome", "POS_INF", "PRUNED", "ParseError",
     "PropFalseProven", "PropTrue", "RealBall", "SessionState",
     "SourceError", "TupleOf", "TypecheckError", "UPPER", "XRat",

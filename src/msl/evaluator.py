@@ -31,16 +31,17 @@ over values ``_read`` returned (``_slopes``: the slopes of the centred
 form and of a Newton step).  A folded constant is an operand with a
 point range and no slope, and point operations are exact, so it gives
 every reading the numbers a dedicated constant operation would.  Every
-reading computes on plain ints with unreduced denominators
-(``interval``): no ``Fraction`` is built inside the loop.  A value
-becomes a ``GInterval`` only where ``real_approx`` hands it out, and
-``evaluate_step`` answers a real from its integer tuple.  So do
-the bindings and the narrowing of cuts: an environment binds a
-quantified variable or a cut probe's variable to the integer tuple of
-its box or point, and a cut's endpoints, its Newton steps and its
-trisection points are integers until the two chosen endpoints become the
-``Fraction``s of its new range.  The arithmetic is exact, so the answers
-are those of ``GInterval`` and ``Fraction`` arithmetic.
+reading computes on the integer tuples of ``interval``, an infinite
+endpoint (an unbounded cut's range, no information) included: no
+``Fraction`` is built inside the loop.  A value is reduced to a
+``GInterval`` only where ``real_approx`` hands it out, and
+``evaluate_step`` answers a real from its integer tuple.  So do the
+bindings and the narrowing of cuts: an environment binds a quantified
+variable or a cut probe's variable to the integer tuple of its box or
+point (``interval.box``), and a cut's endpoints, its Newton steps and
+its trisection points are integers until the two chosen endpoints
+become the ``Fraction``s of its new range.  The arithmetic is exact, so
+the answers are those of ``Fraction`` arithmetic.
 
 Naive interval evaluation suffers the dependency problem: ``x*(1-x)``
 over a box of width w is overestimated by about w, so near an extremum
@@ -116,8 +117,8 @@ from fractions import Fraction
 from itertools import islice
 
 from .interval import (
-    DivisionIndeterminate, ENTIRE, XRat, add, below, box, div, ends,
-    interval_of, mul, power, sub,
+    DivisionIndeterminate, ENTIRE, XRat, add, below, box, div, interval_of,
+    mul, power, sub,
 )
 from .normalize import mk_and, mk_or, normalize
 from .syntax import (
@@ -252,7 +253,7 @@ def _read(code, stop, env, mode):
         elif op == "-":
             push(sub(vals[x], vals[y]))
         elif op == "v":
-            push(ends(_lookup(env, x)))
+            push(_lookup(env, x))
         elif op == "q":
             push(x)
         elif op == "^":
@@ -338,8 +339,7 @@ class SweepEnv(dict):
     naive test and ignore kept values.
 
     Every environment binds a variable to the integer tuple of its box
-    where the box is finite (``interval.box``), else to its
-    ``GInterval``; the readers take either (``interval.ends``).
+    (``interval.box``), or to a ``GInterval``, which is such a tuple.
     """
 
     __slots__ = ()
@@ -421,11 +421,9 @@ def _centred_decides(code, vals, names, env, mode):
     """
     point, widths = {}, []  # the midpoint and width of each box
     for name in names:
-        x = ends(env[name])
-        if type(x) is not tuple:
-            return False
+        x = env[name]
         a, b, c, d = x if mode is LOWER else x[2:] + x[:2]
-        if a * d > c * b:
+        if not (b and d) or a * d > c * b:
             return False
         point[name] = a * d + c * b, 2 * b * d
         widths.append((c * b - a * d, b * d))
@@ -513,7 +511,7 @@ def _slopes(code, vals, names):
             elif op == "/":
                 # d(u/w) = du / w + (u/w) * -dw / w
                 r, w = vals[i], vals[y]
-                if type(r) is not tuple:
+                if not (r[1] and r[3]):  # no information
                     raise DivisionIndeterminate("divisor touches zero")
                 if gu is not None:
                     gu = [div(g, w) for g in gu]
@@ -941,10 +939,9 @@ def evaluate_step(e, precision, ty):
                 return None
             items.append(out)
         return TupleOf(tuple(items))
-    x = ends(_value(e, {}, LOWER))  # real: a tuple unless an end is infinite
-    if type(x) is not tuple:
-        return None
-    a, b, c, d = x
+    a, b, c, d = _value(e, {}, LOWER)  # a real
+    if not (b and d):
+        return None  # an infinite endpoint
     w = c * b - a * d  # the width c/d - a/b over b * d
     if 0 <= w and w * precision.denominator < precision.numerator * b * d:
         return RealBall(Fraction(a * d + c * b, 2 * b * d),

@@ -17,9 +17,9 @@ the meaning.
 Three extra reductions keep evaluation total on well-typed programs:
 projections and the boolean projections push through restriction
 (``(g ~> e)#k`` becomes ``g ~> e#k``, ``is_true (g ~> b)`` becomes
-``g /\\ is_true b``), and a prop-typed restriction itself collapses to a
-conjunction.  Literal conjunctions and disjunctions are folded, and
-duplicate disjuncts of a join are dropped.
+``g /\\ is_true b``), and a prop-typed restriction itself, a projected
+one included, collapses to a conjunction.  Literal conjunctions and
+disjunctions are folded, and duplicate disjuncts of a join are dropped.
 
 Nothing is substituted.  The one walk reads an environment that maps
 each name a ``let`` or a beta step binds to one normal disjunct of its
@@ -168,7 +168,8 @@ def _nf(e, ctx, env):
         return [rebuild(e, row) for row in
                 product(*[_nf(kid, ctx, env) for kid in children(e)])]
     if isinstance(e, Proj):
-        return [_proj_reduce(d, e.index) for d in _nf(e.tuple_, ctx, env)]
+        return [_proj_reduce(d, e.index, ctx)
+                for d in _nf(e.tuple_, ctx, env)]
     if isinstance(e, Lambda):
         var, ctx, env = _enter(e, e.var_ty, ctx, env)
         return [Lambda(var, e.var_ty, d) for d in _nf(e.body, ctx, env)]
@@ -276,11 +277,16 @@ def _intern(cut):
     return cut
 
 
-def _proj_reduce(d, k):
+def _proj_reduce(d, k, ctx):
+    """``d#k`` of a normal disjunct ``d``, pushed through its tuple and
+    its restrictions; one at prop is conjunction with its guard."""
     if isinstance(d, Tuple):
         return d.items[k - 1]
     if isinstance(d, Restrict):
-        return Restrict(d.guard, _proj_reduce(d.body, k))
+        body = _proj_reduce(d.body, k, ctx)
+        if infer_type(ctx, body) == PROP:
+            return mk_and([d.guard, body])
+        return Restrict(d.guard, body)
     return Proj(d, k)
 
 

@@ -103,6 +103,7 @@ class Expr:
     _nform = None  # normalize._nf of a closed node: its disjuncts
     _sides = None  # evaluator._sides of a closed cut, on its left:
     # the comparisons that give it Newton steps
+    _hash = None  # hash(node), structural (see ``_shape``)
 
 
 def keep(e, attr, value):
@@ -149,18 +150,6 @@ class Cut(Expr):
     range: Range = None
     left: Expr = None
     right: Expr = None
-
-    _hash = None
-
-    def __hash__(self):
-        # The structural hash, kept on the node: normalize interns
-        # closed cuts by equality, and a cut nested in another would
-        # otherwise be walked again by every enclosing cut's hash.
-        h = self._hash
-        if h is None:
-            h = keep(self, "_hash",
-                     hash((self.var, self.range, self.left, self.right)))
-        return h
 
 
 @dataclass(frozen=True)
@@ -267,7 +256,8 @@ class IsFalse(Expr):
 # Node shapes.  A field annotated ``Expr`` holds a child and ``items`` a
 # tuple of children; every other field, ``loc`` included, is data.
 # ``_shape`` derives each class's shape once, as class attributes:
-# ``_kids`` holds the children, ``_kid_names`` and ``_data`` name fields.
+# ``_kids`` holds the children, ``_kid_names`` and ``_data`` name fields,
+# and ``_compared`` the fields equality compares, which the hash reads.
 
 #: The nodes that bind ``var`` in all their children (``Let``: its body).
 BINDERS = (Lambda, Cut, Exists, Forall)
@@ -301,6 +291,16 @@ def rebuild(e, kids):
     return new
 
 
+def _hash(e):
+    """The structural hash of ``e``, kept on it: a child's is computed
+    once, however many enclosing nodes are hashed (``_dedup`` and the
+    interning of closed cuts in ``normalize`` hash whole trees)."""
+    h = e._hash
+    if h is None:
+        h = keep(e, "_hash", hash(e._compared))
+    return h
+
+
 def _shape(cls):
     names = tuple(f.name for f in fields(cls)
                   if f.type == "Expr" or f.name == "items")
@@ -313,6 +313,9 @@ def _shape(cls):
         cls._kids = property(lambda e: (get(e),))
     else:
         cls._kids = ()
+    compared = [f.name for f in fields(cls) if f.compare]
+    cls._compared = property(attrgetter(*compared)) if compared else ()
+    cls.__hash__ = _hash
 
 
 for _cls in Expr.__subclasses__():

@@ -3,7 +3,10 @@
 Everything here is computed by a route unrelated to the interpreter:
 bisection, grid search over exact rationals, closed-form kinematics, and
 interval arithmetic by structural recursion instead of compiled programs,
-the interval Newton steps of cut narrowing included.
+the interval Newton steps of cut narrowing included.  The interval
+arithmetic is its own: ``XRat`` and ``GInterval`` below compute on
+extended-rational endpoints by the sign-class table written out, where
+``msl.interval`` computes on integer tuples.
 """
 
 import math
@@ -11,7 +14,7 @@ from fractions import Fraction
 
 from msl.cli import SessionState, _wrap_definitions, execute_item
 from msl.evaluator import LOWER, run
-from msl.interval import ENTIRE, DivisionIndeterminate, GInterval, XRat
+from msl.interval import DivisionIndeterminate
 from msl.syntax import (
     KEYWORDS, And, Arith, Cut, Exists, FalseLit, Less, LexError, Or, Pow,
     RatLit, Restrict, Token, TrueLit, Var, _number, free_vars,
@@ -20,6 +23,279 @@ from msl.syntax import (
 from msl.typecheck import infer_type
 
 F = Fraction
+
+
+# --- reference interval arithmetic -------------------------------------------
+# Generalized intervals over extended rationals, endpoint by endpoint.
+# ``reference`` reads the interpreter's intervals into this arithmetic.
+
+class IndeterminateSum(ArithmeticError):
+    """inf + -inf has no meaningful value."""
+
+
+class XRat:
+    """A rational extended with -inf and +inf, totally ordered.
+
+    ``sign`` is -1 for -inf, +1 for +inf, 0 for a finite value held in
+    ``q`` as an exact ``Fraction`` in lowest terms.
+    """
+
+    __slots__ = ("sign", "q")
+
+    def __init__(self, value=0, sign=0):
+        if sign:
+            object.__setattr__(self, "sign", 1 if sign > 0 else -1)
+            object.__setattr__(self, "q", None)
+        else:
+            if isinstance(value, float):
+                raise TypeError("floats are not exact; pass a Fraction")
+            object.__setattr__(self, "sign", 0)
+            q = value if isinstance(value, Fraction) else Fraction(value)
+            object.__setattr__(self, "q", q)
+
+    # XRat is immutable by convention; block accidental mutation.
+    def __setattr__(self, name, value):
+        raise AttributeError("XRat is immutable")
+
+    @property
+    def is_finite(self):
+        return self.sign == 0
+
+    def _key(self):
+        # (-1, _) < (0, q) < (1, _): tuple compare gives the total order.
+        return (self.sign, self.q if self.sign == 0 else 0)
+
+    def __eq__(self, other):
+        if not isinstance(other, XRat):
+            return NotImplemented
+        return self._key() == other._key()
+
+    # a > b and a >= b reflect to b < a and b <= a.
+
+    def __lt__(self, other):
+        return self._key() < other._key()
+
+    def __le__(self, other):
+        return self._key() <= other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __neg__(self):
+        if self.sign:
+            return NEG_INF if self.sign > 0 else POS_INF
+        return XRat(-self.q)
+
+    def __add__(self, other):
+        if self.sign == 0 and other.sign == 0:
+            return XRat(self.q + other.q)
+        if self.sign == 0:
+            return other
+        if other.sign == 0 or other.sign == self.sign:
+            return self
+        raise IndeterminateSum("inf + -inf")
+
+    def __mul__(self, other):
+        if self.sign == 0 and other.sign == 0:
+            return XRat(self.q * other.q)
+        # inf * 0 == 0 so products against exact zeros stay informative.
+        if self.sign == 0 and self.q == 0:
+            return ZERO
+        if other.sign == 0 and other.q == 0:
+            return ZERO
+        sa = self.sign if self.sign else (1 if self.q > 0 else -1)
+        sb = other.sign if other.sign else (1 if other.q > 0 else -1)
+        return POS_INF if sa * sb > 0 else NEG_INF
+
+    def __pow__(self, k):
+        if not isinstance(k, int) or k < 0:
+            raise ValueError("exponent must be a natural number")
+        if k == 0:
+            return ONE
+        if self.sign == 0:
+            return XRat(self.q ** k)
+        if self.sign > 0 or k % 2 == 0:
+            return POS_INF
+        return NEG_INF
+
+    def reciprocal(self):
+        if self.sign or self.q == 0:
+            raise ZeroDivisionError("reciprocal needs a finite nonzero value")
+        return XRat(1 / self.q)
+
+    def __str__(self):
+        if self.sign > 0:
+            return "inf"
+        if self.sign < 0:
+            return "-inf"
+        return str(self.q)
+
+    def __repr__(self):
+        return f"XRat({self})"
+
+
+NEG_INF = XRat(sign=-1)
+POS_INF = XRat(sign=1)
+ZERO = XRat(0)
+ONE = XRat(1)
+
+
+def _as_xrat(v):
+    return v if isinstance(v, XRat) else XRat(v)
+
+
+# Sign classes for the generalized product: P has both endpoints >= 0,
+# N both <= 0, Z straddles zero the proper way (lo <= 0 <= hi) and ZD
+# the improper way (hi <= 0 <= lo).
+_P, _N, _Z, _ZD = range(4)
+
+
+def _sign_class(i):
+    lo, hi = i.lo, i.hi
+    a_nonneg = lo.sign > 0 if lo.sign else lo.q.numerator >= 0
+    b_nonneg = hi.sign > 0 if hi.sign else hi.q.numerator >= 0
+    if a_nonneg and b_nonneg:
+        return _P
+    if not a_nonneg and not b_nonneg:
+        return _N
+    if not a_nonneg and b_nonneg:
+        return _Z
+    return _ZD
+
+
+class GInterval:
+    """Generalized interval: a pair of extended-rational endpoints.
+
+    No ordering constraint between the endpoints; ``lo <= hi`` is a
+    proper interval, ``lo > hi`` an improper (back-to-front) one.
+    """
+
+    __slots__ = ("lo", "hi")
+
+    def __init__(self, lo, hi):
+        object.__setattr__(self, "lo", _as_xrat(lo))
+        object.__setattr__(self, "hi", _as_xrat(hi))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("GInterval is immutable")
+
+    @staticmethod
+    def point(q):
+        q = _as_xrat(q)
+        return GInterval(q, q)
+
+    @property
+    def is_proper(self):
+        return self.lo <= self.hi
+
+    @property
+    def is_finite(self):
+        return self.lo.is_finite and self.hi.is_finite
+
+    def dual(self):
+        return GInterval(self.hi, self.lo)
+
+    def __eq__(self, other):
+        if not isinstance(other, GInterval):
+            return NotImplemented
+        return self.lo == other.lo and self.hi == other.hi
+
+    def __add__(self, other):
+        try:
+            return GInterval(self.lo + other.lo, self.hi + other.hi)
+        except IndeterminateSum:
+            # No-information fallback; only reachable when mixing
+            # opposite-orientation unbounded intervals directly.
+            return ENTIRE
+
+    def __neg__(self):
+        return GInterval(-self.hi, -self.lo)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        a, b, c, d = self.lo, self.hi, other.lo, other.hi
+        ca, cb = _sign_class(self), _sign_class(other)
+        if ca == _P:
+            if cb == _P:
+                return GInterval(a * c, b * d)
+            if cb == _Z:
+                return GInterval(b * c, b * d)
+            if cb == _N:
+                return GInterval(b * c, a * d)
+            return GInterval(a * c, a * d)
+        if ca == _Z:
+            if cb == _P:
+                return GInterval(a * d, b * d)
+            if cb == _Z:
+                return GInterval(min(a * d, b * c), max(a * c, b * d))
+            if cb == _N:
+                return GInterval(b * c, a * c)
+            return GInterval(ZERO, ZERO)
+        if ca == _N:
+            if cb == _P:
+                return GInterval(a * d, b * c)
+            if cb == _Z:
+                return GInterval(a * d, a * c)
+            if cb == _N:
+                return GInterval(b * d, a * c)
+            return GInterval(b * d, b * c)
+        # ca == _ZD
+        if cb == _P:
+            return GInterval(a * c, b * c)
+        if cb == _Z:
+            return GInterval(ZERO, ZERO)
+        if cb == _N:
+            return GInterval(b * d, a * d)
+        return GInterval(max(a * c, b * d), min(a * d, b * c))
+
+    def __truediv__(self, other):
+        lo, hi = other.lo, other.hi
+        if not (lo.is_finite and hi.is_finite):
+            raise DivisionIndeterminate("unbounded divisor")
+        if lo.q == 0 or hi.q == 0 or (lo.q > 0) != (hi.q > 0):
+            raise DivisionIndeterminate("divisor touches zero")
+        return self * GInterval(hi.reciprocal(), lo.reciprocal())
+
+    def __pow__(self, k):
+        if not isinstance(k, int) or k < 0:
+            raise ValueError("exponent must be a natural number")
+        if k == 0:
+            return GInterval(ONE, ONE)
+        if k % 2 == 1:
+            return GInterval(self.lo ** k, self.hi ** k)
+        if not self.is_proper:
+            return (self.dual() ** k).dual()
+        lo_k, hi_k = self.lo ** k, self.hi ** k
+        if self.lo <= ZERO <= self.hi:
+            m = ZERO
+        else:
+            m = min(lo_k, hi_k)
+        return GInterval(m, max(lo_k, hi_k))
+
+    def __repr__(self):
+        return f"GInterval({self.lo!r}, {self.hi!r})"
+
+
+#: The mode-agnostic no-information interval.
+ENTIRE = GInterval(NEG_INF, POS_INF)
+
+
+def reference(x):
+    """The reference ``GInterval`` of ``x``: one already, or an integer
+    tuple <a/b, c/d> (``msl.interval.GInterval`` is one), an infinite
+    endpoint +-1 over 0."""
+    if isinstance(x, GInterval):
+        return x
+    a, b, c, d = x
+    return GInterval(XRat(sign=a) if not b else Fraction(a, b),
+                     XRat(sign=c) if not d else Fraction(c, d))
+
+
+def reference_end(x):
+    """The reference ``XRat`` of an ``msl.interval.XRat``."""
+    return XRat(x.q, x.sign)
 
 
 def bisect_sqrt2(tol):
@@ -36,11 +312,13 @@ def bisect_sqrt2(tol):
 
 def contains(iv, q):
     """Whether the rational ``q`` lies in the proper reading of ``iv``."""
+    iv = reference(iv)
     return iv.lo <= XRat(q) <= iv.hi
 
 
 def contains_interval(outer, inner):
     """Whether the proper reading of ``outer`` includes that of ``inner``."""
+    outer, inner = reference(outer), reference(inner)
     return outer.lo <= inner.lo and inner.hi <= outer.hi
 
 
@@ -164,9 +442,9 @@ def reference_real_approx(e, env, mode):
     if isinstance(e, RatLit):
         return GInterval.point(e.value)
     if isinstance(e, Var):
-        return env[e.name]
+        return reference(env[e.name])
     if isinstance(e, Cut):
-        box = GInterval(e.range.lo, e.range.hi)
+        box = GInterval(reference_end(e.range.lo), reference_end(e.range.hi))
         return box if mode is LOWER else box.dual()
     if isinstance(e, Restrict):
         if isinstance(e.guard, TrueLit):
@@ -221,7 +499,8 @@ def reference_holds(p, env):
         return (reference_real_approx(p.lhs, env, LOWER).hi
                 < reference_real_approx(p.rhs, env, LOWER).lo)
     r = p.range
-    bound = GInterval(r.lo, r.lo if isinstance(p, Exists) else r.hi)
+    lo = reference_end(r.lo)
+    bound = GInterval(lo, lo if isinstance(p, Exists) else reference_end(r.hi))
     return reference_holds(p.body, {**env, p.var: bound})
 
 

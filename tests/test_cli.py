@@ -213,6 +213,28 @@ def test_nested_restrictions_unwrap():
     assert out == "real = 7 ± 0\n"
 
 
+@pytest.mark.parametrize("source,decimal,interval", [
+    # inf * 0 == 0
+    ("(cut x : (-inf, inf) left x < 0 right x > 0) * 0",
+     "real = 0 ± 0", "real = [0, 0]"),
+    # -inf < finite: the naive test holds before the cut finds a bound
+    ("(cut x : (0, inf) left x < 1 right x > 1) < 5",
+     "prop = True", "prop = True"),
+    # each unbounded end meets a finite one, and then none is left
+    ("(cut x : (-inf, 0) left x < -1 right x > -1) - "
+     "(cut y : (0, inf) left y < 1 right y > 1)",
+     "real = -2 ± 0.00000762939453125",
+     "real = [-262145/131072, -262143/131072]"),
+    # an unbounded divisor is no information until it is bounded
+    ("1 / (cut x : (0, inf) left x < 1 right x > 1) < 2",
+     "prop = True", "prop = True"),
+])
+def test_unbounded_cuts_print_their_answers(source, decimal, interval):
+    for fmt, expected in (("decimal", decimal), ("interval", interval)):
+        state = SessionState(fmt=fmt)
+        assert run_script(f"{source};;", state)[1:3] == (expected + "\n", "")
+
+
 def test_type_error_leaves_session_usable():
     state, out, err, had_error, _ = run_script(
         "let bad = 1 2;; let good = 3;; good;;")

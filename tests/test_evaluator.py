@@ -21,7 +21,7 @@ from msl.syntax import (
     And, Arith, BOOL, Exists, FalseLit, Forall, Less, Or, PROP, Pow,
     ProductTy, Range, RatLit, REAL, Restrict, TrueLit, Var, parse_expression,
 )
-from oracles import reference_real_approx
+from oracles import reference, reference_real_approx
 from test_interval import any_intervals, polynomial_terms, rationals
 
 F = Fraction
@@ -101,7 +101,7 @@ def test_real_approx_matches_recursive_reference(t, x, y):
     # x and y are drawn proper, dual, points and unbounded alike.
     env = {"x": x, "y": y}
     for mode in (LOWER, UPPER):
-        assert real_approx(t, env, mode) == \
+        assert reference(real_approx(t, env, mode)) == \
             reference_real_approx(t, env, mode)
 
 

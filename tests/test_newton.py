@@ -21,17 +21,15 @@ from msl.evaluator import (
     _narrow, _newton_points, _read, _sides, _slopes, compile_term,
     evaluate_step, refine_step, run,
 )
-from msl.interval import (
-    DivisionIndeterminate, GInterval, XRat, box, interval_of,
-)
+from msl.interval import DivisionIndeterminate, XRat, box
 from msl.normalize import normalize
 from msl.prelude import load_prelude
 from msl.syntax import (
     Arith, Cut, Def, Expr, Let, REAL, parse_expression, parse_program,
 )
 from oracles import (
-    reference_demand_bits, reference_narrow, reference_newton_points,
-    reference_slope,
+    GInterval, reference, reference_demand_bits, reference_narrow,
+    reference_newton_points, reference_slope,
 )
 
 CUT_DEFS = """
@@ -407,7 +405,7 @@ def test_integer_narrowing_matches_the_fraction_reference(
         with contextlib.suppress(DivisionIndeterminate):
             slope = _slopes(code, _read(code, len(code) - 1, over, LOWER),
                             (d.var,))
-            slope = slope and interval_of(slope[0])
+            slope = slope and reference(slope[0])
         with contextlib.suppress(DivisionIndeterminate):
             ref = reference_slope(Arith("-", less.lhs, less.rhs), d.var,
                                   GInterval(lo, hi))

@@ -281,6 +281,31 @@ def test_prop_restriction_becomes_conjunction():
     assert got == [And((parse_expression("0 < 1"), parse_expression("1 < 2")))]
 
 
+def test_prop_projection_through_restriction_becomes_conjunction():
+    got = nf("((0 < 1) ~> (1 < 2, 3))#1")
+    assert got == [And((parse_expression("0 < 1"), parse_expression("1 < 2")))]
+    got = nf("(0 < 1 ~> (2 < 3 ~> (1 < 2, 3)))#1")
+    assert got == [And(tuple(map(parse_expression,
+                                 ("0 < 1", "2 < 3", "1 < 2"))))]
+
+
+@pytest.mark.parametrize("source, expected", [
+    ("forall x : [0,1], (x < 2 ~> (x < 3, 0))#1", "prop = True"),
+    ("forall x : [0,1], (x < 2 ~> (x < 1/2, 0))#1", "prop = False (proven)"),
+    ("exists x : [0,1], (x < 1/2 ~> (x < 1, 0))#1", "prop = True"),
+    ("(fun t : prop * prop => t#1 /\\ t#2) (0 < 1 ~> (1 < 2, 2 < 3))",
+     "prop = True"),
+    ("forall x : [0,1], (fun p : prop * real => p#1) (x < 2 ~> (x < 3, 0))",
+     "prop = True"),
+])
+def test_a_prop_projection_through_a_restriction_answers(source, expected):
+    # It answers as its /\ spelling does: a restriction left in a prop
+    # is not normal, and evaluating it raised out of the session.
+    out, err = io.StringIO(), io.StringIO()
+    execute_source(SessionState(), f"{source};;", out=out, err=err)
+    assert (out.getvalue(), err.getvalue()) == (expected + "\n", "")
+
+
 # --- join hoisting --------------------------------------------------------------
 
 def test_join_hoists_through_arithmetic():
