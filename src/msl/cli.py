@@ -116,7 +116,9 @@ def _run_source(state, source, where="", start=None):
     text, None) per answer and (None, error text) per error.  An error
     ends its own item, a parse error the whole text.  ``where`` ("" or
     the ``#use`` argument and a colon) names the file in error texts;
-    ``start``, when given, is the location of the text in its input."""
+    ``start``, when given, is the location of the text in its input.  An
+    item too deep for Python's recursion limit, or that exhausts memory,
+    is a located error too."""
     try:
         # perfbench's counting pass wraps ``parse_program`` in a function
         # of one argument, and runs no text with a ``start``.
@@ -137,6 +139,9 @@ def _run_source(state, source, where="", start=None):
             yield None, where + exc.format()
         except RecursionError:
             exc = SourceError("expression too deeply nested", item.loc)
+            yield None, where + exc.format()
+        except MemoryError:
+            exc = SourceError("out of memory", item.loc)
             yield None, where + exc.format()
 
 

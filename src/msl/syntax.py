@@ -39,10 +39,15 @@ The lexer finds each token by matching one regular expression
 (``_TOKEN``) at the current offset; the named group that matched is the
 token's class, and its offset gives its line and column.
 
-The operator levels (``_JOIN`` ... ``_MUL``) drive both the parser and
-the printer.  The node shapes (``children``, ``rebuild``) serve every
-traversal that only needs to know where a node's children are:
-``free_vars``, ``normalize._nf`` and ``evaluator._refine``.
+One precedence climb (``_Parser.expr``) reads every operator level,
+from "||" to prefix "-", "^ k", application and "#k", and the printer
+brackets from the same tables (``_BINARY``, ``_PREFIX``, ``_CHAINS``
+and ``_SIDES``): each operator's token, level and grouping is written
+once.  A parenthesis costs the parser two Python frames.
+
+The node shapes (``children``, ``rebuild``) serve every traversal that
+only needs to know where a node's children are: ``free_vars``,
+``normalize._nf`` and ``evaluator._refine``.
 """
 
 from __future__ import annotations
@@ -483,12 +488,31 @@ def _number(kind, text, loc):
 #: Operator levels, loosest first; the parser and the printer share them.
 _JOIN, _RESTRICT, _OR, _AND, _CMP, _ADD, _MUL, _UNARY, _POW, _APP, _ATOM = range(11)
 
-#: The level of each binary operator token.
+#: The token kind of an application: any atom that follows an operand.
+_APPLY = "APPLY"
+
+#: The level of each token that may follow an operand: a binary operator,
+#: "^ k", an application, or a projection "#k" (``PROJ``).
 _BINARY = {"||": _JOIN, "~>": _RESTRICT, "\\/": _OR, "/\\": _AND,
-           "<": _CMP, ">": _CMP, "+": _ADD, "-": _ADD, "*": _MUL, "/": _MUL}
+           "<": _CMP, ">": _CMP, "+": _ADD, "-": _ADD, "*": _MUL, "/": _MUL,
+           "^": _POW, _APPLY: _APP, "PROJ": _ATOM}
+
+#: The level of each prefix operator token.
+_PREFIX = {"-": _UNARY}
+
+#: The operator whose literal operands the parser folds into one literal.
+_QUOTIENT = "/"
 
 #: The operators whose chains are one n-ary node.
 _CHAINS = {"||": Join, "\\/": Or, "/\\": And}
+
+#: The levels of the left and right operands of an operator at each
+#: level: "~>" groups to the right, chains and comparisons not at all,
+#: and every tighter operator to the left.
+_SIDES = [(op + 1, op) if op == _RESTRICT
+          else (op + 1, op + 1) if op < _ADD
+          else (op, op + 1)
+          for op in range(_ATOM + 1)]
 
 _BINDER_STARTS = {"fun", "cut", "exists", "forall", "let"}
 _ATOM_STARTS = {"IDENT", "RAT", "True", "False", "(", "mkbool", "is_true",
@@ -500,8 +524,8 @@ class _Parser:
         self.toks = tokens
         self.pos = 0
 
-    def peek(self, k=0):
-        return self.toks[min(self.pos + k, len(self.toks) - 1)]
+    def peek(self):
+        return self.toks[self.pos]
 
     def next(self):
         tok = self.toks[self.pos]
@@ -570,74 +594,68 @@ class _Parser:
     # Expressions -----------------------------------------------------------
 
     def expr(self, level=_JOIN):
-        """An expression whose binary operators all bind at ``level`` or
-        tighter, by precedence climbing over ``_BINARY``.  Every node it
-        builds is located at the expression's first token."""
-        loc = self.peek().loc
-        e = self.unary_expr()
-        top = _MUL  # the tightest level an operator here may still have
-        while True:
-            kind = self.peek().kind
-            op = _BINARY.get(kind)
-            if op is None or not level <= op <= top:
-                return e
+        """An expression whose operators all bind at ``level`` or tighter,
+        by precedence climbing: ``prec`` is the level of what has been
+        read, and an operator may take it as its left operand when that
+        side of it (``_SIDES``) binds no tighter.  An infix or chain node
+        is located at the expression's first token, a negation at its
+        "-", and an application, power or projection at the token after
+        its left operand."""
+        tok = self.peek()
+        loc = tok.loc
+        if tok.kind in _PREFIX and level <= _PREFIX[tok.kind]:
             self.next()
-            if op >= _ADD:  # + - * / group to the left
-                top = op
-                rhs = self.expr(op + 1)
-                if (kind == "/" and isinstance(e, RatLit)
+            prec = _PREFIX[tok.kind]
+            arg = self.expr(prec)
+            if isinstance(arg, RatLit):
+                e = RatLit(-arg.value, loc=loc)
+            else:
+                e = Arith(tok.kind, RatLit(Fraction(0), loc=loc), arg, loc=loc)
+        else:
+            e = self.primary_expr()
+            prec = _ATOM
+        while True:
+            tok = self.peek()
+            kind = _APPLY if tok.kind in _ATOM_STARTS else tok.kind
+            op = _BINARY.get(kind)
+            if op is None or op < level:
+                return e
+            left, right = _SIDES[op]
+            if left > prec:  # what has been read binds too loosely
+                return e
+            prec = op
+            if op == _APP:  # the atom is the argument
+                e = App(e, self.expr(right), loc=tok.loc)
+                continue
+            self.next()
+            if op == _ATOM:
+                if tok.value < 1:
+                    raise ParseError("projection index starts at 1", tok.loc)
+                e = Proj(e, tok.value, loc=tok.loc)
+            elif op == _POW:
+                k = self.expect("RAT").value
+                if k.denominator != 1 or k < 0:
+                    raise ParseError("exponent must be a natural number",
+                                     tok.loc)
+                e = Pow(e, int(k), loc=tok.loc)
+            elif kind in _CHAINS:  # one n-ary node for the whole chain
+                items = [e, self.expr(right)]
+                while self.peek().kind == kind:
+                    self.next()
+                    items.append(self.expr(right))
+                e = _CHAINS[kind](tuple(items), loc=loc)
+            elif op == _CMP:  # e < rhs, or e > rhs read as rhs < e
+                rhs = self.expr(right)
+                e = Less(*((e, rhs) if kind == "<" else (rhs, e)), loc=loc)
+            elif op == _RESTRICT:
+                e = Restrict(e, self.expr(right), loc=loc)
+            else:  # + - * /
+                rhs = self.expr(right)
+                if (kind == _QUOTIENT and isinstance(e, RatLit)
                         and isinstance(rhs, RatLit) and rhs.value != 0):
                     e = RatLit(e.value / rhs.value, loc=loc)
                 else:
                     e = Arith(kind, e, rhs, loc=loc)
-                continue
-            top = op - 1  # chains are n-ary, ~> nests right, < > never group
-            if op == _CMP:  # e < rhs, or e > rhs read as rhs < e
-                rhs = self.expr(_ADD)
-                e = Less(*((e, rhs) if kind == "<" else (rhs, e)), loc=loc)
-            elif op == _RESTRICT:  # groups to the right
-                e = Restrict(e, self.expr(_RESTRICT), loc=loc)
-            else:  # one n-ary node for the whole chain
-                items = [e, self.expr(op + 1)]
-                while self.peek().kind == kind:
-                    self.next()
-                    items.append(self.expr(op + 1))
-                e = _CHAINS[kind](tuple(items), loc=loc)
-
-    def unary_expr(self):
-        if self.peek().kind == "-":
-            loc = self.next().loc
-            arg = self.unary_expr()
-            if isinstance(arg, RatLit):
-                return RatLit(-arg.value, loc=loc)
-            return Arith("-", RatLit(Fraction(0), loc=loc), arg, loc=loc)
-        return self.pow_expr()
-
-    def pow_expr(self):
-        e = self.app_expr()
-        while self.peek().kind == "^":
-            loc = self.next().loc
-            k = self.expect("RAT").value
-            if k.denominator != 1 or k < 0:
-                raise ParseError("exponent must be a natural number", loc)
-            e = Pow(e, int(k), loc=loc)
-        return e
-
-    def app_expr(self):
-        e = self.atom_expr()
-        while self.peek().kind in _ATOM_STARTS:
-            loc = self.peek().loc
-            e = App(e, self.atom_expr(), loc=loc)
-        return e
-
-    def atom_expr(self):
-        e = self.primary_expr()
-        while self.peek().kind == "PROJ":
-            tok = self.next()
-            if tok.value < 1:
-                raise ParseError("projection index starts at 1", tok.loc)
-            e = Proj(e, tok.value, loc=tok.loc)
-        return e
 
     def primary_expr(self):
         tok = self.peek()
@@ -694,15 +712,13 @@ class _Parser:
             return self.let_expr()
         if kind == "mkbool":
             self.next()
-            p = self.atom_expr()
-            q = self.atom_expr()
-            return MkBool(p, q, loc=tok.loc)
+            return MkBool(self.expr(_ATOM), self.expr(_ATOM), loc=tok.loc)
         if kind == "is_true":
             self.next()
-            return IsTrue(self.atom_expr(), loc=tok.loc)
+            return IsTrue(self.expr(_ATOM), loc=tok.loc)
         if kind == "is_false":
             self.next()
-            return IsFalse(self.atom_expr(), loc=tok.loc)
+            return IsFalse(self.expr(_ATOM), loc=tok.loc)
         raise ParseError(f"unexpected {self._show(tok)}", tok.loc)
 
     def let_expr(self, item=False):
@@ -720,21 +736,17 @@ class _Parser:
     # Types and ranges -------------------------------------------------------
 
     def type_expr(self):
-        first = self.product_type()
-        if self.peek().kind == "->":
-            self.next()
-            return ArrowTy(first, self.type_expr())
-        return first
-
-    def product_type(self):
-        first = self.atom_type()
-        if self.peek().kind != "*":
-            return first
-        items = [first]
+        """A product ``t * ... * t``, or an arrow from one, which nests
+        to the right."""
+        items = [self.atom_type()]
         while self.peek().kind == "*":
             self.next()
             items.append(self.atom_type())
-        return ProductTy(tuple(items))
+        ty = items[0] if len(items) == 1 else ProductTy(tuple(items))
+        if self.peek().kind == "->":
+            self.next()
+            return ArrowTy(ty, self.type_expr())
+        return ty
 
     def atom_type(self):
         tok = self.next()
@@ -822,76 +834,73 @@ def pretty_print(e):
     return _pp(e, _JOIN)
 
 
+#: The operator token of each operator node but ``Arith`` (its ``op``).
+_TOKENS = {Restrict: "~>", Less: "<", Pow: "^", App: _APPLY, Proj: "PROJ",
+           **{node: tok for tok, node in _CHAINS.items()}}
+
+#: How the printer writes the tokens it does not write as " tok ".
+_WRITTEN = {_APPLY: " ", "PROJ": "#"}
+
+#: The keyword that starts each keyword form, and the level its text
+#: re-parses at: a binder's body extends as far right as it can, and
+#: mkbool, is_true and is_false take atoms as an application does.
+_FORMS = {Lambda: ("fun", _JOIN), Cut: ("cut", _JOIN), Let: ("let", _JOIN),
+          Exists: ("exists", _JOIN), Forall: ("forall", _JOIN),
+          MkBool: ("mkbool", _APP), IsTrue: ("is_true", _APP),
+          IsFalse: ("is_false", _APP)}
+
+
 def _pp(e, level):
-    if isinstance(e, Var):
+    """The text of ``e`` where the parser reads an operand at ``level``:
+    bracketed when ``e`` binds more loosely."""
+    cls = type(e)
+    if cls is Var:
         return e.name
-    if isinstance(e, TrueLit):
+    if cls is TrueLit:
         return "True"
-    if isinstance(e, FalseLit):
+    if cls is FalseLit:
         return "False"
-    if isinstance(e, RatLit):
-        # "p/q" re-parses at the quotient level and "-n" at the unary
-        # level, where the parser folds them back into one literal.
+    if cls is RatLit:
+        # "p/q" re-parses as a quotient and "-n" as a negation, which the
+        # parser folds back into one literal.
+        text = str(e.value)
         if e.value.denominator != 1:
-            return _wrap(str(e.value), _MUL, level)
-        if e.value < 0:
-            return _wrap(str(e.value), _UNARY, level)
-        return str(e.value)
-    if isinstance(e, Join):
-        body = " || ".join(_pp(x, _RESTRICT) for x in e.items)
-        return f"({body})"
-    if isinstance(e, Restrict):
-        body = f"{_pp(e.guard, _OR)} ~> {_pp(e.body, _RESTRICT)}"
-        return _wrap(body, _RESTRICT, level)
-    if isinstance(e, Or):
-        body = " \\/ ".join(_pp(x, _AND) for x in e.items)
-        return _wrap(body, _OR, level)
-    if isinstance(e, And):
-        body = " /\\ ".join(_pp(x, _CMP) for x in e.items)
-        return _wrap(body, _AND, level)
-    if isinstance(e, Less):
-        body = f"{_pp(e.lhs, _ADD)} < {_pp(e.rhs, _ADD)}"
-        return _wrap(body, _CMP, level)
-    if isinstance(e, Arith):
-        if (e.op == "-" and isinstance(e.lhs, RatLit) and e.lhs.value == 0
-                and not isinstance(e.rhs, RatLit)):
-            return _wrap(f"-{_pp(e.rhs, _UNARY + 1)}", _UNARY, level)
-        if e.op in "+-":
-            body = f"{_pp(e.lhs, _ADD)} {e.op} {_pp(e.rhs, _ADD + 1)}"
-            return _wrap(body, _ADD, level)
-        body = f"{_pp(e.lhs, _MUL)} {e.op} {_pp(e.rhs, _MUL + 1)}"
-        return _wrap(body, _MUL, level)
-    if isinstance(e, Pow):
-        return _wrap(f"{_pp(e.base, _POW)} ^ {e.exp}", _POW, level)
-    if isinstance(e, App):
-        body = f"{_pp(e.fn, _APP)} {_pp(e.arg, _ATOM)}"
-        return _wrap(body, _APP, level)
-    if isinstance(e, Proj):
-        return f"{_pp(e.tuple_, _ATOM)}#{e.index}"
-    if isinstance(e, Tuple):
-        return "(" + ", ".join(_pp(x, _JOIN) for x in e.items) + ")"
-    if isinstance(e, Lambda):
-        body = f"fun {e.var} : {type_str(e.var_ty)} => {_pp(e.body, _JOIN)}"
-        return _wrap(body, _JOIN, level)
-    if isinstance(e, Cut):
-        body = (f"cut {e.var} : {range_str(e.range)} left {_pp(e.left, _JOIN)} "
-                f"right {_pp(e.right, _JOIN)}")
-        return _wrap(body, _JOIN, level)
-    if isinstance(e, (Exists, Forall)):
-        word = "exists" if isinstance(e, Exists) else "forall"
-        body = f"{word} {e.var} : {range_str(e.range)}, {_pp(e.body, _JOIN)}"
-        return _wrap(body, _JOIN, level)
-    if isinstance(e, Let):
-        body = f"let {e.var} = {_pp(e.bound, _JOIN)} in {_pp(e.body, _JOIN)}"
-        return _wrap(body, _JOIN, level)
-    if isinstance(e, MkBool):
-        body = f"mkbool {_pp(e.if_true, _ATOM)} {_pp(e.if_false, _ATOM)}"
-        return _wrap(body, _APP, level)
-    if isinstance(e, IsTrue):
-        return _wrap(f"is_true {_pp(e.arg, _ATOM)}", _APP, level)
-    if isinstance(e, IsFalse):
-        return _wrap(f"is_false {_pp(e.arg, _ATOM)}", _APP, level)
-    raise TypeError(f"cannot print {type(e).__name__}")
+            return _wrap(text, _BINARY[_QUOTIENT], level)
+        return _wrap(text, _PREFIX[text[0]], level) if e.value < 0 else text
+    if cls is Tuple:
+        return "(" + ", ".join(map(pretty_print, e.items)) + ")"
+    if cls in _FORMS:
+        word, op = _FORMS[cls]
+        if cls is Lambda:
+            rest = f"{e.var} : {type_str(e.var_ty)} => {pretty_print(e.body)}"
+        elif cls is Cut:
+            rest = (f"{e.var} : {range_str(e.range)} left "
+                    f"{pretty_print(e.left)} right {pretty_print(e.right)}")
+        elif cls is Let:
+            rest = (f"{e.var} = {pretty_print(e.bound)} in "
+                    f"{pretty_print(e.body)}")
+        elif cls is Exists or cls is Forall:
+            rest = f"{e.var} : {range_str(e.range)}, {pretty_print(e.body)}"
+        else:
+            rest = " ".join(_pp(x, _SIDES[op][1]) for x in children(e))
+        return _wrap(f"{word} {rest}", op, level)
+    if (cls is Arith and e.op in _PREFIX and isinstance(e.lhs, RatLit)
+            and e.lhs.value == 0 and not isinstance(e.rhs, RatLit)):
+        # A negation; its operand is bracketed one level tighter than
+        # the parser reads it, so a negated negation prints "-(-x)".
+        op = _PREFIX[e.op]
+        return _wrap(e.op + _pp(e.rhs, op + 1), op, level)
+    tok = e.op if cls is Arith else _TOKENS[cls]
+    op = _BINARY[tok]
+    left, right = _SIDES[op]
+    # A chain's operands are its items, any other node's its last two
+    # fields; a power's exponent and a projection's index are numbers.
+    first, *rest = e.items if tok in _CHAINS else e._compared[-2:]
+    text = _WRITTEN.get(tok, f" {tok} ").join(
+        [_pp(first, left)]
+        + [_pp(x, right) if isinstance(x, Expr) else str(x) for x in rest])
+    # A choice is bracketed wherever it stands.
+    return f"({text})" if cls is Join else _wrap(text, op, level)
 
 
 def _wrap(text, produced, wanted):

@@ -16,11 +16,13 @@ type-checked once per session.
 
 from __future__ import annotations
 
+from itertools import cycle
+
 from .syntax import (
-    And, App, Arith, ArrowTy, BOOL, Cut, Exists, FalseLit, Forall, IsFalse,
-    IsTrue, Join, Lambda, Less, Let, MkBool, Or, PROP, Pow, ProductTy, Proj,
-    RatLit, REAL, Restrict, SourceError, Tuple, TrueLit, Var, free_vars, keep,
-    type_str,
+    And, App, Arith, ArrowTy, BINDERS, BOOL, Cut, Exists, FalseLit, Forall,
+    IsFalse, IsTrue, Join, Lambda, Less, Let, MkBool, Or, PROP, Pow, ProductTy,
+    Proj, RatLit, REAL, Restrict, SourceError, Tuple, TrueLit, Var, children,
+    free_vars, keep, type_str,
 )
 
 
@@ -37,6 +39,30 @@ def is_base(t):
     return True
 
 
+#: The result type of each node kind whose children all have one fixed
+#: type, that type, and what each child is called in an error (every
+#: item of ``And`` and ``Or`` alike).  Cut and quantifier bodies type
+#: their bound variable at real.
+_SIGNATURES = {
+    TrueLit: (PROP, None, ()),
+    FalseLit: (PROP, None, ()),
+    RatLit: (REAL, None, ()),
+    Cut: (REAL, PROP, ("the left cut body", "the right cut body")),
+    And: (PROP, PROP, ("a conjunct",)),
+    Or: (PROP, PROP, ("a disjunct",)),
+    Less: (PROP, REAL, ("the left side of '<'", "the right side of '<'")),
+    Exists: (PROP, PROP, ("the quantifier body",)),
+    Forall: (PROP, PROP, ("the quantifier body",)),
+    Arith: (REAL, REAL, ("the left operand of '{}'",
+                         "the right operand of '{}'")),
+    Pow: (REAL, REAL, ("the base of '^'",)),
+    MkBool: (BOOL, PROP, ("the first mkbool component",
+                          "the second mkbool component")),
+    IsTrue: (PROP, BOOL, ("the is_true argument",)),
+    IsFalse: (PROP, BOOL, ("the is_false argument",)),
+}
+
+
 def infer_type(ctx, e):
     """Infer the unique type of ``e`` under ``ctx`` or raise TypecheckError."""
     if e._ty is not None:
@@ -46,34 +72,18 @@ def infer_type(ctx, e):
             return ctx[e.name]
         except KeyError:
             raise TypecheckError(f"unbound variable '{e.name}'", e.loc) from None
-    if isinstance(e, (TrueLit, FalseLit)):
-        return PROP
-    if isinstance(e, RatLit):
-        return REAL
-    if isinstance(e, Cut):
-        inner = {**ctx, e.var: REAL}
-        _check(inner, e.left, PROP, "the left cut body")
-        _check(inner, e.right, PROP, "the right cut body")
-        return REAL
-    if isinstance(e, And):
-        for item in e.items:
-            _check(ctx, item, PROP, "a conjunct")
-        return PROP
-    if isinstance(e, Or):
-        for item in e.items:
-            _check(ctx, item, PROP, "a disjunct")
-        return PROP
-    if isinstance(e, Less):
-        _check(ctx, e.lhs, REAL, "the left side of '<'")
-        _check(ctx, e.rhs, REAL, "the right side of '<'")
-        return PROP
-    if isinstance(e, (Exists, Forall)):
-        if not e.range.is_finite or e.range.lo_open or e.range.hi_open:
-            raise TypecheckError(
-                "quantifier ranges must be finite closed intervals [a, b]",
-                e.loc)
-        _check({**ctx, e.var: REAL}, e.body, PROP, "the quantifier body")
-        return PROP
+    if isinstance(e, (Exists, Forall)) and (
+            not e.range.is_finite or e.range.lo_open or e.range.hi_open):
+        raise TypecheckError(
+            "quantifier ranges must be finite closed intervals [a, b]", e.loc)
+    signature = _SIGNATURES.get(type(e))
+    if signature is not None:
+        result, expected, names = signature
+        if isinstance(e, BINDERS):
+            ctx = {**ctx, e.var: REAL}
+        for kid, what in zip(children(e), cycle(names)):
+            _check(ctx, kid, expected, what.format(getattr(e, "op", None)))
+        return result
     if isinstance(e, Tuple):
         return ProductTy(tuple(infer_type(ctx, item) for item in e.items))
     if isinstance(e, Proj):
@@ -99,13 +109,6 @@ def infer_type(ctx, e):
                 f"argument has type {type_str(arg_ty)}, expected "
                 f"{type_str(fn_ty.arg)}", e.loc)
         return fn_ty.result
-    if isinstance(e, Arith):
-        _check(ctx, e.lhs, REAL, f"the left operand of '{e.op}'")
-        _check(ctx, e.rhs, REAL, f"the right operand of '{e.op}'")
-        return REAL
-    if isinstance(e, Pow):
-        _check(ctx, e.base, REAL, "the base of '^'")
-        return REAL
     if isinstance(e, Let):
         bound_ty = infer_type(ctx, e.bound)
         if not free_vars(e.bound):
@@ -130,16 +133,6 @@ def infer_type(ctx, e):
                     f"'||' branches disagree: {type_str(t)} vs {type_str(t2)}",
                     item.loc or e.loc)
         return t
-    if isinstance(e, MkBool):
-        _check(ctx, e.if_true, PROP, "the first mkbool component")
-        _check(ctx, e.if_false, PROP, "the second mkbool component")
-        return BOOL
-    if isinstance(e, IsTrue):
-        _check(ctx, e.arg, BOOL, "the is_true argument")
-        return PROP
-    if isinstance(e, IsFalse):
-        _check(ctx, e.arg, BOOL, "the is_false argument")
-        return PROP
     raise TypecheckError(f"cannot type {type(e).__name__}", getattr(e, "loc", None))
 
 

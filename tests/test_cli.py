@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from msl import cli
 from msl.cli import (
     SessionState, decimal_str, execute_item, execute_source, main, render,
     repl,
@@ -17,7 +18,7 @@ from msl.evaluator import (
     BoolFF, BoolTT, Diverged, FunctionValue, PropFalseProven, PropTrue,
     RealBall, TupleOf,
 )
-from msl.syntax import SourceError, parse_program
+from msl.syntax import Less, SourceError, parse_program
 from oracles import eval_outcome
 
 F = Fraction
@@ -255,10 +256,11 @@ def test_deep_nesting_is_reported_not_raised():
     assert (had_error, had_div) == (True, False)
     assert out == ""
     assert err == "error: 1:1: expression too deeply nested\n"
-    _, out, err, had_error, had_div = run_script(
-        "(" * 80 + "1" + ")" * 80 + ";;")
-    assert (had_error, had_div) == (False, False)
-    assert (out, err) == ("real = 1 ± 0\n", "")
+    for depth in (80, 400):
+        _, out, err, had_error, had_div = run_script(
+            "(" * depth + "1" + ")" * depth + ";;")
+        assert (had_error, had_div) == (False, False)
+        assert (out, err) == ("real = 1 ± 0\n", "")
 
 
 def test_a_deep_item_is_located_and_the_next_one_runs():
@@ -266,6 +268,25 @@ def test_a_deep_item_is_located_and_the_next_one_runs():
         "1 + 1;;\n" + " + ".join(["1"] * 600) + ";;\n2 * 3;;")
     assert (had_error, had_div) == (True, False)
     assert err == "error: 2:1: expression too deeply nested\n"
+    assert out == "real = 2 ± 0\nreal = 6 ± 0\n"
+
+
+def test_an_item_out_of_memory_is_located_and_the_next_one_runs(
+        monkeypatch):
+    # ``2 ^ 10000000000`` is an exact power of some 1.25 GB: the run of
+    # the comparison stands in for one that exhausts memory.
+    real_run = cli.run
+
+    def run(expr, **kwargs):
+        if isinstance(expr, Less):
+            raise MemoryError
+        return real_run(expr, **kwargs)
+
+    monkeypatch.setattr("msl.cli.run", run)
+    _, out, err, had_error, had_div = run_script(
+        "1 + 1;;\n2 ^ 10000000000 < 3;;\n2 * 3;;")
+    assert (had_error, had_div) == (True, False)
+    assert err == "error: 2:1: out of memory\n"
     assert out == "real = 2 ± 0\nreal = 6 ± 0\n"
 
 

@@ -11,8 +11,8 @@ from msl.syntax import (
     And, App, Arith, Cut, Def, Directive, Eval, Exists, FalseLit, Forall,
     IsFalse, IsTrue, Join, Lambda, Less, Let, LexError, MkBool, Or, ParseError,
     Pow, Proj, Range, RatLit, REAL, Restrict, Tuple, TrueLit, Var,
-    parse_expression, parse_program, pretty_print, tokenize, ArrowTy, PROP,
-    BOOL, ProductTy,
+    parse_expression, parse_program, pretty_print, tokenize, type_str,
+    ArrowTy, PROP, BOOL, ProductTy,
 )
 from oracles import reference_tokenize
 
@@ -164,6 +164,52 @@ def test_parse_precedence():
     assert parse_expression("f x ^ 2") == Pow(App(Var("f"), Var("x")), 2)
     assert parse_expression("f x y") == App(App(Var("f"), Var("x")), Var("y"))
     assert parse_expression("f t#1") == App(Var("f"), Proj(Var("t"), 1))
+
+
+@pytest.mark.parametrize("source,ast,printed", [
+    ("-x ^ 2", Arith("-", RatLit(F(0)), Pow(Var("x"), 2)), "-x ^ 2"),
+    ("- - 3", RatLit(F(3)), "3"),
+    ("-f x", Arith("-", RatLit(F(0)), App(Var("f"), Var("x"))), "-f x"),
+    ("f x ^ 2", Pow(App(Var("f"), Var("x")), 2), "f x ^ 2"),
+    ("f x#1", App(Var("f"), Proj(Var("x"), 1)), "f x#1"),
+    ("2 * -3", Arith("*", RatLit(F(2)), RatLit(F(-3))), "2 * -3"),
+    ("x ^ 2 ^ 3", Pow(Pow(Var("x"), 2), 3), "x ^ 2 ^ 3"),
+    ("(f x)#1", Proj(App(Var("f"), Var("x")), 1), "(f x)#1"),
+    ("is_true b#1", IsTrue(Proj(Var("b"), 1)), "is_true b#1"),
+    ("f -1", Arith("-", Var("f"), RatLit(F(1))), "f - 1"),  # a subtraction
+])
+def test_parse_and_print_each_level_boundary(source, ast, printed):
+    assert parse_expression(source) == ast
+    assert pretty_print(ast) == printed
+
+
+def test_operators_past_the_unary_level_are_located_at_their_token():
+    e = parse_expression("- f x#1 ^ 2 + 1")  # (-(((f (x#1)) ^ 2))) + 1
+    neg = e.lhs
+    power = neg.rhs
+    app = power.base
+    assert [n.loc for n in (e, neg, neg.lhs, power, app, app.arg)] == \
+        [(1, 1), (1, 1), (1, 1), (1, 9), (1, 5), (1, 6)]
+
+
+@pytest.mark.parametrize("text,ty", [
+    ("real * real -> real * bool",
+     ArrowTy(ProductTy((REAL, REAL)), ProductTy((REAL, BOOL)))),
+    ("(real -> real) -> real", ArrowTy(ArrowTy(REAL, REAL), REAL)),
+])
+def test_parse_and_print_types(text, ty):
+    assert parse_expression(f"fun g : {text} => g").var_ty == ty
+    assert type_str(ty) == text
+
+
+@pytest.mark.parametrize("source,loc,message", [
+    ("x ^ 2 #1;;", (1, 7), "expected ';;' to end the item"),
+    ("mkbool -1 2;;", (1, 8), "unexpected '-'"),
+])
+def test_parse_errors_at_level_boundaries(source, loc, message):
+    with pytest.raises(ParseError) as err:
+        parse_program(source)
+    assert (err.value.loc, err.value.message) == (loc, message)
 
 
 def test_parse_binders_extend_right():
