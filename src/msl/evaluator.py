@@ -52,14 +52,19 @@ test when the naive one leaves it undecided: the centred (mean-value)
 form f(m) + sum_i d_i f(X) * (X_i - m_i) of f = lhs - rhs over the
 boxes X with midpoint m, which overestimates by O(w^2).  It may only add
 decisions -- "true" in lower mode, "false" in upper mode -- and is tried
-only when f(m) already lies on the deciding side.  It is taken over the
+only when f(m) already lies on the deciding side.  Where every slope
+d_i f(X) has one sign, f is monotone in each variable over X, so its
+maximum and minimum are its values at two corners of X (the
+monotonicity test of interval global optimization), and f is read
+exactly at the deciding corner instead.  Both are taken over the
 undualized boxes.  That is sound in upper mode as well: there every
 quantified variable is bound to a dual box, and every interval operation
 is dual-homomorphic, so the upper-mode enclosure of a polynomial is
 exactly the dual of its enclosure over the proper boxes, and any tighter
-outer enclosure may stand in for it.  For the same reason each slope
-read from the values of upper mode's naive test is the dual of its
-enclosure over the proper boxes: the test swaps its ends.  Cuts,
+outer enclosure, the exact range above included, may stand in for it.
+For the same reason each slope read from the values of upper mode's
+naive test is the dual of its enclosure over the proper boxes: the test
+swaps its ends, and swapped back each has its sign in lower mode.  Cuts,
 restrictions, division, unbounded boxes, cut probes and closed nodes
 keep the naive test.
 
@@ -408,18 +413,23 @@ def _prop_approx(e, env, mode):
 
 
 def _centred_decides(code, vals, names, env, mode):
-    """Does the centred form of ``lhs - rhs`` over the undualized boxes
-    of ``env`` prove the comparison (LOWER) or refute it (UPPER)?
-    ``code`` is its program, ``vals`` the values of all but its last
-    instruction that the naive test read, and ``names`` its free
-    variables.
+    """Does f = ``lhs - rhs`` over the undualized boxes X of ``env``
+    prove the comparison (LOWER) or refute it (UPPER)?  ``code`` is its
+    program, ``vals`` the values of all but its last instruction that
+    the naive test read, and ``names`` its free variables.
 
-    The module docstring gives the soundness argument for both modes.
-    Its premise is checked here: every box has the orientation its mode
-    binds (proper or a point in LOWER, dual or a point in UPPER).
-    Unbounded boxes, opaque leaves and division keep the naive test.
+    Where every slope d_i f(X) has one sign, moving each x_i to the end
+    its slope points to never lowers f: f's exact maximum over X is f at
+    that corner, its minimum f at the opposite one.  LOWER proves f < 0
+    at the first, UPPER refutes it by f >= 0 at the second: the exact
+    range over the proper boxes is the tightest of the enclosures that
+    the module docstring shows sound in both modes.  Elsewhere f(m) +-
+    sum_i width_i / 2 * max|d_i f(X)| bounds f.  The premise is checked
+    here: every box has the orientation its mode binds (proper or a
+    point in LOWER, dual or a point in UPPER).  Unbounded boxes, opaque
+    leaves and division keep the naive test.
     """
-    point, widths = {}, []  # the midpoint and width of each box
+    point, widths, ends = {}, [], []  # each box's midpoint, width, ends
     for name in names:
         x = env[name]
         a, b, c, d = x if mode is LOWER else x[2:] + x[:2]
@@ -427,17 +437,26 @@ def _centred_decides(code, vals, names, env, mode):
             return False
         point[name] = a * d + c * b, 2 * b * d
         widths.append((c * b - a * d, b * d))
+        ends.append(((a, b), (c, d)))
     if not any(w for w, _ in widths):
         return False  # the naive test was exact
     mid = _at_point(code, point)
     if mid is None or (mid[0] < 0) is not (mode is LOWER):
         return False
+    # Over upper mode's dual boxes each slope is the dual of its
+    # enclosure over the proper ones.
+    slopes = [s if mode is LOWER else s[2:] + s[:2]
+              for s in _slopes(code, vals, tuple(point)) or ()]
+    if slopes and all(p >= 0 or r <= 0 for p, _, r, _ in slopes):
+        # f is monotone in each variable: its exact maximum (LOWER) or
+        # minimum (UPPER) is its value at one corner of the boxes.
+        for name, (lo, hi), (p, _, _, _) in zip(names, ends, slopes):
+            point[name] = hi if (p >= 0) is (mode is LOWER) else lo
+        n, _ = _at_point(code, point)
+        return n < 0 if mode is LOWER else n >= 0
     n, d = mid
     m, k = 0, 1  # the spread: sum_i width_i / 2 * max|d_i f(X)|
-    for (w, v), slope in zip(widths, _slopes(code, vals, tuple(point)) or ()):
-        # Over upper mode's dual boxes each slope is the dual of its
-        # enclosure over the proper ones.
-        p, q, r, s = slope if mode is LOWER else slope[2:] + slope[:2]
+    for (w, v), (p, q, r, s) in zip(widths, slopes):
         g, h = (-p, q) if -p * s >= r * q else (r, s)
         m, k = m * 2 * v * h + w * g * k, k * 2 * v * h
     # f(m) + spread < 0, f(m) - spread >= 0

@@ -9,6 +9,7 @@ extended-rational endpoints by the sign-class table written out, where
 ``msl.interval`` computes on integer tuples.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -636,47 +637,67 @@ def reference_narrow(e, a, b, n, demand=0):
     return lo, hi
 
 
+def _centred_walk(t, boxes):
+    """The value of the polynomial ``t`` at the midpoint of the proper
+    ``boxes`` (name -> GInterval), exact in ``Fraction``s, and {name:
+    enclosure of d_name t over the boxes} by forward differentiation in
+    ``GInterval`` arithmetic, by recursion over the tree.  A variable
+    bound to a point counts as a constant."""
+    if isinstance(t, RatLit):
+        return F(t.value), {}
+    if isinstance(t, Var):
+        box = boxes[t.name]
+        slope = {} if box.lo == box.hi else {t.name: GInterval(1, 1)}
+        return (box.lo.q + box.hi.q) / 2, slope
+    if isinstance(t, Pow):  # d(u^k) = k * u^(k-1) * du
+        u, du = _centred_walk(t.base, boxes)
+        if t.exp == 0:
+            return F(1), {}
+        scale = GInterval.point(t.exp) * \
+            reference_real_approx(t.base, boxes, LOWER) ** (t.exp - 1)
+        return u ** t.exp, {v: scale * g for v, g in du.items()}
+    u, du = _centred_walk(t.lhs, boxes)
+    w, dw = _centred_walk(t.rhs, boxes)
+    if t.op == "*":  # d(u*w) = du * w + u * dw
+        value = u * w
+        lhs = reference_real_approx(t.lhs, boxes, LOWER)
+        rhs = reference_real_approx(t.rhs, boxes, LOWER)
+        du = {v: g * rhs for v, g in du.items()}
+        dw = {v: lhs * g for v, g in dw.items()}
+    elif t.op == "-":
+        value, dw = u - w, {v: -g for v, g in dw.items()}
+    else:
+        value = u + w
+    for v, g in dw.items():
+        du[v] = du[v] + g if v in du else g
+    return value, du
+
+
 def centred_form(less, boxes):
     """f(m) and the spread sum_i r_i * max|d_i f(X)| of f = lhs - rhs of
     a comparison of polynomials over the proper ``boxes`` (name ->
-    GInterval) with midpoint m, r_i the half-width of box i: f(m) is
-    exact in ``Fraction``s, and the partial derivatives are enclosed by
-    forward differentiation in ``GInterval`` arithmetic, by recursion
-    over the tree.  A variable bound to a point counts as a constant."""
-    def walk(t):  # (value at m, {name: enclosure of d_name t})
-        if isinstance(t, RatLit):
-            return F(t.value), {}
-        if isinstance(t, Var):
-            box = boxes[t.name]
-            slope = {} if box.lo == box.hi else {t.name: GInterval(1, 1)}
-            return (box.lo.q + box.hi.q) / 2, slope
-        if isinstance(t, Pow):  # d(u^k) = k * u^(k-1) * du
-            u, du = walk(t.base)
-            if t.exp == 0:
-                return F(1), {}
-            scale = GInterval.point(t.exp) * \
-                reference_real_approx(t.base, boxes, LOWER) ** (t.exp - 1)
-            return u ** t.exp, {v: scale * g for v, g in du.items()}
-        u, du = walk(t.lhs)
-        w, dw = walk(t.rhs)
-        if t.op == "*":  # d(u*w) = du * w + u * dw
-            value = u * w
-            lhs = reference_real_approx(t.lhs, boxes, LOWER)
-            rhs = reference_real_approx(t.rhs, boxes, LOWER)
-            du = {v: g * rhs for v, g in du.items()}
-            dw = {v: lhs * g for v, g in dw.items()}
-        elif t.op == "-":
-            value, dw = u - w, {v: -g for v, g in dw.items()}
-        else:
-            value = u + w
-        for v, g in dw.items():
-            du[v] = du[v] + g if v in du else g
-        return value, du
-
-    value, grad = walk(Arith("-", less.lhs, less.rhs))
+    GInterval) with midpoint m, r_i the half-width of box i
+    (``_centred_walk``)."""
+    value, grad = _centred_walk(Arith("-", less.lhs, less.rhs), boxes)
     spread = sum(((boxes[v].hi.q - boxes[v].lo.q) / 2 * max(-g.lo.q, g.hi.q)
                   for v, g in grad.items()), F(0))
     return value, spread
+
+
+def corner_range(less, boxes):
+    """The exact (min, max) of f = lhs - rhs of a comparison of
+    polynomials over the proper ``boxes`` when each enclosure d_i f(X)
+    of ``_centred_walk`` has one sign, else None.  f is then monotone
+    in each variable over the boxes, so its extremes lie at corners:
+    every corner is enumerated, and f read at each exactly."""
+    f = Arith("-", less.lhs, less.rhs)
+    _, grad = _centred_walk(f, boxes)
+    if any(g.lo < ZERO < g.hi for g in grad.values()):
+        return None
+    ends = [[(v, box.lo.q), (v, box.hi.q)] for v, box in boxes.items()]
+    values = [_centred_walk(f, {v: GInterval.point(q) for v, q in corner})[0]
+              for corner in itertools.product(*ends)]
+    return min(values), max(values)
 
 
 # --- car kinematics (w=10, eps=1, T=4, a_max=2, a_min=-3) --------------------
