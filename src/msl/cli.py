@@ -27,7 +27,7 @@ from .evaluator import (
 )
 from .prelude import asset_path
 from .syntax import (
-    Def, Directive, Eval, Let, LexError, SourceError, Var, free_vars,
+    Def, Directive, Eval, Let, LexError, SourceError, Var, free_vars, keep,
     parse_program, tokenize, type_str,
 )
 from .typecheck import infer_type
@@ -65,13 +65,15 @@ def execute_item(state, item):
         ty = infer_type(state.type_context(), item.body)
         # Store the right-hand side closed over the definitions it uses,
         # so later rebindings of those names (or of this one) cannot
-        # change its meaning.
-        state.definitions[item.name] = (_wrap_definitions(state, item.body),
-                                        ty)
+        # change its meaning.  Closed, it keeps the type just checked.
+        wrapped = _wrap_definitions(state, item.body)
+        keep(wrapped, "_ty", ty)
+        state.definitions[item.name] = (wrapped, ty)
         return state, None
     assert isinstance(item, Eval)
     ty = infer_type(state.type_context(), item.expr)
     wrapped = _wrap_definitions(state, item.expr)
+    keep(wrapped, "_ty", ty)  # so ``run`` does not type it again
     witnesses = [] if state.trace else None
     outcome = run(wrapped, precision=state.precision,
                   max_steps=state.step_budget, witness_log=witnesses)

@@ -19,7 +19,10 @@ point (range splitting makes the probed points dense), and a universal
 through the interval evaluation of its whole range; upper mode dualizes
 the ranges so the same endpoint test becomes the optimistic reading,
 refuting an existential only when the whole range fails and a universal
-only when some subrange fails everywhere.
+only when some subrange fails everywhere.  Any point of the range may
+serve as a witness, so refinement tries a second one: a closed
+existential whose lower end failed reads its body at its upper end too
+before it splits (``_split_quantifier``).
 
 Each real term, and the difference lhs - rhs of each comparison, is
 compiled once into a straight-line program, kept on the node
@@ -737,15 +740,39 @@ def _log_witnesses(e, env, wlog):
 
 
 def _split_quantifier(e, node, combine, st):
+    """Split ``e`` at its range's midpoint, refining its body once for
+    both halves.
+
+    A closed ``Exists`` gets here only when its lower approximant, its
+    body at the range's lower end a, failed (``e._lower`` is False).  It
+    first reads its body in lower mode at the upper end b, a point of
+    the range like any other: where that holds, b is a witness, and it
+    refines to ``TrueLit``, logging witness [b, b] and those under x =
+    b.  Otherwise it splits.  The left half binds x to a as ``e`` did,
+    so while the body comes back unchanged it keeps ``e``'s failed lower
+    approximant instead of reading a again, and its own probe reads the
+    midpoint, its upper end.  A body that refinement changed (a cut in
+    it narrowed) is read afresh.
+    """
+    lo, hi = e.range.lo, e.range.hi
+    probed = node is Exists and e._lower is False
+    if probed:
+        at_hi = _bind(_CLOSED, e.var, box(hi, hi))
+        if prop_approx(e.body, at_hi, LOWER):
+            if st.wlog is not None:
+                st.wlog.append((e.var, hi.q, hi.q))
+                _log_witnesses(e.body, at_hi, st.wlog)
+            return TrueLit()
     body = _refine(e.body, st)
     if body is PRUNED:
         return PRUNED  # pointwise-undefined body: the quantifier is bottom
     if not st.may_split():
         return node(e.var, e.range, body)
-    lo, hi = e.range.lo, e.range.hi
     m = XRat((lo.q + hi.q) / 2)
-    return combine([node(e.var, Range(lo, m), body),
-                    node(e.var, Range(m, hi), body)])
+    left = node(e.var, Range(lo, m), body)
+    if probed and body is e.body:
+        keep(left, "_lower", False)
+    return combine([left, node(e.var, Range(m, hi), body)])
 
 
 def _refine_shared(e, st):

@@ -9,9 +9,10 @@ or unbounded.
 
 The type of a closed node depends on the node alone, so that of a
 closed ``let``-bound is kept on it (``_ty``) once inferred and returned
-from then on.  The definitions a session stores are closed and
-let-bound around each evaluation that uses them, so each is
-type-checked once per session.
+from then on.  The CLI types each item once, as written in its session,
+and keeps that type on the closed term it stores or runs, the item
+let-bound in the stored definitions it uses.  So ``run`` types nothing
+again, and a stored definition is never typed after its own item.
 """
 
 from __future__ import annotations
@@ -81,8 +82,9 @@ def infer_type(ctx, e):
         result, expected, names = signature
         if isinstance(e, BINDERS):
             ctx = {**ctx, e.var: REAL}
+        op = getattr(e, "op", None)
         for kid, what in zip(children(e), cycle(names)):
-            _check(ctx, kid, expected, what.format(getattr(e, "op", None)))
+            _check(ctx, kid, expected, what, op)
         return result
     if isinstance(e, Tuple):
         return ProductTy(tuple(infer_type(ctx, item) for item in e.items))
@@ -136,10 +138,12 @@ def infer_type(ctx, e):
     raise TypecheckError(f"cannot type {type(e).__name__}", getattr(e, "loc", None))
 
 
-def _check(ctx, e, expected, what):
+def _check(ctx, e, expected, what, op=None):
+    """The type of ``e``, which must be ``expected``; ``what`` names it in
+    the error, formatted with its node's ``op`` only then."""
     t = infer_type(ctx, e)
     if t != expected:
         raise TypecheckError(
-            f"{what} has type {type_str(t)}, expected {type_str(expected)}",
-            e.loc)
+            f"{what.format(op)} has type {type_str(t)}, expected "
+            f"{type_str(expected)}", e.loc)
     return t

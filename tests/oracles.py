@@ -700,6 +700,54 @@ def corner_range(less, boxes):
     return min(values), max(values)
 
 
+def point_gradient(t, point):
+    """The exact value of the polynomial ``t`` at ``point`` (name ->
+    Fraction) and its gradient there, {name: Fraction}, by forward
+    differentiation in ``Fraction``s."""
+    if isinstance(t, RatLit):
+        return F(t.value), {}
+    if isinstance(t, Var):
+        return point[t.name], {t.name: F(1)}
+    if isinstance(t, Pow):  # d(u^k) = k * u^(k-1) * du
+        if t.exp == 0:
+            return F(1), {}
+        u, du = point_gradient(t.base, point)
+        scale = t.exp * u ** (t.exp - 1)
+        return u ** t.exp, {v: scale * g for v, g in du.items()}
+    u, du = point_gradient(t.lhs, point)
+    w, dw = point_gradient(t.rhs, point)
+    if t.op == "*":  # d(u*w) = du * w + u * dw
+        value, du = u * w, {v: g * w for v, g in du.items()}
+        dw = {v: u * g for v, g in dw.items()}
+    elif t.op == "-":
+        value, dw = u - w, {v: -g for v, g in dw.items()}
+    else:
+        value = u + w
+    for v, g in dw.items():
+        du[v] = du.get(v, 0) + g
+    return value, du
+
+
+def reference_exists(less, var, lo, hi, budget=64):
+    """Does f = lhs - rhs of a comparison of polynomials in ``var`` take
+    a negative value on [lo, hi]?  By bisection: True once f < 0 at the
+    midpoint of a piece, False once the centred form f(m) - spread >= 0
+    (mean value theorem, ``centred_form``) shows f >= 0 on every piece,
+    None when ``budget`` pieces decide neither."""
+    pieces = [(lo, hi)]
+    for _ in range(budget):
+        if not pieces:
+            return False
+        a, b = pieces.pop()
+        value, spread = centred_form(less, {var: GInterval(a, b)})
+        if value < 0:
+            return True
+        if value - spread < 0:
+            m = (a + b) / 2
+            pieces += [(a, m), (m, b)]
+    return None if pieces else False
+
+
 # --- car kinematics (w=10, eps=1, T=4, a_max=2, a_min=-3) --------------------
 
 CAR_W = F(10)

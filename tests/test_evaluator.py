@@ -21,7 +21,10 @@ from msl.syntax import (
     And, Arith, BOOL, Exists, FalseLit, Forall, Less, Or, PROP, Pow,
     ProductTy, Range, RatLit, REAL, Restrict, TrueLit, Var, parse_expression,
 )
-from oracles import corner_range, reference, reference_real_approx
+from oracles import (
+    corner_range, point_gradient, reference, reference_exists,
+    reference_real_approx,
+)
 from test_interval import any_intervals, polynomial_terms, rationals
 
 F = Fraction
@@ -728,25 +731,50 @@ def test_run_rejects_bad_precision():
 
 # --- the centred form of polynomial comparisons ---------------------------------
 
-def poly_less_and_boxes(data):
-    """A polynomial comparison over one or two variables and proper
-    boxes for them.  The right side is a free polynomial, or a constant
-    between the naive and the centred bound of the left side's range, so
-    that the centred test has a decision to add."""
-    names = data.draw(st.sampled_from((("x",), ("x", "y"))))
+def poly_less_and_boxes(data, names=None):
+    """A polynomial comparison over ``names`` (one or two variables when
+    None), proper boxes for them, and a point of the boxes where the
+    left side is stationary, or None.
+
+    Half the time a point s is drawn first, the left side is made
+    stationary there by subtracting its gradient at s times the
+    variables, the boxes are drawn around s, and the right side is the
+    left side's value at s, or just above or below it, so that f = lhs
+    - rhs may have an extremum near 0 inside them.  Otherwise the right
+    side is a free polynomial or a constant between the naive and the
+    centred bound of the left side's range, so that the centred test
+    has a decision to add."""
+    if names is None:
+        names = data.draw(st.sampled_from((("x",), ("x", "y"))))
     lhs = data.draw(polynomial_terms(names))
     for v in names:  # every variable occurs, most often more than once
         lhs = Arith(data.draw(st.sampled_from("+-*")), lhs,
                     Arith("*", Var(v), data.draw(polynomial_terms(names))))
+    stationary = None
+    if data.draw(st.booleans()):
+        stationary = {v: data.draw(st.fractions(
+            min_value=-2, max_value=2, max_denominator=8)) for v in names}
+        _, grad = point_gradient(lhs, stationary)
+        for v in names:
+            slope = RatLit(grad.get(v, F(0)))
+            lhs = Arith("-", lhs, Arith("*", slope, Var(v)))
     boxes = {}
     for v in names:
-        lo = data.draw(st.fractions(min_value=-2, max_value=2,
-                                    max_denominator=8))
         width = data.draw(st.sampled_from((F(1, 64), F(1, 8), F(1, 2))))
+        if stationary is None:
+            lo = data.draw(st.fractions(min_value=-2, max_value=2,
+                                        max_denominator=8))
+        else:  # s inside, seldom at the midpoint
+            lo = stationary[v] - width * data.draw(st.fractions(
+                min_value=F(1, 16), max_value=F(15, 16), max_denominator=16))
         boxes[v] = I(lo, lo + width)
+    if stationary is not None:  # f(s) is 0, or just below or above it
+        value, _ = point_gradient(lhs, stationary)
+        c = value + data.draw(st.sampled_from((-1, 0, 1))) * F(1, 2 ** 40)
+        return Less(lhs, RatLit(c)), boxes, stationary
     rhs = data.draw(st.sampled_from(("free", "above", "below")))
     if rhs == "free":
-        return Less(lhs, data.draw(polynomial_terms(names))), boxes
+        return Less(lhs, data.draw(polynomial_terms(names))), boxes, None
     naive = real_approx(lhs, boxes, LOWER)
     lo, hi = centred_enclosure(Less(lhs, RatLit(F(0))), boxes)
     t = data.draw(st.fractions(min_value=F(1, 16), max_value=1,
@@ -755,7 +783,7 @@ def poly_less_and_boxes(data):
         c = hi + t * (naive.hi.q - hi)
     else:  # below the minimum: a refutation to find
         c = naive.lo.q + t * (lo - naive.lo.q)
-    return Less(lhs, RatLit(c)), boxes
+    return Less(lhs, RatLit(c)), boxes, None
 
 
 def centred_enclosure(less, boxes):
@@ -783,16 +811,18 @@ def difference(less, point):
     return lhs.lo.q - rhs.lo.q
 
 
-def sample_points(data, boxes):
-    """Every combination of each box's endpoints, midpoint and one
-    drawn point."""
+def sample_points(data, boxes, stationary):
+    """Every combination of each box's endpoints, midpoint, one drawn
+    point and the coordinate of ``stationary``, a point of the boxes or
+    None."""
     points = [{}]
     for v, box in boxes.items():
         a, b = box.lo.q, box.hi.q
         drawn = a + (b - a) * data.draw(st.fractions(
             min_value=0, max_value=1, max_denominator=256))
+        extra = () if stationary is None else (stationary[v],)
         points = [dict(p, **{v: q}) for p in points
-                  for q in (a, b, (a + b) / 2, drawn)]
+                  for q in (a, b, (a + b) / 2, drawn, *extra)]
     return points
 
 
@@ -804,16 +834,19 @@ def sweep_env(boxes):
 
 @given(st.data())
 def test_centred_enclosure_contains_the_difference(data):
-    less, boxes = poly_less_and_boxes(data)
+    less, boxes, stationary = poly_less_and_boxes(data)
     lo, hi = centred_enclosure(less, boxes)
-    for point in sample_points(data, boxes):
+    for point in sample_points(data, boxes, stationary):
         assert lo <= difference(less, point) <= hi
 
 
 @given(st.data())
 def test_centred_test_only_adds_sound_decisions(data):
-    less, boxes = poly_less_and_boxes(data)
-    values = [difference(less, p) for p in sample_points(data, boxes)]
+    # Around a stationary point the samples meet an interior extremum,
+    # where a slope of both signs must not be read as monotone.
+    less, boxes, stationary = poly_less_and_boxes(data)
+    values = [difference(less, p)
+              for p in sample_points(data, boxes, stationary)]
     duals = {v: box.dual() for v, box in boxes.items()}
     for mode, bound in ((LOWER, boxes), (UPPER, duals)):
         naive = prop_approx(less, dict(bound), mode)
@@ -831,7 +864,7 @@ def test_monotone_boxes_decide_exactly_at_the_corners(data):
     # Where every slope has one sign, the test reads f's exact range at
     # a corner: it proves the comparison iff f's maximum over the boxes
     # is < 0, and refutes it iff f's minimum is >= 0.
-    less, boxes = poly_less_and_boxes(data)
+    less, boxes, _ = poly_less_and_boxes(data)
     extremes = corner_range(less, boxes)
     if extremes is None:
         return
@@ -941,3 +974,104 @@ def test_run_decides_margin_near_extremum_in_few_visits(monkeypatch, delta):
 def test_run_boundary_degenerate_forall_never_answers_true():
     e = pe("forall x : [0, 1], x * (1 - x) < 1/4")
     assert run(e, max_steps=20) == Diverged(20)
+
+
+# --- the upper end of a closed existential as a witness ---------------------
+
+def exists_leaves(e):
+    """The ``Exists`` nodes of a refined tree of ``Or``s."""
+    if isinstance(e, Exists):
+        yield e
+    elif isinstance(e, Or):
+        for item in e.items:
+            yield from exists_leaves(item)
+
+
+def test_a_closed_existential_tries_its_upper_end_as_a_witness():
+    # Reading lower ends alone took 31 sweeps, to a witness interval of
+    # width 2^-30.
+    source = "exists x : [0, 1], x > 1 - 1/1000000000"
+    e = pe(source)
+    assert run(e, max_steps=1) == Diverged(1)
+    assert run(e, max_steps=2) == PropTrue()  # one sweep
+    out = io.StringIO()
+    msl.cli.execute_source(msl.cli.SessionState(),
+                           f"#trace on;; {source};;", out=out)
+    assert out.getvalue() == "(witness x in [1, 1])\nprop = True\n"
+
+
+def test_an_upper_end_witness_logs_the_witnesses_under_it():
+    wlog = []
+    e = pe("exists x : [0, 1], exists y : [1, 2], x * y > 1 - 1/1000")
+    assert refine_step(e, 0, wlog) == TrueLit()
+    assert wlog == [("x", F(1), F(1)), ("y", F(1), F(2))]
+
+
+def test_a_left_half_keeps_the_failed_lower_end_of_an_unchanged_body():
+    e = pe("exists x : [0, 1], x * (1 - x) > 1/4 - 1/100")
+    left, right = refine_step(e).items
+    assert left.body is e.body and left._lower is False
+    assert right._lower is None
+    fresh = Exists(left.var, left.range, left.body)
+    assert prop_approx(fresh, SweepEnv(), LOWER) is False
+    # Refined again, the left half tries the midpoint, its upper end.
+    wlog = []
+    assert refine_step(left, 1, wlog) == TrueLit()
+    assert wlog == [("x", F(1, 2), F(1, 2))]
+
+
+def test_a_body_that_refinement_changed_is_read_again():
+    # The first sweep narrows the cut to [1/256, 2], so at x = 0 the body
+    # fails before it and holds after it: the left half may not keep
+    # its parent's failed reading.
+    e = pe(f"exists x : [0, 1], ({SQRT2_CUT}) - x > 1/300")
+    left, right = refine_step(e).items
+    assert left.body is not e.body and left._lower is None
+    fresh = Exists(left.var, left.range, left.body)
+    assert prop_approx(fresh, SweepEnv(), LOWER) is True
+    assert run(e) == PropTrue()
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.data())
+def test_an_existential_is_affirmed_only_at_reference_witnesses(data):
+    # Once as drawn, and once with the right side the left side's value
+    # at the upper end b, just above, at or just below it: f(b) is
+    # -2^-40, 0 or 2^-40, and f(a) >= 0 when f(b) < 0 unless the left
+    # side is constant at the ends, so that b decides.
+    less, boxes, _ = poly_less_and_boxes(data, ("x",))
+    a, b = boxes["x"].lo.q, boxes["x"].hi.q
+    check_existential_witnesses(less, a, b)
+    (at_a, _), (at_b, _) = (point_gradient(less.lhs, {"x": q}) for q in (a, b))
+    k = data.draw(st.sampled_from((-1, 0, 1))) * F(1, 2 ** 40)
+    check_existential_witnesses(
+        Less(less.lhs, RatLit(at_b + k)) if at_a > at_b
+        else Less(RatLit(at_b - k), less.lhs), a, b)
+
+
+def check_existential_witnesses(less, a, b):
+    """Refine ``exists x : [a, b], less`` sweep by sweep.  Every witness
+    a sweep logs, a range whose lower end the lower approximant read or
+    the upper end b as [b, b], starts at a point where f = lhs - rhs < 0
+    in Fractions; every kept lower approximant is that of an equal fresh
+    node; and no answer contradicts the reference's."""
+    e = Exists("x", Range(XRat(a), XRat(b)), less)
+    tree, wlog = e, []
+    for n in range(12):
+        if isinstance(tree, (TrueLit, FalseLit)):
+            break
+        tree = refine_step(tree, n, wlog)
+        for leaf in exists_leaves(tree):
+            if leaf._lower is not None:
+                fresh = Exists(leaf.var, leaf.range, leaf.body)
+                assert leaf._lower is prop_approx(fresh, SweepEnv(), LOWER)
+    for _, lo, _ in wlog:
+        assert point_gradient(less.lhs, {"x": lo})[0] < \
+            point_gradient(less.rhs, {"x": lo})[0]
+    holds = reference_exists(less, "x", a, b)
+    if isinstance(tree, TrueLit):
+        assert holds is not False
+    if isinstance(tree, FalseLit):
+        assert holds is not True
+    if holds is False:
+        assert run(e, max_steps=12) != PropTrue()

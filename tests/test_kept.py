@@ -154,7 +154,9 @@ def test_a_stored_definition_is_normalized_and_typed_once(monkeypatch):
         out = io.StringIO()
         execute_source(state, "accel (-100) 5;;", out=out)
         assert out.getvalue() == "real = -25/198 ± 0\n"
-    assert built == {"normal": 1, "type": 1}
+    # The definition is typed once, as written in its session; the closed
+    # body stored from it keeps that type, so it is never typed again.
+    assert built == {"normal": 1, "type": 0}
     # What is not kept, the application to the arguments, is the same
     # work in every evaluation.
     assert len(set(calls[1:])) == 1 and calls[0] > calls[1]

@@ -120,3 +120,37 @@ def test_shipped_programs_typecheck():
              if isinstance(i, (Def, Eval))]
     ctx = _check_items(roots, dict(ctx))
     assert ctx["roots_interval"] == ArrowTy(ArrowTy(REAL, REAL), BOOL)
+
+
+@pytest.mark.parametrize("source, error", [
+    ("True + 1", "1:1: the left operand of '+' has type prop, expected real"),
+    ("1 - True", "1:5: the right operand of '-' has type prop, expected real"),
+    ("1 * True", "1:5: the right operand of '*' has type prop, expected real"),
+    ("True / 2", "1:1: the left operand of '/' has type prop, expected real"),
+    ("True < 1", "1:1: the left side of '<' has type prop, expected real"),
+    ("1 < True", "1:5: the right side of '<' has type prop, expected real"),
+    ("True ^ 2", "1:1: the base of '^' has type prop, expected real"),
+    ("exists x : [0, 1], x",
+     "1:20: the quantifier body has type real, expected prop"),
+    ("forall x : [0, 1], 1",
+     "1:20: the quantifier body has type real, expected prop"),
+    ("cut x : [0, 1] left 1 right x > 0",
+     "1:21: the left cut body has type real, expected prop"),
+    ("cut x : [0, 1] left x < 0 right 1",
+     "1:33: the right cut body has type real, expected prop"),
+    ("True /\\ 1", "1:9: a conjunct has type real, expected prop"),
+    ("1 \\/ True", "1:1: a disjunct has type real, expected prop"),
+    ("mkbool 1 False",
+     "1:8: the first mkbool component has type real, expected prop"),
+    ("mkbool True 1",
+     "1:13: the second mkbool component has type real, expected prop"),
+    ("is_true True", "1:9: the is_true argument has type prop, expected bool"),
+    ("is_false 1", "1:10: the is_false argument has type real, expected bool"),
+    ("1 ~> 2", "1:1: a restriction guard has type real, expected prop"),
+])
+def test_each_child_type_error_names_the_child(source, error):
+    # The name of a child is formatted, with its node's operator, only
+    # when the child has the wrong type.
+    with pytest.raises(TypecheckError) as err:
+        ty_of(source)
+    assert err.value.format() == error
