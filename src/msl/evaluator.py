@@ -6,13 +6,11 @@ when it provably fails.  Both are driven by interval approximation of
 the real subterms, with a single comparison rule -- ``e1 < e2`` holds
 when the second endpoint of e1's generalized interval lies below the
 first endpoint of e2's -- and a mode-dependent choice of the intervals
-bound to quantified variables and cut ranges:
-
-    =========  lower mode          upper mode
-    cut var    its range <a, b>    dualized <b, a>
-    forall     <a, b>              <b, a>
-    exists     point <a, a>        <b, a>
-    =========  ==================  ==================
+bound to quantified variables and cut ranges: a cut reads as its range
+<a, b> in lower mode and as the dual <b, a> in upper mode, and
+``_quantifier_box`` gives the box a quantifier binds in each mode.  An
+approximant depends on its node and on the values bound to the node's
+free variables alone, so every reader passes a plain dict of bindings.
 
 In lower mode an existential is affirmed through a concrete witness
 point (range splitting makes the probed points dense), and a universal
@@ -68,15 +66,20 @@ outer enclosure, the exact range above included, may stand in for it.
 For the same reason each slope read from the values of upper mode's
 naive test is the dual of its enclosure over the proper boxes: the test
 swaps its ends, and swapped back each has its sign in lower mode.  Cuts,
-restrictions, division, unbounded boxes, cut probes and closed nodes
-keep the naive test.
+restrictions, division and unbounded boxes keep the naive test, and so
+does a comparison of two points, where it is exact.  Every reader gets
+the test alike: a quantifier inside a cut's predicate is decided by it
+during a probe as in a sweep, so a cut defined by quantified predicates
+(a supremum) converges.
 
 Refinement rewrites an expression without changing its meaning: decided
 props collapse to literals, cut ranges narrow by probes, quantifiers
 split at range midpoints, proven guards unwrap and refuted guards prune
-their branch.  The run loop alternates evaluation attempts with one fair
-refinement sweep over all live disjuncts of the normal form until one
-disjunct is precise enough to answer.
+their branch: a refuted guard makes the whole disjunct undefined, so the
+sweep stops at it (``_Pruned``) and ``refine_step`` returns ``PRUNED``.
+The run loop alternates evaluation attempts with one fair refinement
+sweep over all live disjuncts of the normal form until one disjunct is
+precise enough to answer.
 
 A finite cut range [a, b] narrows by lower-mode probes of ``left`` and
 ``right`` at chosen points; an endpoint moves only to a point where its
@@ -98,16 +101,16 @@ sweeps (``_DEMAND_BITS``); past those a cut gains at most 8 bits per
 sweep (``PROBE_BITS_PER_SWEEP``).  A cut whose predicates read a
 variable bound above it is never probed, so its range never narrows.
 
-A sweep does each distinct piece of work once.  A closed prop's
-approximants depend on the node alone, so each is decided once and kept
-on the node, as is each comparison's program.  A settled subtree -- only
-variables, literals, ``+ - * /`` and powers, under comparisons and
-connectives that have free variables and that ``mk_and``/``mk_or`` would
-not fold -- cannot change, so it comes back by identity without a walk.
-``normalize`` makes equal closed cuts one object, and a sweep refines
-each once and hands the result to its other occurrences.  Work is
-metered in node visits, and a sweep stops refining after
-``SWEEP_VISIT_CAP`` of them.  Skipped work still counts: a settled
+A sweep does each distinct piece of work once.  Read under no bindings,
+a prop is closed and its approximants depend on the node alone, so each
+is decided once and kept on the node, as is each comparison's program.
+A settled subtree -- only variables, literals, ``+ - * /`` and powers,
+under comparisons and connectives that have free variables and that
+``mk_and``/``mk_or`` would not fold -- cannot change, so it comes back
+by identity without a walk.  ``normalize`` makes equal closed cuts one
+object, and a sweep refines each once and hands the result to its other
+occurrences.  Work is metered in node visits, and a sweep stops refining
+after ``SWEEP_VISIT_CAP`` of them.  Skipped work still counts: a settled
 subtree adds its node count, and a shared cut adds the visits of its
 first walk and logs its witnesses again.  A shared cut is reused only
 when a walk of it would run in full below the cap.  So the cap binds
@@ -337,40 +340,34 @@ def _slot(v, code):
     return v
 
 
-class SweepEnv(dict):
-    """An environment of a refinement sweep.  Empty, it is that of the
-    closed nodes, whose approximants depend on the node alone and are
-    kept on it by ``prop_approx``.  Binding a quantifier body's
-    variables, it lets the body's comparisons use the centred test
-    (``_centred_decides``) on the values of their naive test, and keeps
-    nothing.  Plain dicts (a cut probe, ``evaluate_step``) keep the
-    naive test and ignore kept values.
+def _quantifier_box(e, mode):
+    """The box that the quantifier ``e`` over [a, b] binds its variable
+    to in ``mode``, as an integer tuple (``interval.box``):
 
-    Every environment binds a variable to the integer tuple of its box
-    (``interval.box``), or to a ``GInterval``, which is such a tuple.
+        =========  lower mode          upper mode
+        forall     <a, b>              <b, a>
+        exists     point <a, a>        <b, a>
+        =========  ==================  ==================
     """
-
-    __slots__ = ()
-
-
-def _bind(env, var, value):
-    """The environment of a quantifier body that binds ``var`` to
-    ``value``, a copy of ``env`` of its type: a cut probe's point tuple
-    reaches the body of a quantifier in the cut's predicate this way."""
-    inner = type(env)(env)
-    inner[var] = value
-    return inner
+    r = e.range
+    if mode is UPPER:
+        return box(r.hi, r.lo)
+    return box(r.lo, r.hi if isinstance(e, Forall) else r.lo)
 
 
 def prop_approx(e, env, mode):
-    """The lower (mode=LOWER) or upper (mode=UPPER) approximant of a prop."""
-    if type(env) is SweepEnv and not env:
-        attr = "_lower" if mode is LOWER else "_upper"
-        value = getattr(e, attr)
-        if value is None:
-            value = keep(e, attr, _prop_approx(e, env, mode))
-        return value
-    return _prop_approx(e, env, mode)
+    """The lower (mode=LOWER) or upper (mode=UPPER) approximant of a prop
+    under ``env``, which binds each free variable of ``e`` to the integer
+    tuple of its box or point (``interval.box``), or to a ``GInterval``,
+    which is such a tuple.  Read under no bindings, ``e`` is closed: its
+    approximant depends on the node alone and is kept on it."""
+    if env:
+        return _prop_approx(e, env, mode)
+    attr = "_lower" if mode is LOWER else "_upper"
+    value = getattr(e, attr)
+    if value is None:
+        value = keep(e, attr, _prop_approx(e, env, mode))
+    return value
 
 
 def _prop_approx(e, env, mode):
@@ -390,24 +387,19 @@ def _prop_approx(e, env, mode):
         if op == "q":
             return x[0] < 0
         vals = _read(code, len(code) - 1, env, mode)
-        holds = below(vals[x], vals[y])
-        if type(env) is SweepEnv and env:
-            # The centred test may only add decisions: a proof in lower
-            # mode, a refutation in upper mode.
-            if mode is LOWER and not holds:
-                return _centred_decides(code, vals, free_vars(e), env, LOWER)
-            if mode is UPPER and holds:
-                return not _centred_decides(code, vals, free_vars(e), env,
-                                            UPPER)
-        return holds
-    if isinstance(e, Forall):
-        lo, hi = e.range.lo, e.range.hi
-        inner = box(lo, hi) if mode is LOWER else box(hi, lo)
-        return prop_approx(e.body, _bind(env, e.var, inner), mode)
-    if isinstance(e, Exists):
-        lo, hi = e.range.lo, e.range.hi
-        inner = box(lo, lo) if mode is LOWER else box(hi, lo)
-        return prop_approx(e.body, _bind(env, e.var, inner), mode)
+        u, w = vals[x], vals[y]
+        holds = below(u, w)
+        # The centred test may only add decisions: a proof in lower mode,
+        # a refutation in upper mode.  Between two points, each of equal
+        # ends, the naive test is exact.
+        if holds is (mode is LOWER) or (u[0] == u[2] and u[1] == u[3]
+                                        and w[0] == w[2] and w[1] == w[3]):
+            return holds
+        return holds is not _centred_decides(code, vals, free_vars(e), env,
+                                             mode)
+    if isinstance(e, (Forall, Exists)):
+        return prop_approx(e.body, {**env, e.var: _quantifier_box(e, mode)},
+                           mode)
     raise EvalError(f"prop_approx: {type(e).__name__} is not normal")
 
 
@@ -593,8 +585,9 @@ class _Sweep:
         self.visits = 0
         self.cuts = {}
 
-    def may_split(self):
-        return self.visits < SWEEP_VISIT_CAP
+
+class _Pruned(Exception):
+    """A refuted guard: the disjunct being refined is undefined."""
 
 
 def refine_step(e, round_index=0, witness_log=None):
@@ -608,12 +601,14 @@ def refine_step(e, round_index=0, witness_log=None):
 
     ``e`` is closed, as every disjunct ``normalize`` gives is, so each
     free variable of a subterm is bound by a quantifier or cut above it.
+    A refuted guard anywhere in ``e`` makes all of it undefined, so the
+    sweep stops there.
     """
-    return _refine(e, _Sweep(round_index, witness_log))
+    try:
+        return _refine(e, _Sweep(round_index, witness_log))
+    except _Pruned:
+        return PRUNED
 
-
-#: The environment of a sweep's closed nodes: it binds nothing.
-_CLOSED = SweepEnv()
 
 _PROP_NODES = (TrueLit, FalseLit, And, Or, Less, Exists, Forall)
 
@@ -630,25 +625,20 @@ def _refine(e, st):
         return e
     fv = free_vars(e)
     if isinstance(e, _PROP_NODES) and not fv:
-        if prop_approx(e, _CLOSED, LOWER):
+        if prop_approx(e, {}, LOWER):
             if st.wlog is not None:
-                _log_witnesses(e, _CLOSED, st.wlog)
+                _log_witnesses(e, {}, st.wlog)
             return TrueLit()
-        if not prop_approx(e, _CLOSED, UPPER):
+        if not prop_approx(e, {}, UPPER):
             return FalseLit()
     if isinstance(e, (TrueLit, FalseLit, RatLit, Var)):
         return e
-    # A pruned subterm (its guard was refuted) makes the whole disjunct
-    # undefined, so PRUNED propagates through every compound node.
     if isinstance(e, And):
-        items = _refine_all(e.items, st)
-        return PRUNED if items is PRUNED else mk_and(items)
+        return mk_and([_refine(item, st) for item in e.items])
     if isinstance(e, Or):
-        items = _refine_all(e.items, st)
-        return PRUNED if items is PRUNED else mk_or(items)
+        return mk_or([_refine(item, st) for item in e.items])
     if isinstance(e, (Less, Arith, Pow, Tuple)):
-        kids = _refine_all(children(e), st)
-        return PRUNED if kids is PRUNED else rebuild(e, kids)
+        return rebuild(e, [_refine(kid, st) for kid in children(e)])
     if isinstance(e, Cut):
         if fv:
             return _refine_cut(e, st)
@@ -663,31 +653,15 @@ def _refine(e, st):
             guard = _refine(guard, st)
         if isinstance(guard, TrueLit):
             return _refine(e.body, st)
-        if isinstance(guard, FalseLit) or guard is PRUNED:
-            return PRUNED
-        body = _refine(e.body, st)
-        if body is PRUNED:
-            return PRUNED
-        return Restrict(guard, body)
+        if isinstance(guard, FalseLit):
+            raise _Pruned
+        return Restrict(guard, _refine(e.body, st))
     if isinstance(e, MkBool):
-        p = _refine(e.if_true, st)
-        q = _refine(e.if_false, st)
-        if p is PRUNED or q is PRUNED:
-            return PRUNED
+        p, q = _refine(e.if_true, st), _refine(e.if_false, st)
         if isinstance(p, FalseLit) and isinstance(q, FalseLit):
-            return PRUNED  # both branches refuted: the boolean is bottom
+            raise _Pruned  # both branches refuted: the boolean is bottom
         return MkBool(p, q)
     raise EvalError(f"refine: {type(e).__name__} is not normal")
-
-
-def _refine_all(items, st):
-    out = []
-    for item in items:
-        r = _refine(item, st)
-        if r is PRUNED:
-            return PRUNED
-        out.append(r)
-    return out
 
 
 def _settled_size(e):
@@ -723,9 +697,10 @@ def _log_witnesses(e, env, wlog):
     Precondition: the lower approximant of ``e`` holds under ``env``.
     """
     if isinstance(e, Exists):
-        r = e.range
-        wlog.append((e.var, r.lo.q, r.hi.q))
-        _log_witnesses(e.body, _bind(env, e.var, box(r.lo, r.lo)), wlog)
+        wlog.append((e.var, e.range.lo.q, e.range.hi.q))
+    if isinstance(e, (Exists, Forall)):
+        _log_witnesses(e.body, {**env, e.var: _quantifier_box(e, LOWER)},
+                       wlog)
     elif isinstance(e, Or):
         for item in e.items:
             if prop_approx(item, env, LOWER):
@@ -734,9 +709,6 @@ def _log_witnesses(e, env, wlog):
     elif isinstance(e, And):
         for item in e.items:
             _log_witnesses(item, env, wlog)
-    elif isinstance(e, Forall):
-        r = e.range
-        _log_witnesses(e.body, _bind(env, e.var, box(r.lo, r.hi)), wlog)
 
 
 def _split_quantifier(e, node, combine, st):
@@ -757,16 +729,14 @@ def _split_quantifier(e, node, combine, st):
     lo, hi = e.range.lo, e.range.hi
     probed = node is Exists and e._lower is False
     if probed:
-        at_hi = _bind(_CLOSED, e.var, box(hi, hi))
+        at_hi = {e.var: box(hi, hi)}
         if prop_approx(e.body, at_hi, LOWER):
             if st.wlog is not None:
                 st.wlog.append((e.var, hi.q, hi.q))
                 _log_witnesses(e.body, at_hi, st.wlog)
             return TrueLit()
     body = _refine(e.body, st)
-    if body is PRUNED:
-        return PRUNED  # pointwise-undefined body: the quantifier is bottom
-    if not st.may_split():
+    if st.visits >= SWEEP_VISIT_CAP:
         return node(e.var, e.range, body)
     m = XRat((lo.q + hi.q) / 2)
     left = node(e.var, Range(lo, m), body)
@@ -825,10 +795,7 @@ def _refine_cut(e, st):
                 if prop_approx(e.right, {e.var: box(cand, cand)}, LOWER):
                     hi = cand
     rng = Range(lo, hi, lo_open=not lo.is_finite, hi_open=not hi.is_finite)
-    sides = _refine_all((e.left, e.right), st)
-    if sides is PRUNED:
-        return PRUNED  # a cut over an undefined predicate cannot converge
-    return Cut(e.var, rng, *sides)
+    return Cut(e.var, rng, _refine(e.left, st), _refine(e.right, st))
 
 
 def _narrow(e, a, b, n):

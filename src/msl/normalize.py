@@ -8,11 +8,18 @@ Reduction also happens under binders.
 
 Joins of real, bool, and tuple type distribute through the surrounding
 construct (arithmetic, comparison, tuples, projections, application,
-restriction bodies) and hoist out of lambdas, committing each choice
-once per program.  A prop-typed join coincides with disjunction, so in
-any non-top-level position it is emitted as an Or node instead of being
-distributed; distributing it through a universal quantifier would change
-the meaning.
+restriction bodies).  A join does not leave a function's body: a
+function is one value, whose normal body is the ``Join`` of its
+disjuncts, and each application reads that join again, so each call
+chooses on its own.  That is the reading of a nondeterministic function
+as A -> M B (Moggi, "Notions of computation and monads", 1991): in ``let
+f = fun x : real => (x < 1 ~> 0 || x > 2 ~> 1) in f 0 + f 3`` the first
+call takes the first branch and the second call the second.  So a
+function body is the one place a normal form holds a ``Join``, and a
+normal form of base type holds no function.  A prop-typed join coincides
+with disjunction, so in any non-top-level position it is emitted as an
+Or node instead of being distributed; distributing it through a
+universal quantifier would change the meaning.
 
 Three extra reductions keep evaluation total on well-typed programs:
 projections and the boolean projections push through restriction
@@ -171,8 +178,11 @@ def _nf(e, ctx, env):
         return [_proj_reduce(d, e.index, ctx)
                 for d in _nf(e.tuple_, ctx, env)]
     if isinstance(e, Lambda):
+        # One function, whose body chooses at each call (``_apply``).
         var, ctx, env = _enter(e, e.var_ty, ctx, env)
-        return [Lambda(var, e.var_ty, d) for d in _nf(e.body, ctx, env)]
+        body = _nf(e.body, ctx, env)
+        return [Lambda(var, e.var_ty,
+                       body[0] if len(body) == 1 else Join(tuple(body)))]
     if isinstance(e, App):
         # The spine ``f a1 ... an``: the head, then each argument, once.
         args = []

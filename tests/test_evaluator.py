@@ -13,7 +13,7 @@ import msl.cli
 import msl.evaluator
 from msl.evaluator import (
     BoolFF, BoolTT, Diverged, FunctionValue, LOWER, PRUNED, PropFalseProven,
-    PropTrue, RealBall, SweepEnv, TupleOf, UPPER, _at_point, _read, _slopes,
+    PropTrue, RealBall, TupleOf, UPPER, _at_point, _read, _slopes,
     compile_term, evaluate_step, prop_approx, real_approx, refine_step, run,
 )
 from msl.interval import ENTIRE, GInterval, POS_INF, XRat
@@ -173,17 +173,15 @@ TUPLE_PROPS = tuple(pe(source) for source in (
 
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(st.sampled_from(TUPLE_PROPS), rationals(), rationals(), st.booleans(),
-       st.integers(min_value=1, max_value=4), st.sampled_from((LOWER, UPPER)),
-       st.sampled_from((dict, SweepEnv)))
-def test_a_tuple_binding_decides_as_its_ginterval(prop, p, q, point, k, mode,
-                                                  make_env):
+       st.integers(min_value=1, max_value=4), st.sampled_from((LOWER, UPPER)))
+def test_a_tuple_binding_decides_as_its_ginterval(prop, p, q, point, k, mode):
     # A cut probe binds its variable to (n, d, n, d) and a quantifier to
     # its box's integer tuple: every answer is that of the GInterval.
     if point:
         q = p
     binding = (p.numerator * k, p.denominator * k, q.numerator, q.denominator)
-    assert prop_approx(prop, make_env({"y": binding}), mode) is \
-        prop_approx(prop, make_env({"y": I(p, q)}), mode)
+    assert prop_approx(prop, {"y": binding}, mode) is \
+        prop_approx(prop, {"y": I(p, q)}, mode)
 
 
 def _random_quantified_prop(rng, depth=2):
@@ -228,10 +226,9 @@ def test_approximant_ordering_lower_implies_upper():
     rng = random.Random(1130)
     for _ in range(300):
         e = _random_quantified_prop(rng)
-        for make_env in (dict, SweepEnv):  # naive alone; centred too
-            lower = prop_approx(e, make_env(), LOWER)
-            upper = prop_approx(e, make_env(), UPPER)
-            assert not (lower and not upper), e
+        lower = prop_approx(e, {}, LOWER)
+        upper = prop_approx(e, {}, UPPER)
+        assert not (lower and not upper), e
 
 
 # --- refine_step -----------------------------------------------------------------
@@ -326,6 +323,29 @@ def test_a_cut_with_a_free_variable_is_refined_but_never_narrowed():
     assert run(pe(source), max_steps=12) == Diverged(12)
 
 
+SUPREMUM = ("cut y : [0, 1] left (exists x : [0, 1], y < x * (1 - x)) "
+            "right (forall x : [0, 1], x * (1 - x) < y)")
+
+
+def test_a_cut_over_quantified_predicates_finds_a_supremum():
+    # sup x (1 - x) over [0, 1] is 1/4.  A probe binds y to a point and
+    # the forall's x to boxes, where only the centred test decides a
+    # comparison near the maximum; without it no answer came in 160
+    # steps.
+    out = run(pe(SUPREMUM), precision=F(1, 100000), max_steps=20)
+    assert out == RealBall(F(3587254, 14348907), F(256, 129140163))
+    assert abs(out.center - F(1, 4)) <= out.radius
+
+
+def test_a_closed_guard_that_evaluation_reads_is_kept():
+    e = pe(f"({UNDECIDED}) ~> 1")
+    assert evaluate_step(e, F(1, 1000), REAL) is None
+    assert e.guard._lower is False
+    e = pe("1 < 2 /\\ 2 < 3 ~> 1")
+    assert evaluate_step(e, F(1, 1000), REAL) == RealBall(F(1), F(0))
+    assert e.guard._lower is True
+
+
 def test_refine_keeps_and_or_simplification():
     # proven conjuncts are dropped; the undecided one is refined in place
     got = refine_step(pe(f"(1 < 2) /\\ ({UNDECIDED})"))
@@ -349,6 +369,15 @@ def test_refine_witness_log():
     log = []
     refine_step(pe("exists x : [0,2], x < 1"), 0, log)
     assert log == [("x", F(0), F(2))]
+
+
+def test_a_refuted_guard_ends_the_sweep_of_its_disjunct():
+    # The disjunct is undefined once its first component is: the
+    # existential after it is not refined, and logs no witness.
+    log = []
+    e = pe("mkbool (((2 < 1) ~> 5) < 6) (exists x : [0, 1], x < 1)")
+    assert refine_step(e, 0, log) is PRUNED
+    assert log == []
 
 
 # --- the per-sweep memo of closed approximants -------------------------------------
@@ -386,22 +415,14 @@ def closed_props(data, names=(), depth=3):
                 closed_props(data, names + (var,), depth - 1))
 
 
-def sweep_env_without_memo():
-    """A sweep's environment (the centred test on) that keeps nothing on
-    the nodes: like a quantifier body's, it is not empty."""
-    return SweepEnv({"_": ENTIRE})
-
-
 @given(st.data())
 def test_memoized_approximants_match_plain_ones(data):
+    # An environment that binds a name the prop does not read keeps
+    # nothing on the nodes, as a quantifier body's does.
     e = closed_props(data)
-    env = SweepEnv()
     for mode in (LOWER, UPPER, LOWER, UPPER):  # the second round hits
-        memoized = prop_approx(e, env, mode)
-        assert memoized == prop_approx(e, sweep_env_without_memo(), mode)
-        # A sweep may only decide more than the naive test alone.
-        naive = prop_approx(e, {}, mode)
-        assert memoized == naive or memoized is (mode is LOWER)
+        memoized = prop_approx(e, {}, mode)
+        assert memoized == prop_approx(e, {"_": ENTIRE}, mode)
     assert e._lower is not None and e._upper is not None
 
 
@@ -410,7 +431,7 @@ def test_sweep_decides_each_closed_node_once(monkeypatch):
     plain = msl.evaluator._prop_approx
 
     def counting(e, env, mode):
-        if type(env) is SweepEnv and not env:
+        if not env:
             seen.append((id(e), mode))
         return plain(e, env, mode)
 
@@ -826,10 +847,11 @@ def sample_points(data, boxes, stationary):
     return points
 
 
-def sweep_env(boxes):
-    env = sweep_env_without_memo()
-    env.update(boxes)
-    return env
+def naive_test(less, env, mode):
+    """The naive test of ``less`` under ``env``, by the reference interval
+    arithmetic: the second endpoint of lhs below the first of rhs."""
+    return reference_real_approx(less.lhs, env, mode).hi < \
+        reference_real_approx(less.rhs, env, mode).lo
 
 
 @given(st.data())
@@ -849,8 +871,8 @@ def test_centred_test_only_adds_sound_decisions(data):
               for p in sample_points(data, boxes, stationary)]
     duals = {v: box.dual() for v, box in boxes.items()}
     for mode, bound in ((LOWER, boxes), (UPPER, duals)):
-        naive = prop_approx(less, dict(bound), mode)
-        centred = prop_approx(less, sweep_env(bound), mode)
+        naive = naive_test(less, bound, mode)
+        centred = prop_approx(less, bound, mode)
         decided = mode is LOWER  # a proof in lower mode, else a refutation
         if naive is decided:
             assert centred is decided
@@ -870,8 +892,8 @@ def test_monotone_boxes_decide_exactly_at_the_corners(data):
         return
     low, high = extremes
     duals = {v: box.dual() for v, box in boxes.items()}
-    assert prop_approx(less, sweep_env(boxes), LOWER) is (high < 0)
-    assert prop_approx(less, sweep_env(duals), UPPER) is not (low >= 0)
+    assert prop_approx(less, boxes, LOWER) is (high < 0)
+    assert prop_approx(less, duals, UPPER) is not (low >= 0)
 
 
 def test_a_slope_of_both_signs_decides_at_no_corner():
@@ -882,41 +904,60 @@ def test_a_slope_of_both_signs_decides_at_no_corner():
     # before it looks at its signs.
     holds = pe("exists x : [0, 1], (x - 1/4) ^ 2 < 1/100")
     fails = pe("forall x : [0, 1], (x - 1/4) ^ 2 > 1/100")
-    assert prop_approx(holds, SweepEnv(), UPPER) is True
-    assert prop_approx(fails, SweepEnv(), LOWER) is False
+    assert prop_approx(holds, {}, UPPER) is True
+    assert prop_approx(fails, {}, LOWER) is False
     assert run(holds) == PropTrue()
     assert run(fails) == PropFalseProven()
 
 
-def test_centred_test_stays_off_the_naive_environments():
-    # A cut probe binds its variable in a plain dict: no centred test,
-    # and no approximant that a sweep kept on the node.
-    e = pe("forall x : [9/20, 11/20], x * (1 - x) < 1/4 + 1/100")
-    assert prop_approx(e, SweepEnv(), LOWER) is True
-    assert prop_approx(e, {}, LOWER) is False
-    # Kept per mode: undecided is lower False, upper True, whichever
-    # mode a sweep asks first.
+def test_a_read_under_no_bindings_is_kept_and_one_under_bindings_is_not():
+    # Under no bindings a node is closed, so its approximant depends on
+    # the node alone and is kept on it, per mode: undecided is lower
+    # False, upper True, whichever mode is read first.
     for modes in ((LOWER, UPPER), (UPPER, LOWER)):
         e = pe(UNDECIDED)
         for mode in modes + modes:
-            assert prop_approx(e, SweepEnv(), mode) is (mode is UPPER)
+            assert prop_approx(e, {}, mode) is (mode is UPPER)
+        assert (e._lower, e._upper) == (False, True)
     # A quantifier body's value depends on its boxes: nothing is kept.
+    e = pe("forall x : [0, 1], x < 2")
+    assert prop_approx(e, {}, LOWER) is True
+    assert e._lower is True and e.body._lower is None
     body = pe("x < 1")
-    assert prop_approx(body, SweepEnv(x=I(0, 0)), LOWER) is True
-    assert prop_approx(body, SweepEnv(x=I(2, 2)), LOWER) is False
+    assert prop_approx(body, {"x": I(0, 0)}, LOWER) is True
+    assert prop_approx(body, {"x": I(2, 2)}, LOWER) is False
+    assert body._lower is None and body._upper is None
 
 
-def test_centred_test_keeps_naive_path_for_cuts_and_unbounded_boxes():
+def test_the_centred_test_reads_proper_boxes_and_leaves_points_alone(
+        monkeypatch):
     # Only the centred test proves the first; a division or a cut, even
     # one that adds nothing to the naive reading, keeps the naive test.
+    # A quantifier in a cut probe, which binds the cut's variable to a
+    # point, gets the test as one in a sweep does.
+    box = {"x": I(F(9, 20), F(11, 20))}
+    probe = {"y": I(F(26, 100), F(26, 100))}
     for body, proved in (("x * (1 - x)", True), ("x * (1 - x) / 1", False),
                          (f"x * (1 - x) + 0 * ({SQRT2_CUT})", False)):
         e = pe(f"forall x : [9/20, 11/20], {body} < 1/4 + 1/100")
-        assert prop_approx(e, SweepEnv(), LOWER) is proved
-        assert prop_approx(e, {}, LOWER) is False
-    body = pe("x * (1 - x) < 1/4 + 1/100")
-    unbounded = sweep_env({"x": I(F(1, 4), POS_INF)})
-    assert prop_approx(body, unbounded, LOWER) is False
+        assert prop_approx(e, {}, LOWER) is proved
+        assert naive_test(e.body, box, LOWER) is False
+        e = pe(f"forall x : [9/20, 11/20], {body} < y")
+        assert prop_approx(e, probe, LOWER) is proved
+    # A box with an infinite end keeps the naive test.
+    body = pe("x * (1 - x) < 1/4")
+    assert prop_approx(body, {"x": I(F(1, 4), POS_INF)}, LOWER) is False
+    # On points the naive test is exact, so the centred one is not tried:
+    # 1/4 < 1/4 fails in lower mode, 2/9 < 1/4 holds in upper mode.
+    calls = []
+    centred = msl.evaluator._centred_decides
+    monkeypatch.setattr(msl.evaluator, "_centred_decides",
+                        lambda *args: calls.append(args) or centred(*args))
+    for x, mode in ((F(1, 2), LOWER), (F(1, 3), UPPER)):
+        assert prop_approx(body, {"x": I(x, x)}, mode) is (mode is UPPER)
+    assert calls == []
+    assert prop_approx(body, box, LOWER) is False
+    assert len(calls) == 1
 
 
 def test_a_power_zero_leaves_no_code_for_its_base():
@@ -927,7 +968,7 @@ def test_a_power_zero_leaves_no_code_for_its_base():
     assert [op for op, _, _ in code if op == "/"] == []
     e = pe("forall x : [9/20, 11/20], "
            "x * (1 - x) + (1 / x) ^ 0 < 5/4 + 1/100")
-    assert prop_approx(e, SweepEnv(), LOWER) is True
+    assert prop_approx(e, {}, LOWER) is True
     assert run(e) == PropTrue()
 
 
@@ -1013,7 +1054,7 @@ def test_a_left_half_keeps_the_failed_lower_end_of_an_unchanged_body():
     assert left.body is e.body and left._lower is False
     assert right._lower is None
     fresh = Exists(left.var, left.range, left.body)
-    assert prop_approx(fresh, SweepEnv(), LOWER) is False
+    assert prop_approx(fresh, {}, LOWER) is False
     # Refined again, the left half tries the midpoint, its upper end.
     wlog = []
     assert refine_step(left, 1, wlog) == TrueLit()
@@ -1028,7 +1069,7 @@ def test_a_body_that_refinement_changed_is_read_again():
     left, right = refine_step(e).items
     assert left.body is not e.body and left._lower is None
     fresh = Exists(left.var, left.range, left.body)
-    assert prop_approx(fresh, SweepEnv(), LOWER) is True
+    assert prop_approx(fresh, {}, LOWER) is True
     assert run(e) == PropTrue()
 
 
@@ -1064,7 +1105,7 @@ def check_existential_witnesses(less, a, b):
         for leaf in exists_leaves(tree):
             if leaf._lower is not None:
                 fresh = Exists(leaf.var, leaf.range, leaf.body)
-                assert leaf._lower is prop_approx(fresh, SweepEnv(), LOWER)
+                assert leaf._lower is prop_approx(fresh, {}, LOWER)
     for _, lo, _ in wlog:
         assert point_gradient(less.lhs, {"x": lo})[0] < \
             point_gradient(less.rhs, {"x": lo})[0]

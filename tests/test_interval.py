@@ -18,7 +18,7 @@ from msl.interval import (
     DivisionIndeterminate, ENTIRE, GInterval, NEG_INF, POS_INF, XRat, add,
     below, box, div, interval_of, mul, power, sub,
 )
-from msl.evaluator import LOWER, UPPER, SweepEnv, prop_approx, real_approx
+from msl.evaluator import LOWER, UPPER, prop_approx, real_approx
 from msl.syntax import Arith, Less, Pow, RatLit, Var
 
 from oracles import (
@@ -224,8 +224,8 @@ def test_polynomial_upper_enclosure_is_dual_of_lower(data):
     less, f = Less(t, RatLit(c)), mid - c
     proof = naive.hi.q < c or (f < 0 and f + spread < 0)
     refutation = naive.lo.q >= c or (f >= 0 and f - spread >= 0)
-    assert prop_approx(less, SweepEnv(boxes), LOWER) is proof
-    assert prop_approx(less, SweepEnv(duals), UPPER) is not refutation
+    assert prop_approx(less, boxes, LOWER) is proof
+    assert prop_approx(less, duals, UPPER) is not refutation
 
 
 @given(proper_intervals(), proper_intervals(), st.data())

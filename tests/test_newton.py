@@ -450,7 +450,7 @@ def test_a_comparison_without_a_slope_gives_no_step(lower):
 
 def test_a_probe_tuple_reaches_a_quantifier_inside_the_predicate():
     # The probe's point tuple is copied into the environment of the
-    # exists (``_bind``); the answers are those of the Fraction probes.
+    # exists' body; the answers are those of the Fraction probes.
     source = "cut y : [0, 4] left (exists t : [0, 1], y < 1 + t) right (y > 2)"
     assert run(parse_expression(source), max_steps=10) == Diverged(10)
     (d,) = normalize(parse_expression(source))

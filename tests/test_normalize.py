@@ -7,13 +7,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from msl.cli import SessionState, _wrap_definitions, execute_source
+from msl.evaluator import run
 from msl.normalize import mk_and, mk_or, normalize
 from msl.prelude import load_prelude
 from msl.syntax import (
     And, App, Arith, Cut, Exists, Expr, FalseLit, Forall, Join, Lambda, Less,
-    Let, Or, Pow, RatLit, Restrict, Tuple, TrueLit, Var, free_vars,
+    Let, Or, Pow, RatLit, REAL, Restrict, Tuple, TrueLit, Var, free_vars,
     parse_expression, pretty_print,
 )
 from msl.typecheck import infer_type
@@ -94,9 +96,11 @@ def printed(source):
                  id="spine_shadow"),
     pytest.param("(fun f : real -> real => f) (fun x : real => x + 1) 2 < 4",
                  "2 + 1 < 4", id="spine_returns_function"),
+    # Each choice of the arguments reads the body's join once more, and a
+    # disjunct seen before is dropped.
     pytest.param(
         "(fun x : real => fun y : real => (x || y)) (1 || 2) (3 || 4) < 5",
-        "1 < 5 | 2 < 5 | 3 < 5 | 4 < 5", id="spine_joins"),
+        "1 < 5 | 3 < 5 | 4 < 5 | 2 < 5", id="spine_joins"),
 ])
 def test_bound_names_are_read_without_capture(source, expected):
     assert printed(source) == expected
@@ -319,9 +323,59 @@ def test_join_hoists_through_tuples_and_both_sides():
                    for a in (1, 2) for b in (3, 4)]
 
 
-def test_join_hoists_out_of_lambda_committing_once():
+def test_a_join_in_a_function_body_chooses_at_each_call():
+    # A function is one value whose body joins its choices: each
+    # application reads the join, so f 2 + f 3 has every pair.
+    (fn,) = nf("fun x : real => (0 || x)")
+    assert fn == Lambda("x", REAL, Join((RatLit(F(0)), Var("x"))))
     got = nf("let f = fun x : real => (0 || 1) in f 2 + f 3")
-    assert got == [parse_expression("0 + 0"), parse_expression("1 + 1")]
+    assert got == [parse_expression(f"{a} + {b}")
+                   for a in (0, 1) for b in (0, 1)]
+
+
+GUARDED = "fun x : real => (x < 1 ~> 0 || x > 2 ~> 1)"
+
+
+@pytest.mark.parametrize("source", [
+    f"let f = {GUARDED} in f 0 + f 3;;",
+    f"(fun f : real -> real => f 0 + f 3) ({GUARDED});;",
+    f"let g = {GUARDED};; g 0 + g 3;;",
+], ids=["let", "higher_order", "repl"])
+def test_a_function_defined_by_cases_answers_at_each_call(source):
+    # f 0 is defined by the first branch alone and f 3 by the second.
+    # Committing f to one branch for the whole program left no disjunct
+    # defined at both calls.
+    out, err = io.StringIO(), io.StringIO()
+    execute_source(SessionState(), source, out=out, err=err)
+    assert (out.getvalue(), err.getvalue()) == ("real = 1 ± 0\n", "")
+
+
+SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=2).map(
+    lambda q: f"({q})")
+
+
+def _guarded_function(data):
+    """The source of a one-argument function whose body joins one to
+    three branches, each under a guard on its argument or none."""
+    branches = []
+    for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
+        c, k, m = (data.draw(SMALL) for _ in range(3))
+        guard = data.draw(st.sampled_from(("", f"x < {c} ~> ",
+                                           f"x > {c} ~> ")))
+        branches.append(f"{guard}(x * {k} + {m})")
+    return f"fun x : real => ({' || '.join(branches)})"
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.data())
+def test_a_let_bound_function_answers_as_its_body_written_out(data):
+    fn = _guarded_function(data)
+    args = [data.draw(SMALL) for _ in range(2)]
+    op = data.draw(st.sampled_from("+-*"))
+    bound = parse_expression(f"let f = {fn} in f {args[0]} {op} f {args[1]}")
+    written = parse_expression(
+        f"({fn}) {args[0]} {op} ({fn}) {args[1]}")
+    assert run(bound, max_steps=8) == run(written, max_steps=8)
 
 
 def test_top_level_prop_join_stays_a_join():

@@ -139,7 +139,9 @@ class TypedGen:
         return Lambda(x, ty.arg, self.leaf(ty.result, {**ctx, x: ty.arg}))
 
 
-#: The evaluator's whole input contract: the node kinds of a normal form.
+#: The evaluator's whole input contract: the node kinds of a base-typed
+#: normal form.  A ``Join`` is only ever in the body of a function, and
+#: a base-typed normal form holds no function.
 CORE_NODES = (RatLit, Var, Arith, Pow, Cut, Less, And, Or, TrueLit, FalseLit,
               Exists, Forall, MkBool, Tuple, Restrict)
 PROP_NODES = (Less, And, Or, TrueLit, FalseLit, Exists, Forall)
