@@ -18,9 +18,13 @@ through the interval evaluation of its whole range; upper mode dualizes
 the ranges so the same endpoint test becomes the optimistic reading,
 refuting an existential only when the whole range fails and a universal
 only when some subrange fails everywhere.  Any point of the range may
-serve as a witness, so refinement tries a second one: a closed
-existential whose lower end failed reads its body at its upper end too
-before it splits (``_split_quantifier``).
+serve as a witness or a counterexample, so before a closed quantifier
+splits, refinement reads its body at each end of its range it has not
+read yet (``_split_quantifier``, the bounding step of interval branch
+and bound): in lower mode an existential's upper end, in upper mode
+both ends of a universal.  Each end is read once: a half keeps the
+reading of the end it shares with its parent, and only the left half
+reads the new midpoint.
 
 Each real term, and the difference lhs - rhs of each comparison, is
 compiled once into a straight-line program, kept on the node
@@ -66,11 +70,12 @@ outer enclosure, the exact range above included, may stand in for it.
 For the same reason each slope read from the values of upper mode's
 naive test is the dual of its enclosure over the proper boxes: the test
 swaps its ends, and swapped back each has its sign in lower mode.  Cuts,
-restrictions, division and unbounded boxes keep the naive test, and so
-does a comparison of two points, where it is exact.  Every reader gets
-the test alike: a quantifier inside a cut's predicate is decided by it
-during a probe as in a sweep, so a cut defined by quantified predicates
-(a supremum) converges.
+restrictions, division and unbounded boxes keep the naive test (a
+comparison keeps whether its program holds one of the first three,
+``_polynomial``), and so does a comparison of two points, where it is
+exact.  Every reader gets the test alike: a quantifier inside a cut's
+predicate is decided by it during a probe as in a sweep, so a cut
+defined by quantified predicates (a supremum) converges.
 
 Refinement rewrites an expression without changing its meaning: decided
 props collapse to literals, cut ranges narrow by probes, quantifiers
@@ -355,6 +360,15 @@ def _quantifier_box(e, mode):
     return box(r.lo, r.hi if isinstance(e, Forall) else r.lo)
 
 
+#: How refinement reads a closed quantifier at the ends of its range
+#: (``_split_quantifier``): the mode whose decisive reading at a point
+#: decides it -- true in lower mode affirms an existential, false in
+#: upper mode refutes a universal -- and the ends (lo, hi) that its own
+#: approximant in that mode has read already.  An existential's lower
+#: approximant is its body at its lower end.
+_PROBES = {Exists: (LOWER, (True, False)), Forall: (UPPER, (False, False))}
+
+
 def prop_approx(e, env, mode):
     """The lower (mode=LOWER) or upper (mode=UPPER) approximant of a prop
     under ``env``, which binds each free variable of ``e`` to the integer
@@ -395,8 +409,7 @@ def _prop_approx(e, env, mode):
         if holds is (mode is LOWER) or (u[0] == u[2] and u[1] == u[3]
                                         and w[0] == w[2] and w[1] == w[3]):
             return holds
-        return holds is not _centred_decides(code, vals, free_vars(e), env,
-                                             mode)
+        return holds is not _centred_decides(e, vals, env, mode)
     if isinstance(e, (Forall, Exists)):
         return prop_approx(e.body, {**env, e.var: _quantifier_box(e, mode)},
                            mode)
@@ -407,11 +420,11 @@ def _prop_approx(e, env, mode):
 # The centred form of a polynomial comparison
 
 
-def _centred_decides(code, vals, names, env, mode):
+def _centred_decides(e, vals, env, mode):
     """Does f = ``lhs - rhs`` over the undualized boxes X of ``env``
-    prove the comparison (LOWER) or refute it (UPPER)?  ``code`` is its
-    program, ``vals`` the values of all but its last instruction that
-    the naive test read, and ``names`` its free variables.
+    prove the comparison ``e`` (LOWER) or refute it (UPPER)?  ``vals``
+    are the values of all but the last instruction of its program that
+    the naive test read.
 
     Where every slope d_i f(X) has one sign, moving each x_i to the end
     its slope points to never lowers f: f's exact maximum over X is f at
@@ -421,9 +434,18 @@ def _centred_decides(code, vals, names, env, mode):
     the module docstring shows sound in both modes.  Elsewhere f(m) +-
     sum_i width_i / 2 * max|d_i f(X)| bounds f.  The premise is checked
     here: every box has the orientation its mode binds (proper or a
-    point in LOWER, dual or a point in UPPER).  Unbounded boxes, opaque
-    leaves and division keep the naive test.
+    point in LOWER, dual or a point in UPPER).  Unbounded boxes keep the
+    naive test, and so does a program with an opaque leaf or a division,
+    which the comparison keeps as a fact (``_polynomial``).
     """
+    code = e._code
+    polynomial = e._polynomial
+    if polynomial is None:
+        polynomial = keep(e, "_polynomial", all(
+            op != "o" and op != "/" for op, _, _ in code))
+    if not polynomial:
+        return False
+    names = free_vars(e)
     point, widths, ends = {}, [], []  # each box's midpoint, width, ends
     for name in names:
         x = env[name]
@@ -436,7 +458,7 @@ def _centred_decides(code, vals, names, env, mode):
     if not any(w for w, _ in widths):
         return False  # the naive test was exact
     mid = _at_point(code, point)
-    if mid is None or (mid[0] < 0) is not (mode is LOWER):
+    if (mid[0] < 0) is not (mode is LOWER):
         return False
     # Over upper mode's dual boxes each slope is the dual of its
     # enclosure over the proper ones.
@@ -459,9 +481,9 @@ def _centred_decides(code, vals, names, env, mode):
 
 
 def _at_point(code, point):
-    """The exact value of ``code`` at ``point``, which maps each variable
-    to a pair (numerator, denominator > 0), as such a pair, or None at an
-    opaque leaf or a division."""
+    """The exact value of the polynomial ``code`` (no opaque leaf, no
+    division) at ``point``, which maps each variable to a pair
+    (numerator, denominator > 0), as such a pair."""
     out = []
     push = out.append
     for op, x, y in code:
@@ -475,11 +497,9 @@ def _at_point(code, point):
             push(point[x])
         elif op == "q":
             push(x[:2])
-        elif op == "^":
+        else:  # "^"
             n, d = out[x]
             push((n ** y, d ** y))
-        else:
-            return None
     return out[-1]
 
 
@@ -715,34 +735,55 @@ def _split_quantifier(e, node, combine, st):
     """Split ``e`` at its range's midpoint, refining its body once for
     both halves.
 
-    A closed ``Exists`` gets here only when its lower approximant, its
-    body at the range's lower end a, failed (``e._lower`` is False).  It
-    first reads its body in lower mode at the upper end b, a point of
-    the range like any other: where that holds, b is a witness, and it
-    refines to ``TrueLit``, logging witness [b, b] and those under x =
-    b.  Otherwise it splits.  The left half binds x to a as ``e`` did,
-    so while the body comes back unchanged it keeps ``e``'s failed lower
-    approximant instead of reading a again, and its own probe reads the
-    midpoint, its upper end.  A body that refinement changed (a cut in
-    it narrowed) is read afresh.
+    A closed quantifier gets here only when neither approximant decided
+    it.  The ends a and b of its range are points of it like any other
+    (typecheck admits only finite closed ranges, and the parser no empty
+    one), so it first reads its body at each end it has not read yet (its
+    ``_ends``), in the mode of ``_PROBES``.  Where an existential's body
+    holds at b in lower mode, b is a witness: it refines to ``TrueLit``,
+    logging witness [b, b] and those under x = b.  Where a universal's
+    body fails at a or b in upper mode, that end is a counterexample: it
+    refines to ``FalseLit``.  Otherwise it splits.  While the body comes
+    back unchanged, each half keeps the failed reading of the end it
+    shares with ``e``: the left half of an existential keeps its lower
+    approximant, the body at a, too.  A body that refinement changed (a
+    cut in it narrowed) is read afresh.  The midpoint m is read once,
+    by the left half as its upper end: in every sweep the left half is
+    refined before the right one, and both have one body, so the right
+    half takes m as read.  If that reading decides the left half, the
+    connective of the two is decided with it.  A left universal proven
+    as a whole holds at m too, and one refuted as a whole refutes the
+    connective.  Probes charge no visits.
     """
     lo, hi = e.range.lo, e.range.hi
-    probed = node is Exists and e._lower is False
-    if probed:
-        at_hi = {e.var: box(hi, hi)}
-        if prop_approx(e.body, at_hi, LOWER):
-            if st.wlog is not None:
-                st.wlog.append((e.var, hi.q, hi.q))
-                _log_witnesses(e.body, at_hi, st.wlog)
-            return TrueLit()
+    closed = not free_vars(e)
+    if closed:
+        mode, read = _PROBES[node]
+        for end, known in zip((lo, hi), e._ends or read):
+            if known:
+                continue
+            at = {e.var: box(end, end)}
+            if prop_approx(e.body, at, mode) is (mode is LOWER):
+                if mode is UPPER:
+                    return FalseLit()
+                if st.wlog is not None:
+                    st.wlog.append((e.var, end.q, end.q))
+                    _log_witnesses(e.body, at, st.wlog)
+                return TrueLit()
     body = _refine(e.body, st)
     if st.visits >= SWEEP_VISIT_CAP:
         return node(e.var, e.range, body)
     m = XRat((lo.q + hi.q) / 2)
     left = node(e.var, Range(lo, m), body)
-    if probed and body is e.body:
-        keep(left, "_lower", False)
-    return combine([left, node(e.var, Range(m, hi), body)])
+    right = node(e.var, Range(m, hi), body)
+    if closed:
+        same = body is e.body
+        keep(right, "_ends", (True, same))
+        if same:
+            keep(left, "_ends", (True, False))
+            if node is Exists:
+                keep(left, "_lower", False)
+    return combine([left, right])
 
 
 def _refine_shared(e, st):

@@ -103,7 +103,12 @@ class Expr:
     _settled = None  # evaluator._settled_size
     _lower = None  # evaluator.prop_approx of a closed prop in a sweep
     _upper = None
+    _ends = None  # evaluator._split_quantifier: the ends (lo, hi) of a
+    # closed quantifier's range that it need not read: read without a
+    # decision, or read first by the left half beside it
     _code = None  # evaluator.compile_term of a real term or a comparison
+    _polynomial = None  # evaluator._centred_decides: a comparison's
+    # program has no opaque leaf and no division
     _ty = None  # typecheck.infer_type of a closed let-bound
     _nform = None  # normalize._nf of a closed node: its disjuncts
     _sides = None  # evaluator._sides of a closed cut, on its left:

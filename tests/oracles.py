@@ -748,6 +748,30 @@ def reference_exists(less, var, lo, hi, budget=64):
     return None if pieces else False
 
 
+def reference_forall(less, var, lo, hi, budget=64):
+    """Is f = lhs - rhs of a comparison of polynomials in ``var``
+    negative on all of [lo, hi]?  By bisection: False once f >= 0 at lo,
+    at hi or at the midpoint of a piece, True once the centred form f(m)
+    + spread < 0 (``centred_form``) shows f < 0 on every piece, None
+    when ``budget`` pieces decide neither."""
+    for q in lo, hi:
+        value, _ = centred_form(less, {var: GInterval(q, q)})
+        if value >= 0:
+            return False
+    pieces = [(lo, hi)]
+    for _ in range(budget):
+        if not pieces:
+            return True
+        a, b = pieces.pop()
+        value, spread = centred_form(less, {var: GInterval(a, b)})
+        if value >= 0:
+            return False
+        if value + spread >= 0:
+            m = (a + b) / 2
+            pieces += [(a, m), (m, b)]
+    return None if pieces else True
+
+
 # --- car kinematics (w=10, eps=1, T=4, a_max=2, a_min=-3) --------------------
 
 CAR_W = F(10)

@@ -23,7 +23,7 @@ from msl.syntax import (
 )
 from oracles import (
     corner_range, point_gradient, reference, reference_exists,
-    reference_real_approx,
+    reference_forall, reference_real_approx,
 )
 from test_interval import any_intervals, polynomial_terms, rationals
 
@@ -248,7 +248,9 @@ def test_refine_exists_proves_immediately_with_left_witness():
 
 
 def test_refine_forall_refutes_after_one_split():
-    e = pe("forall x : [0,2], x < 1")
+    # The body holds at both ends and fails at the midpoint 1 alone, so
+    # the left half refutes it there, in the sweep after the split.
+    e = pe("forall x : [0,2], (x - 1) * (x - 1) > 0")
     first = refine_step(e)
     assert isinstance(first, And)
     second = refine_step(first)
@@ -957,7 +959,17 @@ def test_the_centred_test_reads_proper_boxes_and_leaves_points_alone(
         assert prop_approx(body, {"x": I(x, x)}, mode) is (mode is UPPER)
     assert calls == []
     assert prop_approx(body, box, LOWER) is False
-    assert len(calls) == 1
+    assert len(calls) == 1 and body._polynomial is True
+    # A cut or a division operand: the comparison keeps that its program
+    # is no polynomial, and the test returns before it reads a box, as
+    # it does here under no bindings at all.
+    for source in ("x * (1 - x) / 1 < 1/4",
+                   f"x * (1 - x) + 0 * ({SQRT2_CUT}) < 1/4"):
+        less = pe(source)
+        assert prop_approx(less, box, LOWER) is False
+        assert less._polynomial is False
+        assert centred(less, None, {}, LOWER) is False
+    assert len(calls) == 3
 
 
 def test_a_power_zero_leaves_no_code_for_its_base():
@@ -1013,8 +1025,121 @@ def test_run_decides_margin_near_extremum_in_few_visits(monkeypatch, delta):
 
 
 def test_run_boundary_degenerate_forall_never_answers_true():
+    # The prop fails at x = 1/2 alone, where x * (1 - x) is 1/4: no
+    # subrange fails everywhere, but the first midpoint is a
+    # counterexample.
     e = pe("forall x : [0, 1], x * (1 - x) < 1/4")
-    assert run(e, max_steps=20) == Diverged(20)
+    assert run(e, max_steps=20) == PropFalseProven()
+
+
+# --- the ends of a closed universal as counterexamples ----------------------
+
+@pytest.mark.parametrize("source", [
+    "forall x : [0, 1], x > 0",
+    "forall x : [0, 1], x < 1",
+    "forall x : [0, 2], (x - 1) * (x - 1) > 0",
+    "forall x : [0, 1], exists y : [0, 1], x < y",
+])
+def test_a_universal_is_refuted_at_one_point_of_its_range(source):
+    # Each fails at one point only, an end or the first midpoint, so no
+    # subrange fails everywhere: splitting alone gave no result in 40
+    # steps.
+    assert run(pe(source), max_steps=3) == PropFalseProven()
+
+
+def forall_leaves(e):
+    """The ``Forall`` nodes of a refined tree of ``And``s."""
+    if isinstance(e, Forall):
+        yield e
+    elif isinstance(e, And):
+        for item in e.items:
+            yield from forall_leaves(item)
+
+
+def record_point_reads(monkeypatch, mode):
+    """The list of points, in order, at which ``prop_approx`` is read in
+    ``mode`` under ``x`` bound to a point, from now on."""
+    reads = []
+    approx = msl.evaluator.prop_approx
+
+    def recording(e, env, read_mode):
+        x = env.get("x")
+        if read_mode is mode and x is not None and x[:2] == x[2:]:
+            reads.append(F(*x[:2]))
+        return approx(e, env, read_mode)
+
+    monkeypatch.setattr(msl.evaluator, "prop_approx", recording)
+    return reads
+
+
+def test_a_universal_reads_each_point_of_its_range_once(monkeypatch):
+    # The root reads both ends, and each split after that only its new
+    # midpoint, in its left half, in the sweep after the split.  The
+    # minimum 0 of the body's right side lies at the irrational
+    # 1/sqrt(2), so the prop takes 16 sweeps to prove.
+    reads = record_point_reads(monkeypatch, UPPER)
+    tree = pe("forall x : [0, 1], "
+              "(x * x - 1/2) * (x * x - 1/2) > -1/1000000000")
+    for n in range(6):
+        ends = {q for leaf in forall_leaves(tree)
+                for q in (leaf.range.lo.q, leaf.range.hi.q)}
+        start = len(reads)
+        tree = refine_step(tree, n)
+        assert set(reads[start:]) <= ends
+    # A left half proven as a whole, such as [0, 1/2], reads nothing.
+    assert reads == [0, 1, F(3, 4), F(23, 32)]
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.data())
+def test_a_universal_is_refuted_only_at_reference_counterexamples(data):
+    # Once as drawn, and once with the right side the left side's value
+    # at an end p of the range or at its midpoint, just above, at or
+    # just below it: f(p) is -2^-40, 0 or 2^-40.  Where f(p) >= 0, p is
+    # a counterexample, refuted in the sweep that reads it.
+    less, boxes, _ = poly_less_and_boxes(data, ("x",))
+    a, b = boxes["x"].lo.q, boxes["x"].hi.q
+    check_universal_counterexamples(less, a, b)
+    p = data.draw(st.sampled_from((a, b, (a + b) / 2)))
+    at_p, _ = point_gradient(less.lhs, {"x": p})
+    k = data.draw(st.sampled_from((-1, 0, 1))) * F(1, 2 ** 40)
+    tree = check_universal_counterexamples(Less(less.lhs, RatLit(at_p + k)),
+                                           a, b)
+    if k <= 0:
+        assert tree == FalseLit()
+
+
+def check_universal_counterexamples(less, a, b, sweeps=8):
+    """Refine ``forall x : [a, b], less`` sweep by sweep and return the
+    tree.  A leaf keeps as read (``_ends``) an end where f = lhs - rhs
+    < 0 in Fractions, or the lower end of a right half, which its left
+    sibling reads in the next sweep: where f >= 0 there, that sweep
+    refutes the tree.  No answer contradicts the reference's."""
+
+    def f(q):
+        return (point_gradient(less.lhs, {"x": q})[0]
+                - point_gradient(less.rhs, {"x": q})[0])
+
+    e = Forall("x", Range(XRat(a), XRat(b)), less)
+    tree, pending = e, False
+    for n in range(sweeps):
+        if isinstance(tree, (TrueLit, FalseLit)):
+            break
+        tree = refine_step(tree, n)
+        assert not pending or tree == FalseLit()
+        for leaf in forall_leaves(tree):
+            lo, hi = leaf.range.lo.q, leaf.range.hi.q
+            read_lo, read_hi = leaf._ends or (False, False)
+            assert not read_hi or f(hi) < 0
+            pending = pending or (read_lo and f(lo) >= 0)
+    holds = reference_forall(less, "x", a, b)
+    if isinstance(tree, TrueLit):
+        assert holds is not False
+    if isinstance(tree, FalseLit):
+        assert holds is not True
+    if holds is True:
+        assert run(e, max_steps=sweeps) != PropFalseProven()
+    return tree
 
 
 # --- the upper end of a closed existential as a witness ---------------------
@@ -1071,6 +1196,29 @@ def test_a_body_that_refinement_changed_is_read_again():
     fresh = Exists(left.var, left.range, left.body)
     assert prop_approx(fresh, {}, LOWER) is True
     assert run(e) == PropTrue()
+
+
+def test_a_right_half_keeps_the_failed_upper_end_of_an_unchanged_body(
+        monkeypatch):
+    # The body fails at 0, 1/2 and 1 and holds at 3/4.  The right half
+    # [1/2, 1] shares its upper end with its parent, which read it.
+    reads = record_point_reads(monkeypatch, LOWER)
+    tree, wlog = pe("exists x : [0, 1], (x - 3/4) * (x - 3/4) < 1/1000"), []
+    for n in range(3):
+        tree = refine_step(tree, n, wlog)
+    assert tree == TrueLit() and wlog == [("x", F(3, 4), F(1))]
+    assert reads.count(1) == 1
+
+
+def test_a_right_half_reads_the_upper_end_of_a_changed_body_again():
+    # At x = 1 the body holds once the cut's range lies below 3/2.  Each
+    # sweep narrows the cut, so the rightmost half, whose body changed,
+    # reads x = 1 again until it is the witness.
+    source = f"exists x : [0, 1], x - ({SQRT2_CUT}) > -1/2"
+    out = io.StringIO()
+    msl.cli.execute_source(msl.cli.SessionState(),
+                           f"#trace on;; {source};;", out=out)
+    assert out.getvalue() == "(witness x in [1, 1])\nprop = True\n"
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)

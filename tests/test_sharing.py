@@ -157,13 +157,14 @@ def test_refine_returns_settled_quantifier_body_by_identity():
 
 def test_refine_still_folds_connectives_that_are_not_settled():
     # A one-item or nested connective is not settled: refinement folds
-    # it as mk_and/mk_or would.
-    x_lt_1 = parse_expression("forall x : [0, 1], x < 1")
-    less = x_lt_1.body
+    # it as mk_and/mk_or would.  Neither mode decides the body over [0,
+    # 1], and it holds at both ends, so the universal splits.
+    degenerate = parse_expression("forall x : [0, 1], x * (1 - x) < 1/4")
+    less = degenerate.body
     for body, folded in ((And((less,)), less), (Or((less,)), less),
                          (And((less, And((less, less)))),
                           And((less, less, less)))):
-        halves = refine_step(Forall("x", x_lt_1.range, body))
+        halves = refine_step(Forall("x", degenerate.range, body))
         assert [half.body for half in halves.items] == [folded, folded]
 
 
