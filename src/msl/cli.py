@@ -274,7 +274,11 @@ def repl(state, stdin=None, out=None, err=None):
         if not buffer and start == (1, 1):  # drop a BOM, as from a file
             line = line.removeprefix("\ufeff")
         buffer += line
-        split = _item_end(buffer) if line else len(buffer)
+        # A ";;" token never spans lines, so only a line that holds one
+        # can end an item: the buffer is scanned once per item, not once
+        # per line.
+        split = (len(buffer) if not line
+                 else _item_end(buffer) if ";;" in line else None)
         while split:
             # At end of input the rest is run as a last item: a comment
             # or blanks print nothing, an item without ';;' is an error.

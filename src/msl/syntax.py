@@ -43,7 +43,11 @@ One precedence climb (``_Parser.expr``) reads every operator level,
 from "||" to prefix "-", "^ k", application and "#k", and the printer
 brackets from the same tables (``_BINARY``, ``_PREFIX``, ``_CHAINS``
 and ``_SIDES``): each operator's token, level and grouping is written
-once.  A parenthesis costs the parser two Python frames.
+once.  So is each keyword form's concrete syntax (``_FORMS``): its
+keyword, its level and the token before each field, which one reader
+(``_Parser.form``) and the printer both follow, reading or writing each
+field by its kind.  A parenthesis and a keyword form each cost the
+parser two Python frames.
 
 The node shapes (``children``, ``rebuild``) serve every traversal that
 only needs to know where a node's children are: ``free_vars``,
@@ -206,7 +210,7 @@ class Proj(Expr):
 @dataclass(frozen=True)
 class Lambda(Expr):
     var: str = ""
-    var_ty: "Ty" = None
+    var_ty: Ty = None
     body: Expr = None
 
 
@@ -519,9 +523,30 @@ _SIDES = [(op + 1, op) if op == _RESTRICT
           else (op, op + 1)
           for op in range(_ATOM + 1)]
 
-_BINDER_STARTS = {"fun", "cut", "exists", "forall", "let"}
-_ATOM_STARTS = {"IDENT", "RAT", "True", "False", "(", "mkbool", "is_true",
-                "is_false"} | _BINDER_STARTS
+#: The keyword forms: each one's keyword, the level its text is read
+#: at, and the token before each of its fields ("" for none).  A binder
+#: (level ``_JOIN``) reads its operands at ``_JOIN``, so its body extends
+#: as far right as it can; mkbool, is_true and is_false take atoms, as an
+#: application does; a constant has no field.  The parser and the
+#: printer read each field by its kind (``_KINDS``).
+_FORMS = {
+    TrueLit: ("True", _ATOM, ()),
+    FalseLit: ("False", _ATOM, ()),
+    Lambda: ("fun", _JOIN, ("", ":", "=>")),
+    Cut: ("cut", _JOIN, ("", ":", "left", "right")),
+    Exists: ("exists", _JOIN, ("", ":", ",")),
+    Forall: ("forall", _JOIN, ("", ":", ",")),
+    Let: ("let", _JOIN, ("", "=", "in")),
+    MkBool: ("mkbool", _APP, ("", "")),
+    IsTrue: ("is_true", _APP, ("",)),
+    IsFalse: ("is_false", _APP, ("",)),
+}
+
+#: The keywords that are types.
+_BASE_TYPES = {"real": REAL, "prop": PROP, "bool": BOOL}
+
+#: The tokens that start an atom, and so an application's argument.
+_ATOM_STARTS = {"IDENT", "RAT", "("} | {word for word, _, _ in _FORMS.values()}
 
 
 class _Parser:
@@ -561,8 +586,8 @@ class _Parser:
         try:
             if tok.kind == "DIRECTIVE":
                 item = self.directive()
-            elif tok.kind == "let":
-                item = self.let_expr(item=True)
+            elif tok.kind == _FORMS[Let][0]:
+                item = self.form(item=True)
                 if isinstance(item, Let):
                     item = Eval(item, loc=tok.loc)
             else:
@@ -582,7 +607,7 @@ class _Parser:
         elif name == "use":
             arg = self.expect("STRING").value
         elif name == "trace":
-            word = self.expect("IDENT").value
+            word = self.name()
             if word not in ("on", "off"):
                 raise ParseError("expected 'on' or 'off' after #trace", tok.loc)
             arg = word == "on"
@@ -617,7 +642,7 @@ class _Parser:
             else:
                 e = Arith(tok.kind, RatLit(Fraction(0), loc=loc), arg, loc=loc)
         else:
-            e = self.primary_expr()
+            e = self.form() if tok.kind in _FORM_OF else self.primary_expr()
             prec = _ATOM
         while True:
             tok = self.peek()
@@ -671,12 +696,6 @@ class _Parser:
         if kind == "RAT":
             self.next()
             return RatLit(tok.value, loc=tok.loc)
-        if kind == "True":
-            self.next()
-            return TrueLit(loc=tok.loc)
-        if kind == "False":
-            self.next()
-            return FalseLit(loc=tok.loc)
         if kind == "(":
             self.next()
             items = [self.expr()]
@@ -687,56 +706,26 @@ class _Parser:
             if len(items) == 1:
                 return items[0]
             return Tuple(tuple(items), loc=tok.loc)
-        if kind == "fun":
-            self.next()
-            name = self.expect("IDENT").value
-            self.expect(":")
-            ty = self.type_expr()
-            self.expect("=>")
-            return Lambda(name, ty, self.expr(), loc=tok.loc)
-        if kind == "cut":
-            self.next()
-            name = self.expect("IDENT").value
-            self.expect(":")
-            rng = self.range_expr()
-            self.expect("left")
-            left = self.expr()
-            self.expect("right")
-            right = self.expr()
-            return Cut(name, rng, left, right, loc=tok.loc)
-        if kind in ("exists", "forall"):
-            self.next()
-            name = self.expect("IDENT").value
-            self.expect(":")
-            rng = self.range_expr()
-            self.expect(",")
-            body = self.expr()
-            node = Exists if kind == "exists" else Forall
-            return node(name, rng, body, loc=tok.loc)
-        if kind == "let":
-            return self.let_expr()
-        if kind == "mkbool":
-            self.next()
-            return MkBool(self.expr(_ATOM), self.expr(_ATOM), loc=tok.loc)
-        if kind == "is_true":
-            self.next()
-            return IsTrue(self.expr(_ATOM), loc=tok.loc)
-        if kind == "is_false":
-            self.next()
-            return IsFalse(self.expr(_ATOM), loc=tok.loc)
         raise ParseError(f"unexpected {self._show(tok)}", tok.loc)
 
-    def let_expr(self, item=False):
-        # "let x = e in e"; at the top of an item also "let x = e", a
-        # definition.
+    def form(self, item=False):
+        """A keyword form, read from ``_FORMS``: each field after the
+        token before it.  At the top of an item, "let x = e" without its
+        last field, "in e", is a definition."""
         tok = self.next()
-        name = self.expect("IDENT").value
-        self.expect("=")
-        bound = self.expr()
-        if item and self.peek().kind != "in":
-            return Def(name, bound, loc=tok.loc)
-        self.expect("in")
-        return Let(name, bound, self.expr(), loc=tok.loc)
+        cls, operand, steps = _FORM_OF[tok.kind]
+        args = []
+        for before, _, read, _ in steps:
+            if before:
+                if (item and len(args) == len(steps) - 1
+                        and self.peek().kind != before):
+                    return Def(*args, loc=tok.loc)
+                self.expect(before)
+            args.append(self.expr(operand) if read is None else read(self))
+        return cls(*args, loc=tok.loc)
+
+    def name(self):
+        return self.expect("IDENT").value
 
     # Types and ranges -------------------------------------------------------
 
@@ -755,12 +744,8 @@ class _Parser:
 
     def atom_type(self):
         tok = self.next()
-        if tok.kind == "real":
-            return REAL
-        if tok.kind == "prop":
-            return PROP
-        if tok.kind == "bool":
-            return BOOL
+        if tok.kind in _BASE_TYPES:
+            return _BASE_TYPES[tok.kind]
         if tok.kind == "(":
             ty = self.type_expr()
             self.expect(")")
@@ -843,16 +828,12 @@ def pretty_print(e):
 _TOKENS = {Restrict: "~>", Less: "<", Pow: "^", App: _APPLY, Proj: "PROJ",
            **{node: tok for tok, node in _CHAINS.items()}}
 
-#: How the printer writes the tokens it does not write as " tok ".
-_WRITTEN = {_APPLY: " ", "PROJ": "#"}
+#: How the printer writes the tokens it does not write as " tok ", the
+#: empty token before a keyword form's field included.
+_WRITTEN = {_APPLY: " ", "PROJ": "#", ",": ", ", "": " "}
 
-#: The keyword that starts each keyword form, and the level its text
-#: re-parses at: a binder's body extends as far right as it can, and
-#: mkbool, is_true and is_false take atoms as an application does.
-_FORMS = {Lambda: ("fun", _JOIN), Cut: ("cut", _JOIN), Let: ("let", _JOIN),
-          Exists: ("exists", _JOIN), Forall: ("forall", _JOIN),
-          MkBool: ("mkbool", _APP), IsTrue: ("is_true", _APP),
-          IsFalse: ("is_false", _APP)}
+#: The word of each base type.
+_TYPE_WORDS = {type(ty): word for word, ty in _BASE_TYPES.items()}
 
 
 def _pp(e, level):
@@ -861,10 +842,6 @@ def _pp(e, level):
     cls = type(e)
     if cls is Var:
         return e.name
-    if cls is TrueLit:
-        return "True"
-    if cls is FalseLit:
-        return "False"
     if cls is RatLit:
         # "p/q" re-parses as a quotient and "-n" as a negation, which the
         # parser folds back into one literal.
@@ -875,20 +852,14 @@ def _pp(e, level):
     if cls is Tuple:
         return "(" + ", ".join(map(pretty_print, e.items)) + ")"
     if cls in _FORMS:
-        word, op = _FORMS[cls]
-        if cls is Lambda:
-            rest = f"{e.var} : {type_str(e.var_ty)} => {pretty_print(e.body)}"
-        elif cls is Cut:
-            rest = (f"{e.var} : {range_str(e.range)} left "
-                    f"{pretty_print(e.left)} right {pretty_print(e.right)}")
-        elif cls is Let:
-            rest = (f"{e.var} = {pretty_print(e.bound)} in "
-                    f"{pretty_print(e.body)}")
-        elif cls is Exists or cls is Forall:
-            rest = f"{e.var} : {range_str(e.range)}, {pretty_print(e.body)}"
-        else:
-            rest = " ".join(_pp(x, _SIDES[op][1]) for x in children(e))
-        return _wrap(f"{word} {rest}", op, level)
+        word, op, _ = _FORMS[cls]
+        _, operand, steps = _FORM_OF[word]
+        text = word
+        for before, name, _, write in steps:
+            x = getattr(e, name)
+            text += (_WRITTEN.get(before, f" {before} ")
+                     + (_pp(x, operand) if write is None else write(x)))
+        return _wrap(text, op, level)
     if (cls is Arith and e.op in _PREFIX and isinstance(e.lhs, RatLit)
             and e.lhs.value == 0 and not isinstance(e.rhs, RatLit)):
         # A negation; its operand is bracketed one level tighter than
@@ -913,12 +884,8 @@ def _wrap(text, produced, wanted):
 
 
 def type_str(t):
-    if isinstance(t, RealTy):
-        return "real"
-    if isinstance(t, PropTy):
-        return "prop"
-    if isinstance(t, BoolTy):
-        return "bool"
+    if type(t) in _TYPE_WORDS:
+        return _TYPE_WORDS[type(t)]
     if isinstance(t, ProductTy):
         parts = []
         for item in t.items:
@@ -939,6 +906,28 @@ def range_str(r):
     lo = "[" if not r.lo_open else "("
     hi = "]" if not r.hi_open else ")"
     return f"{lo}{r.lo}, {r.hi}{hi}"
+
+
+#: How the parser reads, and the printer writes, a keyword form's field
+#: of each annotated type; an operand (``Expr``) is read and written at
+#: the form's operand level.
+_KINDS = {"str": (_Parser.name, str), "Ty": (_Parser.type_expr, type_str),
+          "Range": (_Parser.range_expr, range_str), "Expr": (None, None)}
+
+
+def _steps(cls, tokens):
+    """A keyword form's fields in order, each as (token before, name,
+    reader, writer)."""
+    named = [f for f in fields(cls) if f.compare]
+    return tuple((before, f.name, *_KINDS[f.type])
+                 for before, f in zip(tokens, named, strict=True))
+
+
+#: Each keyword form by its keyword: its node class, its operand level
+#: and its steps.
+_FORM_OF = {word: (cls, _JOIN if level == _JOIN else _ATOM,
+                   _steps(cls, tokens))
+            for cls, (word, level, tokens) in _FORMS.items()}
 
 
 def free_vars(e):

@@ -18,7 +18,7 @@ from msl.evaluator import (
     BoolFF, BoolTT, Diverged, FunctionValue, PropFalseProven, PropTrue,
     RealBall, TupleOf,
 )
-from msl.syntax import Less, SourceError, parse_program
+from msl.syntax import Less, SourceError, parse_program, tokenize
 from oracles import eval_outcome
 
 F = Fraction
@@ -124,6 +124,26 @@ max half (half + 1/2);;
     assert err == ""
     assert out == (2 * witness + "real = 2 ± 0.00000762939453125\n"
                    + 4 * witness + "real = 1.5 ± 0.00000762939453125\n")
+
+
+@pytest.mark.parametrize("script,out,err", [
+    ("#precision 0;;", "", "error: 1:1: precision must be positive\n"),
+    ("#precision -1/2;;", "", "error: 1:1: precision must be positive\n"),
+    ('1;;\n  #use "nope.msl";; 2;;', "real = 1 ± 0\nreal = 2 ± 0\n",
+     'error: 2:3: cannot find "nope.msl"\n'),
+])
+def test_directive_arguments_are_checked(script, out, err):
+    state, got_out, got_err, had_error, _ = run_script(script)
+    assert (got_out, got_err, had_error) == (out, err, True)
+    assert state.precision == SessionState().precision
+
+
+def test_use_directive_loads_an_absolute_path(tmp_path):
+    path = tmp_path / "two.msl"
+    path.write_text("let two = 2;;", encoding="utf-8")
+    assert os.path.isabs(path)
+    _, out, err, _, _ = run_script(f'#use "{path}";; two;;')
+    assert (out, err) == ("two : real = 2 ± 0\n", "")
 
 
 def test_use_cycle_is_rejected(tmp_path):
@@ -458,6 +478,20 @@ def test_main_flags(tmp_path):
     assert out.strip() == "real = [1/3, 1/3]"
 
 
+@pytest.mark.parametrize("args,message", [
+    (["--precision", "0"], "precision must be positive"),
+    (["--precision", "abc"], "invalid precision 'abc'"),
+    (["--max-steps", "0"], "--max-steps must be at least 1"),
+])
+def test_main_rejects_bad_flags_with_exit_two(args, message, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(args + ["--no-repl"])
+    assert exit_.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"msl: error: {message}\n")
+
+
 def test_main_trace_flag(tmp_path):
     code, out, _ = _run_main(["--trace-witness"], tmp_path,
                              "exists x : [0,1], x < 1;;")
@@ -502,6 +536,26 @@ def test_repl_runs_the_rest_of_its_input_as_a_last_item():
         assert (out.getvalue(), err.getvalue()) == (answers, errors)
 
 
+def test_the_repl_scans_a_long_item_once(monkeypatch):
+    # Only a line that holds ";;" can end an item, so the REPL scans its
+    # buffer once per item and not once per line: the characters handed to
+    # the lexer grow linearly with the item, not quadratically.
+    scanned = []
+
+    def counting_tokenize(source, *args):
+        scanned.append(len(source))
+        return tokenize(source, *args)
+
+    source = ("1\n" + "(* a comment line that goes on for a while *)\n" * 2000
+              + ";;\n")
+    monkeypatch.setattr("msl.cli.tokenize", counting_tokenize)
+    monkeypatch.setattr("msl.syntax.tokenize", counting_tokenize)
+    out, err = io.StringIO(), io.StringIO()
+    assert repl(SessionState(), io.StringIO(source), out, err) == 0
+    assert (out.getvalue(), err.getvalue()) == ("real = 1 ± 0\n", "")
+    assert sum(scanned) <= 3 * len(source)
+
+
 def test_repl_via_subprocess():
     script = "let two = 2;;\ntwo;;\n"
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -519,6 +573,27 @@ def test_repl_via_subprocess():
         env=env)
     assert proc.returncode == 0, proc.stderr
     assert "two : real = 2 ± 0" in proc.stdout
+
+
+def test_deeply_nested_keyword_forms_answer_via_subprocess():
+    # A keyword form costs the parser two Python frames, as a parenthesis
+    # does, so each nests about as deep under the default recursion
+    # limit.  The child is run as in ``test_repl_via_subprocess``.
+    script = "".join(f"{text};;\n" for text in (
+        "let x = 1 in " * 400 + "x",
+        "exists x : [0, 1], " * 400 + "0 < 1",
+        "is_true (mkbool " * 150 + "(0 < 1)" + " (1 < 0))" * 150))
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = {"PYTHONPATH": os.path.join(root, "src"), "PATH": "/usr/bin:/bin",
+           "PYTHONIOENCODING": "utf-8"}
+    if "PYTHONDONTWRITEBYTECODE" in os.environ:
+        env["PYTHONDONTWRITEBYTECODE"] = os.environ["PYTHONDONTWRITEBYTECODE"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "msl"], input=script, text=True,
+        encoding="utf-8", capture_output=True, timeout=120, cwd=root,
+        env=env)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "real = 1 ± 0\nprop = True\nprop = True\n"
 
 
 # --- numbers past Python's int/str conversion limit ------------------------------------

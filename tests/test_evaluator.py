@@ -707,6 +707,14 @@ def test_run_tuple_with_proven_false_component_is_reported():
     assert out == TupleOf((RealBall(F(1), F(0)), PropFalseProven()))
 
 
+def test_run_restricted_tuple():
+    # The one disjunct is a restriction until its guard is refined away,
+    # so ``evaluate_step`` first sees a product-typed disjunct that is
+    # not yet a ``Tuple``.
+    out = run(pe("(0 < 1 ~> (1, 2))"))
+    assert out == TupleOf((RealBall(F(1), F(0)), RealBall(F(2), F(0))))
+
+
 def test_run_soundness_against_rational_oracle():
     rng = random.Random(77)
 

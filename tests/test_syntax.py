@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from msl.interval import NEG_INF, POS_INF, XRat
+from msl.prelude import asset_path
 from msl.syntax import (
     And, App, Arith, Cut, Def, Directive, Eval, Exists, FalseLit, Forall,
     IsFalse, IsTrue, Join, Lambda, Less, Let, LexError, MkBool, Or, ParseError,
@@ -373,3 +374,14 @@ def test_pretty_print_examples():
     assert pretty_print(Or((Var("a"), Var("b")))) == "a \\/ b"
     nested = Or((Or((Var("a"), Var("b"))), Var("c")))
     assert parse_expression(pretty_print(nested)) == nested
+
+
+@pytest.mark.parametrize("name", ["prelude", "car", "roots"])
+def test_every_item_of_a_shipped_example_prints_and_reparses(name):
+    with open(asset_path(f"{name}.msl"), encoding="utf-8") as handle:
+        items = parse_program(handle.read())
+    exprs = [item.body if isinstance(item, Def) else item.expr
+             for item in items if not isinstance(item, Directive)]
+    assert exprs
+    for e in exprs:
+        assert parse_expression(pretty_print(e)) == e
