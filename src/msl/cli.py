@@ -20,6 +20,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 
 from .evaluator import (
     BoolFF, BoolTT, DEFAULT_MAX_STEPS, DEFAULT_PRECISION, Diverged,
@@ -62,18 +63,13 @@ def execute_item(state, item):
     if isinstance(item, Directive):
         return _directive(state, item)
     if isinstance(item, Def):
-        ty = infer_type(state.type_context(), item.body)
         # Store the right-hand side closed over the definitions it uses,
         # so later rebindings of those names (or of this one) cannot
-        # change its meaning.  Closed, it keeps the type just checked.
-        wrapped = _wrap_definitions(state, item.body)
-        keep(wrapped, "_ty", ty)
-        state.definitions[item.name] = (wrapped, ty)
+        # change its meaning.
+        state.definitions[item.name] = _close(state, item.body)
         return state, None
     assert isinstance(item, Eval)
-    ty = infer_type(state.type_context(), item.expr)
-    wrapped = _wrap_definitions(state, item.expr)
-    keep(wrapped, "_ty", ty)  # so ``run`` does not type it again
+    wrapped, ty = _close(state, item.expr)
     witnesses = [] if state.trace else None
     outcome = run(wrapped, precision=state.precision,
                   max_steps=state.step_budget, witness_log=witnesses)
@@ -89,6 +85,16 @@ def execute_item(state, item):
         raise SourceError("the result has too many digits to print",
                           item.loc) from None
     return state, "\n".join(lines)
+
+
+def _close(state, expr):
+    """``expr`` type-checked and closed over the definitions it uses, as
+    (closed term, type).  The closed term keeps its type, so neither
+    ``run`` nor a later use of a definition types it again."""
+    ty = infer_type(state.type_context(), expr)
+    wrapped = _wrap_definitions(state, expr)
+    keep(wrapped, "_ty", ty)
+    return wrapped, ty
 
 
 def _wrap_definitions(state, expr):
@@ -275,40 +281,49 @@ def repl(state, stdin=None, out=None, err=None):
             line = line.removeprefix("\ufeff")
         buffer += line
         # A ";;" token never spans lines, so only a line that holds one
-        # can end an item: the buffer is scanned once per item, not once
-        # per line.
-        split = (len(buffer) if not line
-                 else _item_end(buffer) if ";;" in line else None)
-        while split:
-            # At end of input the rest is run as a last item: a comment
-            # or blanks print nothing, an item without ';;' is an error.
-            chunk, buffer = buffer[:split], buffer[split:]
+        # can end an item, and one scan of the buffer then finds every
+        # item that ends in it.  At end of input the rest is run as a last
+        # item: a comment or blanks print nothing, an item without ';;' is
+        # an error.
+        ends = ([len(buffer)] if not line
+                else _item_ends(buffer) if ";;" in line else [])
+        done = 0
+        for end in ends:
+            chunk = buffer[done:end]
             try:
                 execute_source(state, chunk, out=out, err=err, start=start)
             except KeyboardInterrupt:
                 print("interrupted", file=err)
-            start = _past(chunk, start)
-            split = _item_end(buffer)
+            start, done = _past(chunk, start), end
+        buffer = buffer[done:]
         if not line:
             return 0
 
 
-def _item_end(text):
-    """The offset just past the first ``;;`` token of ``text``, or None
-    while there is none or a comment is still open.  Past a lexical
-    error, the item ends at the next ``;;`` characters."""
-    try:
-        tokens, error = tokenize(text), None
-    except LexError as exc:
-        error = exc
-        tokens = tokenize(text[:_offset(text, exc.loc)])
-    for tok in tokens:
-        if tok.kind == ";;":
-            return _offset(text, tok.loc) + 2
-    if error is None or error.message == "unterminated comment":
-        return None
-    end = text.find(";;", _offset(text, error.loc))
-    return None if end < 0 else end + 2
+def _item_ends(text):
+    """The offset just past each ``;;`` token of ``text`` that ends an
+    item, in order, from one scan that stops at a comment still open.
+    Past a lexical error, its item ends at the next ``;;`` characters,
+    and the scan resumes after them."""
+    ends, pos = [], 0
+    while True:
+        rest = text[pos:]
+        # The offset in ``rest`` of the start of each line.
+        starts = [0, *accumulate(len(row) + 1 for row in rest.split("\n"))]
+        try:
+            tokens, error = tokenize(rest), None
+        except LexError as exc:
+            error, stop = exc, starts[exc.loc[0] - 1] + exc.loc[1] - 1
+            tokens = tokenize(rest[:stop])
+        ends += [pos + starts[tok.loc[0] - 1] + tok.loc[1] + 1
+                 for tok in tokens if tok.kind == ";;"]
+        if error is None or error.message == "unterminated comment":
+            return ends
+        end = rest.find(";;", stop)
+        if end < 0:
+            return ends
+        pos += end + 2
+        ends.append(pos)
 
 
 def _past(text, loc):
@@ -317,15 +332,6 @@ def _past(text, loc):
     if lines:
         return loc[0] + lines, len(text) - text.rindex("\n")
     return loc[0], loc[1] + len(text)
-
-
-def _offset(text, loc):
-    """The offset in ``text`` of a (line, column) location."""
-    line, col = loc
-    start = 0
-    for _ in range(line - 1):
-        start = text.index("\n", start) + 1
-    return start + col - 1
 
 
 def main(argv=None):

@@ -7,8 +7,8 @@ the real subterms, with a single comparison rule -- ``e1 < e2`` holds
 when the second endpoint of e1's generalized interval lies below the
 first endpoint of e2's -- and a mode-dependent choice of the intervals
 bound to quantified variables and cut ranges: a cut reads as its range
-<a, b> in lower mode and as the dual <b, a> in upper mode, and
-``_quantifier_box`` gives the box a quantifier binds in each mode.  An
+<a, b> in lower mode and as the dual <b, a> in upper mode, and ``_box``
+gives that box and the box a quantifier binds in each mode.  An
 approximant depends on its node and on the values bound to the node's
 free variables alone, so every reader passes a plain dict of bindings.
 
@@ -239,8 +239,7 @@ def _value(e, env, mode):
     code = e._code
     if code is None:
         if isinstance(e, Cut):
-            r = e.range
-            return box(r.lo, r.hi) if mode is LOWER else box(r.hi, r.lo)
+            return _box(e, mode)
         if isinstance(e, Restrict):
             if prop_approx(e.guard, env, mode):
                 return _value(e.body, env, mode)
@@ -345,28 +344,31 @@ def _slot(v, code):
     return v
 
 
-def _quantifier_box(e, mode):
-    """The box that the quantifier ``e`` over [a, b] binds its variable
-    to in ``mode``, as an integer tuple (``interval.box``):
+def _box(e, mode):
+    """The box that the binder ``e`` over [a, b] reads as in ``mode``, as
+    an integer tuple (``interval.box``): a cut's value, or the box a
+    quantifier binds its variable to.
 
-        =========  lower mode          upper mode
-        forall     <a, b>              <b, a>
-        exists     point <a, a>        <b, a>
-        =========  ==================  ==================
+        ===========  ============  ==========
+        binder       lower mode    upper mode
+        cut, forall  <a, b>        <b, a>
+        exists       point <a, a>  <b, a>
+        ===========  ============  ==========
     """
     r = e.range
     if mode is UPPER:
         return box(r.hi, r.lo)
-    return box(r.lo, r.hi if isinstance(e, Forall) else r.lo)
+    return box(r.lo, r.lo if isinstance(e, Exists) else r.hi)
 
 
-#: How refinement reads a closed quantifier at the ends of its range
-#: (``_split_quantifier``): the mode whose decisive reading at a point
-#: decides it -- true in lower mode affirms an existential, false in
-#: upper mode refutes a universal -- and the ends (lo, hi) that its own
-#: approximant in that mode has read already.  An existential's lower
-#: approximant is its body at its lower end.
-_PROBES = {Exists: (LOWER, (True, False)), Forall: (UPPER, (False, False))}
+#: How refinement splits a quantifier (``_split_quantifier``): the mode
+#: whose decisive reading at a point decides a closed one -- true in
+#: lower mode affirms an existential, false in upper mode refutes a
+#: universal -- the ends (lo, hi) that its own approximant in that mode
+#: has read already, and the connective of its halves.  An existential's
+#: lower approximant is its body at its lower end.
+_PROBES = {Exists: (LOWER, (True, False), mk_or),
+           Forall: (UPPER, (False, False), mk_and)}
 
 
 def prop_approx(e, env, mode):
@@ -411,8 +413,7 @@ def _prop_approx(e, env, mode):
             return holds
         return holds is not _centred_decides(e, vals, env, mode)
     if isinstance(e, (Forall, Exists)):
-        return prop_approx(e.body, {**env, e.var: _quantifier_box(e, mode)},
-                           mode)
+        return prop_approx(e.body, {**env, e.var: _box(e, mode)}, mode)
     raise EvalError(f"prop_approx: {type(e).__name__} is not normal")
 
 
@@ -663,10 +664,8 @@ def _refine(e, st):
         if fv:
             return _refine_cut(e, st)
         return _refine_shared(e, st)
-    if isinstance(e, Exists):
-        return _split_quantifier(e, Exists, mk_or, st)
-    if isinstance(e, Forall):
-        return _split_quantifier(e, Forall, mk_and, st)
+    if isinstance(e, (Exists, Forall)):
+        return _split_quantifier(e, st)
     if isinstance(e, Restrict):
         guard = e.guard
         if not isinstance(guard, TrueLit):
@@ -719,8 +718,7 @@ def _log_witnesses(e, env, wlog):
     if isinstance(e, Exists):
         wlog.append((e.var, e.range.lo.q, e.range.hi.q))
     if isinstance(e, (Exists, Forall)):
-        _log_witnesses(e.body, {**env, e.var: _quantifier_box(e, LOWER)},
-                       wlog)
+        _log_witnesses(e.body, {**env, e.var: _box(e, LOWER)}, wlog)
     elif isinstance(e, Or):
         for item in e.items:
             if prop_approx(item, env, LOWER):
@@ -731,9 +729,9 @@ def _log_witnesses(e, env, wlog):
             _log_witnesses(item, env, wlog)
 
 
-def _split_quantifier(e, node, combine, st):
-    """Split ``e`` at its range's midpoint, refining its body once for
-    both halves.
+def _split_quantifier(e, st):
+    """Split ``e`` at its range's midpoint into its connective (``_PROBES``)
+    of the two halves, refining its body once for both.
 
     A closed quantifier gets here only when neither approximant decided
     it.  The ends a and b of its range are points of it like any other
@@ -756,9 +754,10 @@ def _split_quantifier(e, node, combine, st):
     connective.  Probes charge no visits.
     """
     lo, hi = e.range.lo, e.range.hi
+    node = type(e)
+    mode, read, combine = _PROBES[node]
     closed = not free_vars(e)
     if closed:
-        mode, read = _PROBES[node]
         for end, known in zip((lo, hi), e._ends or read):
             if known:
                 continue

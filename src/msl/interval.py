@@ -37,6 +37,7 @@ of its endpoints; its operators are the operations above.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -45,6 +46,7 @@ class DivisionIndeterminate(ArithmeticError):
     """Divisor endpoints touch or straddle zero (or are not finite)."""
 
 
+@dataclass(frozen=True, slots=True)
 class XRat:
     """A rational extended with -inf and +inf, totally ordered.
 
@@ -52,22 +54,17 @@ class XRat:
     ``q`` as an exact ``Fraction`` in lowest terms.
     """
 
-    __slots__ = ("sign", "q")
+    q: Fraction | None = 0
+    sign: int = 0
 
-    def __init__(self, value=0, sign=0):
-        if sign:
-            object.__setattr__(self, "sign", 1 if sign > 0 else -1)
+    def __post_init__(self):
+        if self.sign:
+            object.__setattr__(self, "sign", 1 if self.sign > 0 else -1)
             object.__setattr__(self, "q", None)
-        else:
-            if isinstance(value, float):
-                raise TypeError("floats are not exact; pass a Fraction")
-            object.__setattr__(self, "sign", 0)
-            q = value if isinstance(value, Fraction) else Fraction(value)
-            object.__setattr__(self, "q", q)
-
-    # XRat is immutable by convention; block accidental mutation.
-    def __setattr__(self, name, value):
-        raise AttributeError("XRat is immutable")
+        elif isinstance(self.q, float):
+            raise TypeError("floats are not exact; pass a Fraction")
+        elif not isinstance(self.q, Fraction):
+            object.__setattr__(self, "q", Fraction(self.q))
 
     @property
     def is_finite(self):
@@ -77,11 +74,6 @@ class XRat:
         # (-1, _) < (0, q) < (1, _): tuple compare gives the total order.
         return (self.sign, self.q if self.sign == 0 else 0)
 
-    def __eq__(self, other):
-        if not isinstance(other, XRat):
-            return NotImplemented
-        return self._key() == other._key()
-
     # a > b and a >= b reflect to b < a and b <= a.
 
     def __lt__(self, other):
@@ -89,9 +81,6 @@ class XRat:
 
     def __le__(self, other):
         return self._key() <= other._key()
-
-    def __hash__(self):
-        return hash(self._key())
 
     def __str__(self):
         if self.sign > 0:

@@ -175,8 +175,8 @@ def _nf(e, ctx, env):
         return [rebuild(e, row) for row in
                 product(*[_nf(kid, ctx, env) for kid in children(e)])]
     if isinstance(e, Proj):
-        return [_proj_reduce(d, e.index, ctx)
-                for d in _nf(e.tuple_, ctx, env)]
+        return _dedup([_proj_reduce(d, e.index, ctx)
+                       for d in _nf(e.tuple_, ctx, env)])
     if isinstance(e, Lambda):
         # One function, whose body chooses at each call (``_apply``).
         var, ctx, env = _enter(e, e.var_ty, ctx, env)
@@ -228,10 +228,9 @@ def _nf(e, ctx, env):
         p = _embed(_nf(e.if_true, ctx, env))
         q = _embed(_nf(e.if_false, ctx, env))
         return [MkBool(p, q)]
-    if isinstance(e, IsTrue):
-        return _dedup([_bool_project(d, True) for d in _nf(e.arg, ctx, env)])
-    if isinstance(e, IsFalse):
-        return _dedup([_bool_project(d, False) for d in _nf(e.arg, ctx, env)])
+    if isinstance(e, (IsTrue, IsFalse)):
+        return _dedup([_bool_project(d, type(e))
+                       for d in _nf(e.arg, ctx, env)])
     raise TypeError(f"normalize: {type(e).__name__}")
 
 
@@ -300,10 +299,12 @@ def _proj_reduce(d, k, ctx):
     return Proj(d, k)
 
 
-def _bool_project(d, want_true):
+def _bool_project(d, node):
+    """``node d`` of a normal disjunct ``d``, for ``node`` ``IsTrue`` or
+    ``IsFalse``, pushed through its mkbool and its restrictions."""
     if isinstance(d, MkBool):
-        return d.if_true if want_true else d.if_false
+        return d.if_true if node is IsTrue else d.if_false
     if isinstance(d, Restrict):
-        return mk_and([d.guard, _bool_project(d.body, want_true)])
-    return IsTrue(d) if want_true else IsFalse(d)
+        return mk_and([d.guard, _bool_project(d.body, node)])
+    return node(d)
 

@@ -345,18 +345,8 @@ class Ty:
 
 
 @dataclass(frozen=True)
-class RealTy(Ty):
-    pass
-
-
-@dataclass(frozen=True)
-class PropTy(Ty):
-    pass
-
-
-@dataclass(frozen=True)
-class BoolTy(Ty):
-    pass
+class BaseTy(Ty):
+    word: str = ""
 
 
 @dataclass(frozen=True)
@@ -370,9 +360,7 @@ class ArrowTy(Ty):
     result: Ty = None
 
 
-REAL = RealTy()
-PROP = PropTy()
-BOOL = BoolTy()
+REAL, PROP, BOOL = BaseTy("real"), BaseTy("prop"), BaseTy("bool")
 
 
 # Top-level items
@@ -408,12 +396,6 @@ class Directive:
 # numeral conversion, and every error.  A token's column is its offset
 # less ``base``, the offset of the last newline before it (on the first
 # line, minus the start column).
-
-KEYWORDS = {
-    "True", "False", "cut", "left", "right", "exists", "forall", "fun",
-    "let", "in", "mkbool", "is_true", "is_false", "inf", "real", "prop",
-    "bool",
-}
 
 # Multi-character symbols first so the pattern takes the longest match.
 _TOKEN = re.compile(r"""
@@ -543,7 +525,14 @@ _FORMS = {
 }
 
 #: The keywords that are types.
-_BASE_TYPES = {"real": REAL, "prop": PROP, "bool": BOOL}
+_BASE_TYPES = {ty.word: ty for ty in (REAL, PROP, BOOL)}
+
+#: The words the lexer reads as keywords, not names: each keyword form's
+#: keyword and the names among the tokens before its fields, the base
+#: types, and "inf" of a range limit.
+KEYWORDS = {"inf", *_BASE_TYPES, *(
+    word for keyword, _, tokens in _FORMS.values()
+    for word in (keyword, *tokens) if word.isidentifier())}
 
 #: The tokens that start an atom, and so an application's argument.
 _ATOM_STARTS = {"IDENT", "RAT", "("} | {word for word, _, _ in _FORMS.values()}
@@ -832,9 +821,6 @@ _TOKENS = {Restrict: "~>", Less: "<", Pow: "^", App: _APPLY, Proj: "PROJ",
 #: empty token before a keyword form's field included.
 _WRITTEN = {_APPLY: " ", "PROJ": "#", ",": ", ", "": " "}
 
-#: The word of each base type.
-_TYPE_WORDS = {type(ty): word for word, ty in _BASE_TYPES.items()}
-
 
 def _pp(e, level):
     """The text of ``e`` where the parser reads an operand at ``level``:
@@ -884,8 +870,8 @@ def _wrap(text, produced, wanted):
 
 
 def type_str(t):
-    if type(t) in _TYPE_WORDS:
-        return _TYPE_WORDS[type(t)]
+    if isinstance(t, BaseTy):
+        return t.word
     if isinstance(t, ProductTy):
         parts = []
         for item in t.items:

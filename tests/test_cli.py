@@ -270,6 +270,28 @@ def test_parse_error_reports_location():
     assert had_error and "error:" in err
 
 
+@pytest.mark.parametrize("script,err", [
+    ("2 ^ x;;", "1:5: expected 'RAT', found 'x'"),
+    ("2 ^ 0.5;;", "1:3: exponent must be a natural number"),
+    ("(1, 2)#0;;", "1:7: projection index starts at 1"),
+    ("let = 3;;", "1:5: expected 'IDENT', found '='"),
+    ("fun x : 3 => x;;", "1:9: expected a type, found '3'"),
+    ("exists x : 0, x < 1;;", "1:12: expected a range"),
+    ("exists x : [0, 1, x < 1;;",
+     "1:17: expected ']' or ')' to close the range"),
+    ("cut x : [0, inf] left x < 1 right 1 < x;;",
+     "1:16: an infinite limit needs an open bracket"),
+    ("cut x : [-inf, 1) left x < 1 right 1 < x;;",
+     "1:9: an infinite limit needs an open bracket"),
+    ("exists x : [2, 1], x < 1;;",
+     "1:12: empty range: lower limit above upper"),
+    ("#trace maybe;;", "1:1: expected 'on' or 'off' after #trace"),
+])
+def test_parse_errors_are_located(script, err):
+    _, out, got_err, had_error, _ = run_script(script)
+    assert (out, got_err, had_error) == ("", f"error: {err}\n", True)
+
+
 def test_deep_nesting_is_reported_not_raised():
     _, out, err, had_error, had_div = run_script(
         "(" * 10_000 + "1" + ")" * 10_000 + ";;")
@@ -536,24 +558,41 @@ def test_repl_runs_the_rest_of_its_input_as_a_last_item():
         assert (out.getvalue(), err.getvalue()) == (answers, errors)
 
 
-def test_the_repl_scans_a_long_item_once(monkeypatch):
-    # Only a line that holds ";;" can end an item, so the REPL scans its
-    # buffer once per item and not once per line: the characters handed to
-    # the lexer grow linearly with the item, not quadratically.
+def scanned_by_repl(monkeypatch, source):
+    """(stdout, stderr, characters handed to the lexer) of ``repl``
+    reading ``source``."""
     scanned = []
 
     def counting_tokenize(source, *args):
         scanned.append(len(source))
         return tokenize(source, *args)
 
-    source = ("1\n" + "(* a comment line that goes on for a while *)\n" * 2000
-              + ";;\n")
     monkeypatch.setattr("msl.cli.tokenize", counting_tokenize)
     monkeypatch.setattr("msl.syntax.tokenize", counting_tokenize)
     out, err = io.StringIO(), io.StringIO()
     assert repl(SessionState(), io.StringIO(source), out, err) == 0
-    assert (out.getvalue(), err.getvalue()) == ("real = 1 ± 0\n", "")
-    assert sum(scanned) <= 3 * len(source)
+    return out.getvalue(), err.getvalue(), sum(scanned)
+
+
+def test_the_repl_scans_a_long_item_once(monkeypatch):
+    # Only a line that holds ";;" can end an item, so the REPL scans its
+    # buffer once per such line and not once per line: the characters
+    # handed to the lexer grow linearly with the item, not quadratically.
+    source = ("1\n" + "(* a comment line that goes on for a while *)\n" * 2000
+              + ";;\n")
+    out, err, scanned = scanned_by_repl(monkeypatch, source)
+    assert (out, err) == ("real = 1 ± 0\n", "")
+    assert scanned <= 3 * len(source)
+
+
+def test_the_repl_scans_a_line_of_many_items_once(monkeypatch):
+    # One scan of the buffer finds every item that ends in it, so the
+    # characters handed to the lexer grow linearly with the number of
+    # items on a line, not quadratically.
+    source = "1;;" * 2000 + "\n"
+    out, err, scanned = scanned_by_repl(monkeypatch, source)
+    assert (out, err) == ("real = 1 ± 0\n" * 2000, "")
+    assert scanned <= 3 * len(source)
 
 
 def test_repl_via_subprocess():

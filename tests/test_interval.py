@@ -359,6 +359,9 @@ def test_xrat_order_matches_key_order(a, b, same):
     assert (a <= b) == (ka <= kb)
     assert (a > b) == (ka > kb)
     assert (a >= b) == (ka >= kb)
+    assert (a == b) == (ka == kb)
+    if a == b:
+        assert hash(a) == hash(b)
 
 
 @given(st.one_of(intervals(), st.builds(I, xrats(), xrats())))

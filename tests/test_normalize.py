@@ -268,6 +268,18 @@ def test_projection_reduction():
     assert nf("(True ~> (1, 2))#1") == [Restrict(TrueLit(), RatLit(F(1)))]
 
 
+def test_a_projection_of_a_join_drops_equal_disjuncts():
+    # As "||", "let", application and is_true/is_false do; each copy left
+    # would be refined in every sweep and log its witnesses again.
+    assert nf("((1, 1) || (1, 2))#1") == [RatLit(F(1))]
+    p = "(exists x : [0, 1], 1/3 < x)"
+    out, err = io.StringIO(), io.StringIO()
+    execute_source(SessionState(), f"#trace on;; (({p}, 1) || ({p}, 2))#1;;",
+                   out=out, err=err)
+    assert (out.getvalue(), err.getvalue()) == (
+        "(witness x in [1, 1])\nprop = True\n", "")
+
+
 def test_bool_projection_reduction():
     assert nf("is_true (mkbool (1 < 2) (2 < 1))") == \
         [parse_expression("1 < 2")]

@@ -9,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 from msl.interval import NEG_INF, POS_INF, XRat
 from msl.prelude import asset_path
 from msl.syntax import (
-    And, App, Arith, Cut, Def, Directive, Eval, Exists, FalseLit, Forall,
-    IsFalse, IsTrue, Join, Lambda, Less, Let, LexError, MkBool, Or, ParseError,
-    Pow, Proj, Range, RatLit, REAL, Restrict, Tuple, TrueLit, Var,
+    KEYWORDS, And, App, Arith, Cut, Def, Directive, Eval, Exists, FalseLit,
+    Forall, IsFalse, IsTrue, Join, Lambda, Less, Let, LexError, MkBool, Or,
+    ParseError, Pow, Proj, Range, RatLit, REAL, Restrict, Tuple, TrueLit, Var,
     parse_expression, parse_program, pretty_print, tokenize, type_str,
     ArrowTy, PROP, BOOL, ProductTy,
 )
@@ -24,6 +24,15 @@ F = Fraction
 
 def kinds(text):
     return [t.kind for t in tokenize(text)[:-1]]
+
+
+def test_keywords_are_the_words_of_the_forms_types_and_ranges():
+    # The lexer's keyword set is derived from the tables of keyword forms
+    # and base types; the reference scanner reads the same set.
+    assert KEYWORDS == {
+        "True", "False", "cut", "left", "right", "exists", "forall", "fun",
+        "let", "in", "mkbool", "is_true", "is_false", "inf", "real", "prop",
+        "bool"}
 
 
 def test_tokenize_decimals_are_exact():
