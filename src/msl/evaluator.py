@@ -24,7 +24,7 @@ read yet (``_split_quantifier``, the bounding step of interval branch
 and bound): in lower mode an existential's upper end, in upper mode
 both ends of a universal.  Each end is read once: a half keeps the
 reading of the end it shares with its parent, and only the left half
-reads the new midpoint.
+reads the new split point.
 
 Each real term, and the difference lhs - rhs of each comparison, is
 compiled once into a straight-line program, kept on the node
@@ -70,18 +70,22 @@ outer enclosure, the exact range above included, may stand in for it.
 For the same reason each slope read from the values of upper mode's
 naive test is the dual of its enclosure over the proper boxes: the test
 swaps its ends, and swapped back each has its sign in lower mode.  Cuts,
-restrictions, division and unbounded boxes keep the naive test (a
-comparison keeps whether its program holds one of the first three,
-``_polynomial``), and so does a comparison of two points, where it is
-exact.  Every reader gets the test alike: a quantifier inside a cut's
+restrictions, division by a non-constant and unbounded boxes keep the
+naive test (a comparison keeps whether its program holds one of the
+first three, ``_polynomial``), and so does a comparison of two points,
+where it is exact; a division of two constants folds unless its divisor
+is 0.  Every reader gets the test alike: a quantifier inside a cut's
 predicate is decided by it during a probe as in a sweep, so a cut
 defined by quantified predicates (a supremum) converges.
 
 Refinement rewrites an expression without changing its meaning: decided
 props collapse to literals, cut ranges narrow by probes, quantifiers
-split at range midpoints, proven guards unwrap and refuted guards prune
-their branch: a refuted guard makes the whole disjunct undefined, so the
-sweep stops at it (``_Pruned``) and ``refine_step`` returns ``PRUNED``.
+split at range midpoints -- a closed universal over one quadratic
+comparison at the stationary point of its difference instead, so that
+it is monotone on both halves (``_split_point``) -- proven guards unwrap
+and refuted guards prune their branch: a refuted guard makes the whole
+disjunct undefined, so the sweep stops at it (``_Pruned``) and
+``refine_step`` returns ``PRUNED``.
 The run loop alternates evaluation attempts with one fair refinement
 sweep over all live disjuncts of the normal form until one disjunct is
 precise enough to answer.
@@ -307,7 +311,9 @@ def compile_term(t):
 
 def _emit(t, code):
     """Append the instructions of ``t`` to ``code``: the slot of its
-    value, or the ``Fraction`` of a constant, not yet pushed."""
+    value, or the ``Fraction`` of a constant, not yet pushed.  An
+    operation on two constants folds, but a division by 0, which reads as
+    no information."""
     kind = type(t)
     if kind is RatLit:
         return Fraction(t.value)
@@ -316,8 +322,10 @@ def _emit(t, code):
     elif kind is Arith or kind is Less:
         u, w = _emit(t.lhs, code), _emit(t.rhs, code)
         op = t.op if kind is Arith else "-"
-        if op != "/" and isinstance(u, Fraction) and isinstance(w, Fraction):
-            return u + w if op == "+" else u - w if op == "-" else u * w
+        if (isinstance(u, Fraction) and isinstance(w, Fraction)
+                and (op != "/" or w)):
+            return (u + w if op == "+" else u - w if op == "-"
+                    else u * w if op == "*" else u / w)
         code.append((op, _slot(u, code), _slot(w, code)))
     elif kind is Pow:
         if not t.exp:
@@ -730,8 +738,10 @@ def _log_witnesses(e, env, wlog):
 
 
 def _split_quantifier(e, st):
-    """Split ``e`` at its range's midpoint into its connective (``_PROBES``)
-    of the two halves, refining its body once for both.
+    """Split ``e`` at its range's midpoint, or at the stationary point of
+    a closed universal's quadratic comparison (``_split_point``), into its
+    connective (``_PROBES``) of the two halves, refining its body once for
+    both.
 
     A closed quantifier gets here only when neither approximant decided
     it.  The ends a and b of its range are points of it like any other
@@ -745,7 +755,7 @@ def _split_quantifier(e, st):
     back unchanged, each half keeps the failed reading of the end it
     shares with ``e``: the left half of an existential keeps its lower
     approximant, the body at a, too.  A body that refinement changed (a
-    cut in it narrowed) is read afresh.  The midpoint m is read once,
+    cut in it narrowed) is read afresh.  The split point m is read once,
     by the left half as its upper end: in every sweep the left half is
     refined before the right one, and both have one body, so the right
     half takes m as read.  If that reading decides the left half, the
@@ -772,7 +782,7 @@ def _split_quantifier(e, st):
     body = _refine(e.body, st)
     if st.visits >= SWEEP_VISIT_CAP:
         return node(e.var, e.range, body)
-    m = XRat((lo.q + hi.q) / 2)
+    m = XRat(_split_point(e, body, closed))
     left = node(e.var, Range(lo, m), body)
     right = node(e.var, Range(m, hi), body)
     if closed:
@@ -783,6 +793,41 @@ def _split_quantifier(e, st):
             if node is Exists:
                 keep(left, "_lower", False)
     return combine([left, right])
+
+
+def _split_point(e, body, closed):
+    """Where the quantifier ``e`` over [a, b] splits, its body refined to
+    ``body``: at the midpoint m, or at the stationary point v of f = lhs
+    - rhs where ``e`` is a closed universal, ``body`` is one comparison
+    whose program is a polynomial of degree exactly 2, and a < v < b.
+    Any point inside the range is sound; v leaves f monotone on both
+    halves, so the corner test of ``_centred_decides`` decides each.
+
+    The degree is that of the program, a product adding its factors'.  f
+    is then the parabola through its values at a, m and b, read exactly
+    (``_at_point``), and v = m - f'(m) / f'' its vertex.
+    """
+    a, b = e.range.lo.q, e.range.hi.q
+    m = (a + b) / 2
+    if not (closed and type(e) is Forall and isinstance(body, Less)):
+        return m
+    code, degree = compile_term(body), []
+    for op, x, y in code:
+        if op == "o" or op == "/":
+            return m
+        degree.append(1 if op == "v" else 0 if op == "q"
+                      else degree[x] * y if op == "^"
+                      else degree[x] + degree[y] if op == "*"
+                      else max(degree[x], degree[y]))
+    if degree[-1] != 2:
+        return m
+    fa, fm, fb = (Fraction(*_at_point(code, {e.var: (q.numerator,
+                                                     q.denominator)}))
+                  for q in (a, m, b))
+    if fa + fb == 2 * fm:
+        return m  # f is linear
+    v = m - (b - a) * (fb - fa) / (4 * (fa - 2 * fm + fb))
+    return v if a < v < b else m
 
 
 def _refine_shared(e, st):

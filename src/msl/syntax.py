@@ -109,7 +109,8 @@ class Expr:
     _upper = None
     _ends = None  # evaluator._split_quantifier: the ends (lo, hi) of a
     # closed quantifier's range that it need not read: read without a
-    # decision, or read first by the left half beside it
+    # decision, or read first by the left half beside it (the split
+    # point: a midpoint, or a quadratic universal's stationary point)
     _code = None  # evaluator.compile_term of a real term or a comparison
     _polynomial = None  # evaluator._centred_decides: a comparison's
     # program has no opaque leaf and no division

@@ -63,6 +63,20 @@ def test_real_approx_division_indeterminate_gives_no_information():
     assert real_approx(e, {"x": I(-1, 1)}, UPPER) == ENTIRE.dual()
 
 
+def test_a_division_of_two_constants_folds_unless_the_divisor_is_0():
+    # 1/10^6 is the constant 1/1000000, so the comparison stays a
+    # polynomial: the centred and corner tests decide it in one sweep.
+    code = compile_term(pe("x * (1 - x) < 1/4 + 1/10^6"))
+    assert [op for op, _, _ in code if op == "/"] == []
+    e = pe("forall x : [0, 1], x * (1 - x) < 1/4 + 1/10^6")
+    assert run(e, max_steps=3) == PropTrue()
+    # A constant divisor 0 still reads as no information.
+    e = pe("1 / (1 - 1)")
+    assert [op for op, _, _ in compile_term(e)][-1] == "/"
+    assert real_approx(e, {}, LOWER) == ENTIRE
+    assert real_approx(e, {}, UPPER) == ENTIRE.dual()
+
+
 def test_real_approx_restriction():
     assert real_approx(pe("(1 < 2) ~> 5"), {}, LOWER) == I(5, 5)
     assert real_approx(pe("(2 < 1) ~> 5"), {}, LOWER) == ENTIRE
@@ -1148,6 +1162,74 @@ def check_universal_counterexamples(less, a, b, sweeps=8):
     if holds is True:
         assert run(e, max_steps=sweeps) != PropFalseProven()
     return tree
+
+
+# --- a quadratic universal splits at its stationary point --------------------
+
+def split_points(e):
+    """The ends of the ranges of every quantifier in the tree ``e``."""
+    if isinstance(e, (Forall, Exists)):
+        yield e.var, e.range.lo.q, e.range.hi.q
+        yield from split_points(e.body)
+    elif isinstance(e, (And, Or)):
+        for item in e.items:
+            yield from split_points(item)
+
+
+def ends_after_one_sweep(source):
+    return sorted(set(split_points(refine_step(pe(source)))))
+
+
+@pytest.mark.parametrize("delta", ["1/100", "1/10^12", "1/10^30"])
+def test_a_quadratic_universal_splits_at_its_vertex(delta):
+    # f = x * (2/3 - x) - 1/9 -+ delta has its maximum +-delta at x = 1/3.
+    # Split there, f is monotone on both halves, and the next sweep
+    # decides each by its value at 1/3.  At the midpoint it took more
+    # than 40 sweeps at 1/10^30.
+    for sign, answer in (("+", TrueLit()), ("-", FalseLit())):
+        e = pe(f"forall x : [0, 1], x * (2/3 - x) < 1/9 {sign} {delta}")
+        halves = refine_step(e, 0)
+        assert sorted(set(split_points(halves))) == [
+            ("x", 0, F(1, 3)), ("x", F(1, 3), 1)]
+        assert refine_step(halves, 1) == answer
+
+
+def test_a_quadratic_universal_reads_its_ends_then_its_vertex(monkeypatch):
+    # The root reads both ends, the left half its upper end 1/3, where
+    # f = 1/10^30 >= 0 refutes it.
+    reads = record_point_reads(monkeypatch, UPPER)
+    e = pe("forall x : [0, 1], x * (2/3 - x) < 1/9 - 1/10^30")
+    assert refine_step(refine_step(e, 0), 1) == FalseLit()
+    assert reads == [0, 1, F(1, 3)]
+
+
+@pytest.mark.parametrize("source", [
+    # Degree 3 and 4: the parabola through f at 0, 1/2 and 1 has its
+    # vertex at 2/3 and at 11/14, but f is no parabola.
+    "forall x : [0, 1], 3/2 * x - x ^ 3 < 1",
+    "forall x : [0, 1], 2 * x - x ^ 4 < 3/2",
+    # The vertex at an end (x = 0), and outside the range (x = -1).
+    "forall x : [0, 1], x * x - x * x + x * x < 2",
+    "forall x : [0, 1], 3 * x * x - 3 * x * x + (x + 1) * (x + 1) "
+    "< 4 + 1/100",
+    # Not one comparison.
+    "forall x : [0, 1], x * (2/3 - x) < 1/9 + 1/10^6 /\\ x < 2",
+    "forall x : [0, 1], x * (2/3 - x) < 1/9 + 1/10^6 \\/ 2 < x",
+    # An existential.
+    "exists x : [0, 1], x * (2/3 - x) > 1/9 - 1/10^6",
+])
+def test_other_quantifiers_split_at_the_midpoint(source):
+    assert ends_after_one_sweep(source) == [("x", 0, F(1, 2)),
+                                            ("x", F(1, 2), 1)]
+
+
+def test_a_universal_under_another_binder_splits_at_the_midpoint():
+    # The inner universal reads y, so it is not closed.
+    assert ends_after_one_sweep(
+        "forall y : [1, 2], forall x : [0, 1], "
+        "x * (2/3 - x) < 1/9 * y + 1/10^6") == [
+        ("x", 0, F(1, 2)), ("x", F(1, 2), 1),
+        ("y", 1, F(3, 2)), ("y", F(3, 2), 2)]
 
 
 # --- the upper end of a closed existential as a witness ---------------------
