@@ -52,12 +52,13 @@ Naive interval evaluation suffers the dependency problem: ``x*(1-x)``
 over a box of width w is overestimated by about w, so near an extremum
 the range splitting needs many leaves.  A comparison inside a quantifier
 body whose sides are polynomials in the bound variables (only literals,
-variables, ``+ - *`` and ``^``) over finite boxes therefore gets a second
-test when the naive one leaves it undecided: the centred (mean-value)
-form f(m) + sum_i d_i f(X) * (X_i - m_i) of f = lhs - rhs over the
-boxes X with midpoint m, which overestimates by O(w^2).  It may only add
-decisions -- "true" in lower mode, "false" in upper mode -- and is tried
-only when f(m) already lies on the deciding side.  Where every slope
+variables, ``+ - *``, ``^`` and division by a constant) over finite
+boxes therefore gets a second test when the naive one leaves it
+undecided: the centred (mean-value) form f(m) + sum_i d_i f(X) * (X_i -
+m_i) of f = lhs - rhs over the boxes X with midpoint m, which
+overestimates by O(w^2).  It may only add decisions -- "true" in lower
+mode, "false" in upper mode -- and is tried only when f(m) already lies
+on the deciding side.  Where every slope
 d_i f(X) has one sign, f is monotone in each variable over X, so its
 maximum and minimum are its values at two corners of X (the
 monotonicity test of interval global optimization), and f is read
@@ -73,10 +74,11 @@ swaps its ends, and swapped back each has its sign in lower mode.  Cuts,
 restrictions, division by a non-constant and unbounded boxes keep the
 naive test (a comparison keeps whether its program holds one of the
 first three, ``_polynomial``), and so does a comparison of two points,
-where it is exact; a division of two constants folds unless its divisor
-is 0.  Every reader gets the test alike: a quantifier inside a cut's
-predicate is decided by it during a probe as in a sweep, so a cut
-defined by quantified predicates (a supremum) converges.
+where it is exact.  A division by a constant other than 0 is compiled
+as a product with its reciprocal, which reads the same.  Every reader
+gets the test alike: a quantifier inside a cut's predicate is decided
+by it during a probe as in a sweep, so a cut defined by quantified
+predicates (a supremum) converges.
 
 Refinement rewrites an expression without changing its meaning: decided
 props collapse to literals, cut ranges narrow by probes, quantifiers
@@ -296,9 +298,9 @@ def compile_term(t):
     None)`` a constant, its point interval as the integer tuple t
     (``interval``); ``("v", name, None)`` a variable; ``("o", leaf,
     None)`` a ``Cut`` or a ``Restrict``; ``(op, j, k)`` for op in ``+ -
-    * /`` values j and k combined; ``("^", j, n)`` value j to the power
-    n >= 2.  The last value is that of ``t``.  Powers below 2 fold too,
-    a power 0 without its base.
+    * /`` values j and k combined, ``/`` only by a non-constant or by 0;
+    ``("^", j, n)`` value j to the power n >= 2.  The last value is that
+    of ``t``.  Powers below 2 fold too, a power 0 without its base.
     """
     code = t._code
     if code is None:
@@ -311,9 +313,9 @@ def compile_term(t):
 
 def _emit(t, code):
     """Append the instructions of ``t`` to ``code``: the slot of its
-    value, or the ``Fraction`` of a constant, not yet pushed.  An
-    operation on two constants folds, but a division by 0, which reads as
-    no information."""
+    value, or the ``Fraction`` of a constant, not yet pushed.  A division
+    by a constant c other than 0 is a product with 1/c, and an operation
+    on two constants folds; a division by 0 reads as no information."""
     kind = type(t)
     if kind is RatLit:
         return Fraction(t.value)
@@ -322,10 +324,10 @@ def _emit(t, code):
     elif kind is Arith or kind is Less:
         u, w = _emit(t.lhs, code), _emit(t.rhs, code)
         op = t.op if kind is Arith else "-"
-        if (isinstance(u, Fraction) and isinstance(w, Fraction)
-                and (op != "/" or w)):
-            return (u + w if op == "+" else u - w if op == "-"
-                    else u * w if op == "*" else u / w)
+        if op == "/" and isinstance(w, Fraction) and w:
+            op, w = "*", 1 / w
+        if isinstance(u, Fraction) and isinstance(w, Fraction) and op != "/":
+            return u + w if op == "+" else u - w if op == "-" else u * w
         code.append((op, _slot(u, code), _slot(w, code)))
     elif kind is Pow:
         if not t.exp:
@@ -666,11 +668,10 @@ def _refine(e, st):
         return mk_and([_refine(item, st) for item in e.items])
     if isinstance(e, Or):
         return mk_or([_refine(item, st) for item in e.items])
-    if isinstance(e, (Less, Arith, Pow, Tuple)):
+    if isinstance(e, (Less, Arith, Pow, Tuple)) or fv and isinstance(e, Cut):
+        # A cut that reads a variable bound above it is never probed.
         return rebuild(e, [_refine(kid, st) for kid in children(e)])
     if isinstance(e, Cut):
-        if fv:
-            return _refine_cut(e, st)
         return _refine_shared(e, st)
     if isinstance(e, (Exists, Forall)):
         return _split_quantifier(e, st)
@@ -858,27 +859,27 @@ def _refine_shared(e, st):
 
 
 def _refine_cut(e, st):
+    """Narrow the closed cut ``e`` by its probes, and refine its
+    predicates: only a closed cut is probed, as a probe binds the cut's
+    own variable alone."""
     lo, hi = e.range.lo, e.range.hi
-    # Only a closed cut is probed: a probe binds the cut's own variable
-    # alone.
-    if not free_vars(e):
-        if lo.is_finite and hi.is_finite:
-            a, b = _narrow(e, (lo.q.numerator, lo.q.denominator),
-                           (hi.q.numerator, hi.q.denominator), st.n)
-            lo, hi = XRat(Fraction(*a)), XRat(Fraction(*b))
-        else:
-            # Establish finite bounds by probing doubling candidates.
-            step = Fraction(2) ** st.n
-            if not lo.is_finite:
-                cand = XRat(-step if (not hi.is_finite or -step < hi.q)
-                            else hi.q - step)
-                if prop_approx(e.left, {e.var: box(cand, cand)}, LOWER):
-                    lo = cand
-            if not hi.is_finite:
-                cand = XRat(step if (not lo.is_finite or step > lo.q)
-                            else lo.q + step)
-                if prop_approx(e.right, {e.var: box(cand, cand)}, LOWER):
-                    hi = cand
+    if lo.is_finite and hi.is_finite:
+        a, b = _narrow(e, (lo.q.numerator, lo.q.denominator),
+                       (hi.q.numerator, hi.q.denominator), st.n)
+        lo, hi = XRat(Fraction(*a)), XRat(Fraction(*b))
+    else:
+        # Establish finite bounds by probing doubling candidates.
+        step = Fraction(2) ** st.n
+        if not lo.is_finite:
+            cand = XRat(-step if (not hi.is_finite or -step < hi.q)
+                        else hi.q - step)
+            if prop_approx(e.left, {e.var: box(cand, cand)}, LOWER):
+                lo = cand
+        if not hi.is_finite:
+            cand = XRat(step if (not lo.is_finite or step > lo.q)
+                        else lo.q + step)
+            if prop_approx(e.right, {e.var: box(cand, cand)}, LOWER):
+                hi = cand
     rng = Range(lo, hi, lo_open=not lo.is_finite, hi_open=not hi.is_finite)
     return Cut(e.var, rng, _refine(e.left, st), _refine(e.right, st))
 

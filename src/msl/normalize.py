@@ -49,9 +49,17 @@ primed name, which a step's renamed parameter can push one prime
 further, and an argument that drops a later parameter, which then keeps
 no value in the later step.  Either way the terms differ in bound names
 alone.
-A ``let`` name never reaches the output, so it is never renamed.  The
-context types the variables of the output: a restriction is at prop
-when its body's normal form is.
+A ``let`` name never reaches the output, so it is never renamed.
+
+Nothing is typed either: a restriction, or a projection pushed through
+one, is at prop when its body's normal form is of a prop node kind
+(``_PROPS``).  In a closed term every variable left in a normal
+disjunct is bound by a cut or a quantifier, so it is real, and every
+function is applied, so a prop-typed disjunct is of one of those kinds
+and no other disjunct is.  In a function's body a parameter, or an
+application or projection of one, may be a prop too: there the
+restriction stays, and ``_apply`` collapses it when it reads the body
+again under the arguments.
 
 Equal closed cuts denote the same real, so they are one object:
 ``_intern`` picks the object for every closed cut ``normalize`` builds,
@@ -67,12 +75,11 @@ an equal object serves as well.  It cannot hold memory, because a cut
 leaves it once the cut is collected.
 
 The normal form of a closed node depends on the node alone: the
-context and the environment only concern free variables.  So the
-disjuncts of a closed ``let``-bound are kept on it (``_nform``) the
-first time they are built, and each disjunct, being normal, keeps ``()``
-for itself, as does every closed cut ``normalize`` builds: no node
-refers to itself, so reference counting frees a cut that nothing uses.
-A kept normal form is never built again, and the closed cuts in it stay
+environment only concerns free variables.  So the disjuncts of a closed
+``let``-bound are kept on it (``_nform``) the first time they are
+built, and each disjunct, being normal, keeps ``()`` for itself, as
+does every closed cut ``normalize`` builds: no node refers to itself,
+so reference counting frees a cut that nothing uses.  A kept normal form is never built again, and the closed cuts in it stay
 in the table while it is kept.  The definitions a session stores are
 closed and are let-bound around each evaluation that uses them (see
 ``cli``), so each is normalized once per session, however often it is
@@ -90,16 +97,18 @@ from itertools import product
 
 from .syntax import (
     And, App, Arith, Cut, Exists, FalseLit, Forall, IsFalse, IsTrue, Join,
-    Lambda, Less, Let, MkBool, Or, PROP, Pow, Proj, RatLit, REAL, Restrict,
-    Tuple, TrueLit, Var, children, free_vars, keep, rebuild,
+    Lambda, Less, Let, MkBool, Or, Pow, Proj, RatLit, Restrict, Tuple,
+    TrueLit, Var, children, free_vars, keep, rebuild,
 )
-from .typecheck import infer_type
+# Normalization types nothing; only perfbench's tracer reads this name,
+# which it patches here as in ``cli`` and ``evaluator``.
+from .typecheck import infer_type  # noqa: F401
 
 
 def normalize(e):
     """Normalize a closed, well-typed expression to a non-empty tuple of
     join-free disjuncts, any of which may answer."""
-    return tuple(_nf(e, {}, {}))
+    return tuple(_nf(e, {}))
 
 
 # ---------------------------------------------------------------------------
@@ -153,8 +162,11 @@ def _dedup(disjuncts):
 # ---------------------------------------------------------------------------
 # The normalizer proper: returns the list of join-free disjuncts.
 
+#: The node kinds of a prop's normal form.
+_PROPS = (TrueLit, FalseLit, And, Or, Less, Exists, Forall, IsTrue, IsFalse)
 
-def _nf(e, ctx, env):
+
+def _nf(e, env):
     if e._nform is not None:
         return e._nform or (e,)
     if isinstance(e, Var):
@@ -164,23 +176,22 @@ def _nf(e, ctx, env):
     if isinstance(e, Join):
         out = []
         for item in e.items:
-            out.extend(_nf(item, ctx, env))
+            out.extend(_nf(item, env))
         return _dedup(out)
     if isinstance(e, And):
-        return [mk_and([_embed(_nf(item, ctx, env)) for item in e.items])]
+        return [mk_and([_embed(_nf(item, env)) for item in e.items])]
     if isinstance(e, Or):
-        return [mk_or([_embed(_nf(item, ctx, env)) for item in e.items])]
+        return [mk_or([_embed(_nf(item, env)) for item in e.items])]
     if isinstance(e, (Less, Arith, Pow, Tuple)):
         # Distribute the joins of the children: one node per choice.
         return [rebuild(e, row) for row in
-                product(*[_nf(kid, ctx, env) for kid in children(e)])]
+                product(*[_nf(kid, env) for kid in children(e)])]
     if isinstance(e, Proj):
-        return _dedup([_proj_reduce(d, e.index, ctx)
-                       for d in _nf(e.tuple_, ctx, env)])
+        return _dedup([_proj_reduce(d, e.index) for d in _nf(e.tuple_, env)])
     if isinstance(e, Lambda):
         # One function, whose body chooses at each call (``_apply``).
-        var, ctx, env = _enter(e, e.var_ty, ctx, env)
-        body = _nf(e.body, ctx, env)
+        var, env = _enter(e, env)
+        body = _nf(e.body, env)
         return [Lambda(var, e.var_ty,
                        body[0] if len(body) == 1 else Join(tuple(body)))]
     if isinstance(e, App):
@@ -191,12 +202,12 @@ def _nf(e, ctx, env):
             e = e.fn
         args.reverse()
         out = []
-        for fn, *row in product(_nf(e, ctx, env),
-                                *[_nf(arg, ctx, env) for arg in args]):
-            out.extend(_apply(fn, row, ctx))
+        for fn, *row in product(_nf(e, env),
+                                *[_nf(arg, env) for arg in args]):
+            out.extend(_apply(fn, row))
         return _dedup(out)
     if isinstance(e, Let):
-        bounds = _nf(e.bound, ctx, env)
+        bounds = _nf(e.bound, env)
         if e.bound._nform is None and not free_vars(e.bound):
             own = len(bounds) == 1 and bounds[0] is e.bound
             keep(e.bound, "_nform", () if own else tuple(bounds))
@@ -205,39 +216,37 @@ def _nf(e, ctx, env):
                     keep(d, "_nform", ())  # normal already
         out = []
         for bound in bounds:
-            out.extend(_nf(e.body, ctx, {**env, e.var: bound}))
+            out.extend(_nf(e.body, {**env, e.var: bound}))
         return _dedup(out)
-    if isinstance(e, Cut):
-        var, ctx, env = _enter(e, REAL, ctx, env)
-        left = _embed(_nf(e.left, ctx, env))
-        right = _embed(_nf(e.right, ctx, env))
-        cut = Cut(var, e.range, left, right)
-        return [cut if free_vars(cut) else _intern(cut)]
-    if isinstance(e, (Exists, Forall)):
-        var, ctx, env = _enter(e, REAL, ctx, env)
-        return [type(e)(var, e.range, _embed(_nf(e.body, ctx, env)))]
+    if isinstance(e, (Cut, Exists, Forall)):
+        # A cut's left before its right; a closed cut is interned.
+        var, env = _enter(e, env)
+        node = type(e)(var, e.range,
+                       *[_embed(_nf(kid, env)) for kid in children(e)])
+        if isinstance(node, Cut) and not free_vars(node):
+            return [_intern(node)]
+        return [node]
     if isinstance(e, Restrict):
-        guard = _embed(_nf(e.guard, ctx, env))
-        body = _nf(e.body, ctx, env)
-        if infer_type(ctx, body[0]) == PROP:
-            # Restriction at prop is conjunction with the guard.  The body
-            # is typed in its normal form, whose names ``ctx`` types.
+        guard = _embed(_nf(e.guard, env))
+        body = _nf(e.body, env)
+        if isinstance(body[0], _PROPS):
+            # Restriction at prop is conjunction with the guard.
             return [mk_and([guard, _embed(body)])]
         return [Restrict(guard, d) for d in body]
     if isinstance(e, MkBool):
-        p = _embed(_nf(e.if_true, ctx, env))
-        q = _embed(_nf(e.if_false, ctx, env))
+        p = _embed(_nf(e.if_true, env))
+        q = _embed(_nf(e.if_false, env))
         return [MkBool(p, q)]
     if isinstance(e, (IsTrue, IsFalse)):
         return _dedup([_bool_project(d, type(e))
-                       for d in _nf(e.arg, ctx, env)])
+                       for d in _nf(e.arg, env)])
     raise TypeError(f"normalize: {type(e).__name__}")
 
 
-def _enter(e, ty, ctx, env):
-    """The output name of the variable of binder ``e``, typed ``ty``, and
-    the context and environment of its children: renamed with primes when
-    a value the environment keeps for ``e`` has the variable free."""
+def _enter(e, env):
+    """The output name of the variable of binder ``e`` and the environment
+    of its children: renamed with primes when a value the environment
+    keeps for ``e`` has the variable free."""
     var = e.var
     fv = free_vars(e)
     env = {name: d for name, d in env.items() if name in fv}
@@ -248,10 +257,10 @@ def _enter(e, ty, ctx, env):
             fresh += "'"
         env[var] = Var(fresh)
         var = fresh
-    return var, {**ctx, var: ty}, env
+    return var, env
 
 
-def _apply(fn, args, ctx):
+def _apply(fn, args):
     """The disjuncts of the normal ``fn`` applied to the normal ``args``:
     its leading parameters are bound at once, and what it returns takes
     the arguments left over."""
@@ -264,9 +273,9 @@ def _apply(fn, args, ctx):
         for arg in args:
             fn = App(fn, arg)
         return [fn]
-    out = _nf(fn, ctx, env)
+    out = _nf(fn, env)
     if args:
-        return [d for result in out for d in _apply(result, args, ctx)]
+        return [d for result in out for d in _apply(result, args)]
     return out
 
 
@@ -286,14 +295,14 @@ def _intern(cut):
     return cut
 
 
-def _proj_reduce(d, k, ctx):
+def _proj_reduce(d, k):
     """``d#k`` of a normal disjunct ``d``, pushed through its tuple and
     its restrictions; one at prop is conjunction with its guard."""
     if isinstance(d, Tuple):
         return d.items[k - 1]
     if isinstance(d, Restrict):
-        body = _proj_reduce(d.body, k, ctx)
-        if infer_type(ctx, body) == PROP:
+        body = _proj_reduce(d.body, k)
+        if isinstance(body, _PROPS):
             return mk_and([d.guard, body])
         return Restrict(d.guard, body)
     return Proj(d, k)

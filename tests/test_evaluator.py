@@ -77,6 +77,25 @@ def test_a_division_of_two_constants_folds_unless_the_divisor_is_0():
     assert real_approx(e, {}, UPPER) == ENTIRE.dual()
 
 
+@pytest.mark.parametrize("sign, answer", [("+", PropTrue()),
+                                          ("-", PropFalseProven())])
+def test_a_division_by_a_constant_is_a_product_with_its_reciprocal(
+        sign, answer):
+    # ``/ 2`` compiles as ``* 1/2``, so the comparison stays a quadratic:
+    # the universal splits at its vertex 1/3 and the corner test decides
+    # both halves in the next sweep.  Read as a division it gave no
+    # answer within 400 steps at +1/10^12, and 20 at -1/10^12.
+    source = f"x * (2/3 - x) / 2 < 1/18 {sign} 1/10^12"
+    assert [op for op, _, _ in compile_term(pe(source)) if op == "/"] == []
+    assert run(pe(f"forall x : [0, 1], {source}"), max_steps=3) == answer
+    # The naive reading is that of the division: both multiply by the
+    # reciprocal's point.
+    for x in (I(1, 2), I(-3, F(1, 7)), I(2, -1)):
+        for mode in (LOWER, UPPER):
+            assert (real_approx(pe("x / (-3/4)"), {"x": x}, mode)
+                    == real_approx(pe("x * (-4/3)"), {"x": x}, mode))
+
+
 def test_real_approx_restriction():
     assert real_approx(pe("(1 < 2) ~> 5"), {}, LOWER) == I(5, 5)
     assert real_approx(pe("(2 < 1) ~> 5"), {}, LOWER) == ENTIRE
@@ -337,6 +356,17 @@ def test_a_cut_with_a_free_variable_is_refined_but_never_narrowed():
     source = ("forall x : [1, 2], "
               "(cut y : [0, 3] left y * y < x right y * y > x) < 2")
     assert run(pe(source), max_steps=12) == Diverged(12)
+
+
+def test_a_cut_with_a_free_variable_comes_back_by_identity():
+    # Never probed and never changed by its settled predicates, the cut
+    # is the same node after a sweep, and so is the comparison over it,
+    # which keeps its program: both halves of the split share it.
+    e = pe("forall x : [1, 2], "
+           "(cut y : [0, 3] left y * y < x right y * y > x) < 2")
+    compile_term(e.body)
+    left, right = refine_step(e, 0).items
+    assert left.body is right.body is e.body
 
 
 SUPREMUM = ("cut y : [0, 1] left (exists x : [0, 1], y < x * (1 - x)) "
@@ -955,13 +985,15 @@ def test_a_read_under_no_bindings_is_kept_and_one_under_bindings_is_not():
 
 def test_the_centred_test_reads_proper_boxes_and_leaves_points_alone(
         monkeypatch):
-    # Only the centred test proves the first; a division or a cut, even
-    # one that adds nothing to the naive reading, keeps the naive test.
+    # Only the centred test proves the first; a division by a
+    # non-constant or a cut, even one that adds nothing to the value,
+    # keeps the naive test.
     # A quantifier in a cut probe, which binds the cut's variable to a
     # point, gets the test as one in a sweep does.
     box = {"x": I(F(9, 20), F(11, 20))}
     probe = {"y": I(F(26, 100), F(26, 100))}
-    for body, proved in (("x * (1 - x)", True), ("x * (1 - x) / 1", False),
+    for body, proved in (("x * (1 - x)", True),
+                         ("x * (1 - x) * (x + 1) / (x + 1)", False),
                          (f"x * (1 - x) + 0 * ({SQRT2_CUT})", False)):
         e = pe(f"forall x : [9/20, 11/20], {body} < 1/4 + 1/100")
         assert prop_approx(e, {}, LOWER) is proved
@@ -985,7 +1017,7 @@ def test_the_centred_test_reads_proper_boxes_and_leaves_points_alone(
     # A cut or a division operand: the comparison keeps that its program
     # is no polynomial, and the test returns before it reads a box, as
     # it does here under no bindings at all.
-    for source in ("x * (1 - x) / 1 < 1/4",
+    for source in ("x * (1 - x) * (x + 1) / (x + 1) < 1/4",
                    f"x * (1 - x) + 0 * ({SQRT2_CUT}) < 1/4"):
         less = pe(source)
         assert prop_approx(less, box, LOWER) is False

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import msl.evaluator
 from msl.cli import SessionState, _wrap_definitions, execute_source
 from msl.evaluator import run
 from msl.normalize import mk_and, mk_or, normalize
@@ -21,8 +22,9 @@ from msl.syntax import (
 from msl.typecheck import infer_type
 
 F = Fraction
-# The module, not the function that ``msl`` exports under its name.
+# The modules, not the functions that ``msl`` exports under their names.
 NORMALIZE = importlib.import_module("msl.normalize")
+TYPECHECK = importlib.import_module("msl.typecheck")
 
 
 def nf(source, prelude=()):
@@ -241,9 +243,9 @@ def test_a_kept_function_is_applied_without_walking_a_fun():
     walked = []
     real_nf = NORMALIZE._nf
 
-    def counting(e, ctx, env):
+    def counting(e, env):
         walked.append(type(e))
-        return real_nf(e, ctx, env)
+        return real_nf(e, env)
 
     NORMALIZE._nf = counting
     try:
@@ -251,6 +253,77 @@ def test_a_kept_function_is_applied_without_walking_a_fun():
     finally:
         NORMALIZE._nf = real_nf
     assert walked and walked.count(Lambda) == 0
+
+
+def test_normalizing_a_session_types_nothing(monkeypatch):
+    # The CLI types each item once; a restriction at prop is told by the
+    # kind of its body's normal form.
+    typed, normalizing = [], []
+    infer, normalize_ = TYPECHECK.infer_type, msl.evaluator.normalize
+
+    def counting(ctx, e):
+        if normalizing:
+            typed.append(e)
+        return infer(ctx, e)
+
+    def traced(e):
+        normalizing.append(e)
+        try:
+            return normalize_(e)
+        finally:
+            normalizing.pop()
+
+    monkeypatch.setattr(TYPECHECK, "infer_type", counting)
+    monkeypatch.setattr(NORMALIZE, "infer_type", counting)
+    monkeypatch.setattr(msl.evaluator, "normalize", traced)
+    out = io.StringIO()
+    execute_source(SessionState(), '#use "car.msl";; #use "roots.msl";;'
+                   "accel (-100) 5;; "
+                   "(fun p : prop => fun t : real * prop => "
+                   "(0 < 1 ~> t)#2 /\\ (1 < 2 ~> p)) (0 < 1) (1, 1 < 2);;",
+                   out=out)
+    assert out.getvalue().splitlines()[-2:] == ["real = -25/198 ± 0",
+                                                "prop = True"]
+    assert typed == []
+
+
+# Programs that restrict a prop, tuple or bool parameter inside a
+# function body, applied curried and higher-order, and their normal
+# forms as the normalizer printed them when it typed each restriction.
+DIFFERENTIAL = [
+    ("(fun p : prop => fun q : prop => (0 < 1 ~> p) /\\ q) (1 < 2) (2 < 3)",
+     "0 < 1 /\\ 1 < 2 /\\ 2 < 3"),
+    ("(fun t : real * prop => (0 < 1 ~> t)#2) (1, 1 < 2)",
+     "0 < 1 /\\ 1 < 2"),
+    ("(fun t : real * prop => 0 < 1 ~> t#2) (1, 2 < 3)",
+     "0 < 1 /\\ 2 < 3"),
+    ("(fun b : bool => is_true (0 < 1 ~> b) \\/ is_false b) "
+     "(mkbool (1 < 2) (2 < 1))",
+     "0 < 1 /\\ 1 < 2 \\/ 2 < 1"),
+    ("(fun f : real -> prop => 0 < 1 ~> f 2) (fun x : real => x < 3)",
+     "0 < 1 /\\ 2 < 3"),
+    ("let g = fun p : prop => (1 < 2 ~> p) || (2 < 3 ~> p) in "
+     "forall x : [0, 1], g (x < 2)",
+     "forall x : [0, 1], 1 < 2 /\\ x < 2 \\/ 2 < 3 /\\ x < 2"),
+    ("(fun f : prop -> prop => f (0 < 1) /\\ f (1 < 2)) "
+     "(fun q : prop => 1 < 2 ~> q)",
+     "1 < 2 /\\ 0 < 1 /\\ 1 < 2 /\\ 1 < 2"),
+    ("(fun t : real * prop => (t#1 < 2 ~> t)#2) ((1, 0 < 1) || (3, 1 < 2))",
+     "1 < 2 /\\ 0 < 1 | 3 < 2 /\\ 1 < 2"),
+    ("let k = fun p : prop => fun x : real => (p ~> x) + 1 in "
+     "cut y : [0, 4] left y < k (0 < 1) 2 "
+     "right k (exists z : [0, 1], z < 1) 2 < y",
+     "cut y : [0, 4] left y < (0 < 1 ~> 2) + 1 "
+     "right ((exists z : [0, 1], z < 1) ~> 2) + 1 < y"),
+]
+
+
+@pytest.mark.parametrize("source, expected", DIFFERENTIAL, ids=[
+    "curried_prop", "projected_restriction", "restricted_projection",
+    "bool", "applied_parameter", "join_under_forall", "function_argument",
+    "joined_tuples", "real_restriction_in_cut"])
+def test_a_restricted_parameter_collapses_once_it_is_bound(source, expected):
+    assert printed(source) == expected
 
 
 # --- reduction ----------------------------------------------------------------
