@@ -18,7 +18,7 @@ forall, let-in) extend as far right as possible:
         | e "<" e  |  e ">" e       order (> flips to <)
         | e "+" e  |  e "-" e  |  "-" e
         | e "*" e  |  e "/" e
-        | e "^" <nat>
+        | e "^" <nat>               power, exponent at most 100000
         | e e  |  e "#" <nat>       application, tuple projection
         | x | <rational> | True | False
         | "(" e ")" | "(" e "," ... "," e ")"
@@ -35,9 +35,10 @@ Comments are "(* ... *)" and nest.  Decimal literals are exact
 rationals: 0.1 parses to 1/10.  A literal quotient such as 1/10 and a
 negated literal such as -3 are folded to single rational literals.
 
-The lexer finds each token by matching one regular expression
-(``_TOKEN``) at the current offset; the named group that matched is the
-token's class, and its offset gives its line and column.
+The lexer finds each token, and the blanks before it, by one match of
+one regular expression (``_TOKEN``) at the current offset; the named
+group that matched is the token's class, and its offset gives its line
+and column.
 
 One precedence climb (``_Parser.expr``) reads every operator level,
 from "||" to prefix "-", "^ k", application and "#k", and the printer
@@ -60,6 +61,7 @@ import re
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from operator import attrgetter, is_
+from typing import NamedTuple
 
 from .interval import NEG_INF, POS_INF, XRat
 
@@ -390,29 +392,37 @@ class Directive:
 # ---------------------------------------------------------------------------
 # Lexer
 #
-# One pattern, matched at each offset in turn, finds the next token: its
-# named group is the token's class.  Code finishes what the pattern
-# cannot say: a comment's nesting, that a word or a directive starts with
-# a letter or "_" (``\w`` also matches "²", which is not ``isalpha``),
-# numeral conversion, and every error.  A token's column is its offset
-# less ``base``, the offset of the last newline before it (on the first
-# line, minus the start column).
+# One pattern, matched once per token, finds the next token: it skips the
+# blanks before it (its leading ``[ \t\r\n]*``), and the named group that
+# matched is the token's class; the end of the input is one of them, and
+# so is any other character, which is an error.  Code finishes what the
+# pattern cannot say: a comment's nesting, that a word or a directive
+# starts with a letter or "_" (``\w`` also matches "²", which is not
+# ``isalpha``), numeral conversion, and every error.  A token's column is
+# its offset less ``base``, the offset of the last newline before it (on
+# the first line, minus the start column); ``line`` and ``base`` move
+# only over skipped text, blanks or a comment, that holds a newline.  A
+# ``Token`` is a named tuple, and a numeral without a point is converted
+# through ``int``: both cost a fraction of a frozen dataclass and of
+# ``Fraction``'s string parser.
 
 # Multi-character symbols first so the pattern takes the longest match.
 _TOKEN = re.compile(r"""
-    (?P<blank>[ \t\r\n]+)
-  | (?P<comment>\(\*)
-  | (?P<string>"[^"\n]*"?)
-  | \#(?: (?P<proj>\d+) | (?P<directive>\w*) )
-  | (?P<rat>\d+(?:\.\d+)?)
-  | (?P<word>\w[\w']*)
-  | (?P<symbol>;; | ~> | => | -> | \\/ | /\\ | \|\| | [\[\](),:=<>+\-*/^])
+    [ \t\r\n]*
+    (?: (?P<comment>\(\*)
+      | (?P<string>"[^"\n]*"?)
+      | (?P<proj>\#\d+)
+      | (?P<directive>\#\w*)
+      | (?P<rat>\d+(?:\.\d+)?)
+      | (?P<word>\w[\w']*)
+      | (?P<symbol>;; | ~> | => | -> | \\/ | /\\ | \|\| | [\[\](),:=<>+\-*/^])
+      | (?P<end>\Z)
+      | (?P<other>.) )
 """, re.VERBOSE)
 _NESTING = re.compile(r"\(\*|\*\)")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # IDENT RAT STRING PROJ DIRECTIVE EOF or a symbol/keyword
     value: object
     loc: Loc
@@ -422,53 +432,62 @@ def tokenize(source, start=(1, 1)):
     """Scan source text into a token list (comments stripped).  ``start``
     is the (line, column) of its first character."""
     toks = []
-    i, line, base = 0, start[0], -start[1]
-    while i < len(source):
-        loc = (line, i - base)
-        m = _TOKEN.match(source, i)
-        kind, text = (m.lastgroup, m.group()) if m else (None, None)
-        if kind == "comment":
+    append = toks.append
+    new = tuple.__new__  # Token(...) without its Python-level __new__
+    match = _TOKEN.match
+    i = skipped = 0  # the offsets of the next match and of skipped text
+    line, base = start[0], -start[1]
+    while True:
+        m = match(source, i)
+        kind = m.lastgroup
+        j, i = m.span(kind)
+        if "\n" in source[skipped:j]:
+            line += source.count("\n", skipped, j)
+            base = source.rindex("\n", skipped, j)
+        skipped = i
+        loc = (line, j - base)
+        text = source[j:i]
+        if kind == "symbol":
+            append(new(Token, (text, text, loc)))
+        elif kind == "word" and (text[0].isalpha() or text[0] == "_"):
+            append(new(Token, (text if text in KEYWORDS else "IDENT", text,
+                               loc)))
+        elif kind == "rat":
+            append(new(Token, ("RAT", _number(Fraction, text, loc), loc)))
+        elif kind == "end":
+            append(new(Token, ("EOF", None, loc)))
+            return toks
+        elif kind == "comment":
             depth = 1
-            for mark in _NESTING.finditer(source, m.end()):
+            for mark in _NESTING.finditer(source, i):
                 depth += 1 if mark.group() == "(*" else -1
                 if not depth:
-                    text = source[i:mark.end()]
+                    i = mark.end()
                     break
             else:
                 raise LexError("unterminated comment", loc)
+            skipped = j  # the next token's line and column count it
         elif kind == "string":
             if text == '"' or text[-1] != '"':
                 raise LexError("unterminated string", loc)
-            toks.append(Token("STRING", text[1:-1], loc))
+            append(new(Token, ("STRING", text[1:-1], loc)))
         elif kind == "proj":
-            toks.append(Token("PROJ", _number(int, text[1:], loc), loc))
+            append(new(Token, ("PROJ", _number(int, text[1:], loc), loc)))
         elif kind == "directive":
             if not (text[1:2].isalpha() or text[1:2] == "_"):
                 raise LexError("expected digits or a name after '#'", loc)
-            toks.append(Token("DIRECTIVE", text[1:], loc))
-        elif kind == "rat":
-            toks.append(Token("RAT", _number(Fraction, text, loc), loc))
-        elif kind == "word" and (text[0].isalpha() or text[0] == "_"):
-            toks.append(Token(text if text in KEYWORDS else "IDENT", text,
-                              loc))
-        elif kind == "symbol":
-            toks.append(Token(text, text, loc))
-        elif kind != "blank":
-            raise LexError(f"illegal character {source[i]!r}", loc)
-        newlines = text.count("\n")
-        if newlines:
-            line += newlines
-            base = i + text.rindex("\n")
-        i += len(text)
-    toks.append(Token("EOF", None, (line, i - base)))
-    return toks
+            append(new(Token, ("DIRECTIVE", text[1:], loc)))
+        else:
+            raise LexError(f"illegal character {text[0]!r}", loc)
 
 
 def _number(kind, text, loc):
     """``kind(text)`` for a numeral, or a LexError where Python refuses to
-    convert that many digits (``sys.get_int_max_str_digits``)."""
+    convert that many digits (``sys.get_int_max_str_digits``).  A numeral
+    without a point goes through ``int``, which gives the same value and
+    refuses the same lengths."""
     try:
-        return kind(text)
+        return kind(text) if "." in text else kind(int(text))
     except ValueError:
         raise LexError(f"number of {len(text)} characters is too long",
                        loc) from None
@@ -491,6 +510,10 @@ _BINARY = {"||": _JOIN, "~>": _RESTRICT, "\\/": _OR, "/\\": _AND,
 
 #: The level of each prefix operator token.
 _PREFIX = {"-": _UNARY}
+
+#: The largest exponent of "^": a larger one is a located error, not a
+#: power of unbounded size computed before the first step.
+MAX_EXPONENT = 100_000
 
 #: The operator whose literal operands the parser folds into one literal.
 _QUOTIENT = "/"
@@ -537,6 +560,10 @@ KEYWORDS = {"inf", *_BASE_TYPES, *(
 
 #: The tokens that start an atom, and so an application's argument.
 _ATOM_STARTS = {"IDENT", "RAT", "("} | {word for word, _, _ in _FORMS.values()}
+
+#: The level of each token that may follow an operand, by its kind: an
+#: atom's is that of an application.
+_FOLLOWING = {**_BINARY, **dict.fromkeys(_ATOM_STARTS, _APP)}
 
 
 class _Parser:
@@ -621,10 +648,11 @@ class _Parser:
         is located at the expression's first token, a negation at its
         "-", and an application, power or projection at the token after
         its left operand."""
-        tok = self.peek()
+        toks = self.toks
+        tok = toks[self.pos]
         loc = tok.loc
         if tok.kind in _PREFIX and level <= _PREFIX[tok.kind]:
-            self.next()
+            self.pos += 1
             prec = _PREFIX[tok.kind]
             arg = self.expr(prec)
             if isinstance(arg, RatLit):
@@ -634,10 +662,12 @@ class _Parser:
         else:
             e = self.form() if tok.kind in _FORM_OF else self.primary_expr()
             prec = _ATOM
+        # Below, ``tok`` is an operator, so not the end of input: the
+        # parser steps past it by ``self.pos += 1``.
         while True:
-            tok = self.peek()
-            kind = _APPLY if tok.kind in _ATOM_STARTS else tok.kind
-            op = _BINARY.get(kind)
+            tok = toks[self.pos]
+            kind = tok.kind
+            op = _FOLLOWING.get(kind)
             if op is None or op < level:
                 return e
             left, right = _SIDES[op]
@@ -647,7 +677,7 @@ class _Parser:
             if op == _APP:  # the atom is the argument
                 e = App(e, self.expr(right), loc=tok.loc)
                 continue
-            self.next()
+            self.pos += 1
             if op == _ATOM:
                 if tok.value < 1:
                     raise ParseError("projection index starts at 1", tok.loc)
@@ -657,11 +687,14 @@ class _Parser:
                 if k.denominator != 1 or k < 0:
                     raise ParseError("exponent must be a natural number",
                                      tok.loc)
+                if k > MAX_EXPONENT:
+                    raise ParseError(
+                        f"exponent must be at most {MAX_EXPONENT}", tok.loc)
                 e = Pow(e, int(k), loc=tok.loc)
             elif kind in _CHAINS:  # one n-ary node for the whole chain
                 items = [e, self.expr(right)]
-                while self.peek().kind == kind:
-                    self.next()
+                while toks[self.pos].kind == kind:
+                    self.pos += 1
                     items.append(self.expr(right))
                 e = _CHAINS[kind](tuple(items), loc=loc)
             elif op == _CMP:  # e < rhs, or e > rhs read as rhs < e
@@ -670,27 +703,45 @@ class _Parser:
             elif op == _RESTRICT:
                 e = Restrict(e, self.expr(right), loc=loc)
             else:  # + - * /
-                rhs = self.expr(right)
+                # A numeral that no operator after it takes is the whole
+                # denominator: it is read without a call of ``expr``.
+                rhs = self._numeral(right) if kind == _QUOTIENT else None
+                if rhs is None:
+                    rhs = self.expr(right)
                 if (kind == _QUOTIENT and isinstance(e, RatLit)
                         and isinstance(rhs, RatLit) and rhs.value != 0):
                     e = RatLit(e.value / rhs.value, loc=loc)
                 else:
                     e = Arith(kind, e, rhs, loc=loc)
 
+    def _numeral(self, level):
+        """The operand at ``level`` as ``expr(level)`` reads it when that
+        is the next token alone, a numeral; else None."""
+        toks, pos = self.toks, self.pos
+        tok = toks[pos]
+        if tok.kind != "RAT":
+            return None
+        op = _FOLLOWING.get(toks[pos + 1].kind)  # a numeral is not the end
+        if op is not None and op >= level:
+            return None
+        self.pos = pos + 1
+        return RatLit(tok.value, loc=tok.loc)
+
     def primary_expr(self):
-        tok = self.peek()
+        toks = self.toks
+        tok = toks[self.pos]
         kind = tok.kind
         if kind == "IDENT":
-            self.next()
+            self.pos += 1
             return Var(tok.value, loc=tok.loc)
         if kind == "RAT":
-            self.next()
+            self.pos += 1
             return RatLit(tok.value, loc=tok.loc)
         if kind == "(":
-            self.next()
+            self.pos += 1
             items = [self.expr()]
-            while self.peek().kind == ",":
-                self.next()
+            while toks[self.pos].kind == ",":
+                self.pos += 1
                 items.append(self.expr())
             self.expect(")")
             if len(items) == 1:

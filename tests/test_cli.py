@@ -273,6 +273,7 @@ def test_parse_error_reports_location():
 @pytest.mark.parametrize("script,err", [
     ("2 ^ x;;", "1:5: expected 'RAT', found 'x'"),
     ("2 ^ 0.5;;", "1:3: exponent must be a natural number"),
+    ("1 + 2 ^ 1000000000 < 3;;", "1:7: exponent must be at most 100000"),
     ("(1, 2)#0;;", "1:7: projection index starts at 1"),
     ("let = 3;;", "1:5: expected 'IDENT', found '='"),
     ("fun x : 3 => x;;", "1:9: expected a type, found '3'"),
@@ -315,8 +316,7 @@ def test_a_deep_item_is_located_and_the_next_one_runs():
 
 def test_an_item_out_of_memory_is_located_and_the_next_one_runs(
         monkeypatch):
-    # ``2 ^ 10000000000`` is an exact power of some 1.25 GB: the run of
-    # the comparison stands in for one that exhausts memory.
+    # The run of the comparison stands in for one that exhausts memory.
     real_run = cli.run
 
     def run(expr, **kwargs):
@@ -326,7 +326,7 @@ def test_an_item_out_of_memory_is_located_and_the_next_one_runs(
 
     monkeypatch.setattr("msl.cli.run", run)
     _, out, err, had_error, had_div = run_script(
-        "1 + 1;;\n2 ^ 10000000000 < 3;;\n2 * 3;;")
+        "1 + 1;;\n2 ^ 100000 < 3;;\n2 * 3;;")
     assert (had_error, had_div) == (True, False)
     assert err == "error: 2:1: out of memory\n"
     assert out == "real = 2 ± 0\nreal = 6 ± 0\n"

@@ -13,7 +13,7 @@ from msl.syntax import (
     Forall, IsFalse, IsTrue, Join, Lambda, Less, Let, LexError, MkBool, Or,
     ParseError, Pow, Proj, Range, RatLit, REAL, Restrict, Tuple, TrueLit, Var,
     parse_expression, parse_program, pretty_print, tokenize, type_str,
-    ArrowTy, PROP, BOOL, ProductTy,
+    ArrowTy, PROP, BOOL, ProductTy, _number,
 )
 from oracles import reference_tokenize
 
@@ -114,7 +114,34 @@ def test_tokenize_matches_the_reference_scanner(source, start):
             == _scan(reference_tokenize, source, start))
 
 
+def test_a_numeral_is_converted_as_fraction_reads_it():
+    # ``reference_tokenize`` converts through ``_number`` too, so the
+    # differential test above cannot see a fault in it.
+    for text in ("0", "7", "007", "٣٣", "٣.5", "0.10", "12.000",
+                 "9" * sys.get_int_max_str_digits(), "1." + "0" * 40):
+        assert _number(Fraction, text, (1, 1)) == Fraction(text), text
+        assert type(_number(Fraction, text, (1, 1))) is Fraction
+    assert _number(int, "٣٣", (1, 1)) == 33
+    for digits, kind in (("9", Fraction), ("٣", Fraction), ("9", int)):
+        big = digits * (sys.get_int_max_str_digits() + 1)
+        with pytest.raises(LexError) as err:
+            _number(kind, big, (2, 5))
+        assert (err.value.loc, err.value.message) == (
+            (2, 5), f"number of {len(big)} characters is too long")
+
+
 # --- parser ------------------------------------------------------------------
+
+
+def test_an_exponent_is_bounded():
+    assert parse_expression("2 ^ 100000") == Pow(RatLit(F(2)), 100_000)
+    assert parse_expression("x ^ 00100000") == Pow(Var("x"), 100_000)
+    for source, loc in (("2 ^ 100001", (1, 3)),
+                        ("x +\n  2 ^ 1000000000 < 3", (2, 5))):
+        with pytest.raises(ParseError) as err:
+            parse_expression(source)
+        assert (err.value.loc, err.value.message) == (
+            loc, "exponent must be at most 100000")
 
 def test_parse_definition():
     items = parse_program("let a = fun x : real => x + 1;;")
