@@ -433,7 +433,6 @@ def tokenize(source, start=(1, 1)):
     is the (line, column) of its first character."""
     toks = []
     append = toks.append
-    new = tuple.__new__  # Token(...) without its Python-level __new__
     match = _TOKEN.match
     i = skipped = 0  # the offsets of the next match and of skipped text
     line, base = start[0], -start[1]
@@ -448,14 +447,13 @@ def tokenize(source, start=(1, 1)):
         loc = (line, j - base)
         text = source[j:i]
         if kind == "symbol":
-            append(new(Token, (text, text, loc)))
+            append(Token(text, text, loc))
         elif kind == "word" and (text[0].isalpha() or text[0] == "_"):
-            append(new(Token, (text if text in KEYWORDS else "IDENT", text,
-                               loc)))
+            append(Token(text if text in KEYWORDS else "IDENT", text, loc))
         elif kind == "rat":
-            append(new(Token, ("RAT", _number(Fraction, text, loc), loc)))
+            append(Token("RAT", _number(Fraction, text, loc), loc))
         elif kind == "end":
-            append(new(Token, ("EOF", None, loc)))
+            append(Token("EOF", None, loc))
             return toks
         elif kind == "comment":
             depth = 1
@@ -470,13 +468,13 @@ def tokenize(source, start=(1, 1)):
         elif kind == "string":
             if text == '"' or text[-1] != '"':
                 raise LexError("unterminated string", loc)
-            append(new(Token, ("STRING", text[1:-1], loc)))
+            append(Token("STRING", text[1:-1], loc))
         elif kind == "proj":
-            append(new(Token, ("PROJ", _number(int, text[1:], loc), loc)))
+            append(Token("PROJ", _number(int, text[1:], loc), loc))
         elif kind == "directive":
             if not (text[1:2].isalpha() or text[1:2] == "_"):
                 raise LexError("expected digits or a name after '#'", loc)
-            append(new(Token, ("DIRECTIVE", text[1:], loc)))
+            append(Token("DIRECTIVE", text[1:], loc))
         else:
             raise LexError(f"illegal character {text[0]!r}", loc)
 
@@ -561,10 +559,6 @@ KEYWORDS = {"inf", *_BASE_TYPES, *(
 #: The tokens that start an atom, and so an application's argument.
 _ATOM_STARTS = {"IDENT", "RAT", "("} | {word for word, _, _ in _FORMS.values()}
 
-#: The level of each token that may follow an operand, by its kind: an
-#: atom's is that of an application.
-_FOLLOWING = {**_BINARY, **dict.fromkeys(_ATOM_STARTS, _APP)}
-
 
 class _Parser:
     def __init__(self, tokens):
@@ -648,11 +642,10 @@ class _Parser:
         is located at the expression's first token, a negation at its
         "-", and an application, power or projection at the token after
         its left operand."""
-        toks = self.toks
-        tok = toks[self.pos]
+        tok = self.peek()
         loc = tok.loc
         if tok.kind in _PREFIX and level <= _PREFIX[tok.kind]:
-            self.pos += 1
+            self.next()
             prec = _PREFIX[tok.kind]
             arg = self.expr(prec)
             if isinstance(arg, RatLit):
@@ -662,12 +655,10 @@ class _Parser:
         else:
             e = self.form() if tok.kind in _FORM_OF else self.primary_expr()
             prec = _ATOM
-        # Below, ``tok`` is an operator, so not the end of input: the
-        # parser steps past it by ``self.pos += 1``.
         while True:
-            tok = toks[self.pos]
-            kind = tok.kind
-            op = _FOLLOWING.get(kind)
+            tok = self.peek()
+            kind = _APPLY if tok.kind in _ATOM_STARTS else tok.kind
+            op = _BINARY.get(kind)
             if op is None or op < level:
                 return e
             left, right = _SIDES[op]
@@ -677,7 +668,7 @@ class _Parser:
             if op == _APP:  # the atom is the argument
                 e = App(e, self.expr(right), loc=tok.loc)
                 continue
-            self.pos += 1
+            self.next()
             if op == _ATOM:
                 if tok.value < 1:
                     raise ParseError("projection index starts at 1", tok.loc)
@@ -693,8 +684,8 @@ class _Parser:
                 e = Pow(e, int(k), loc=tok.loc)
             elif kind in _CHAINS:  # one n-ary node for the whole chain
                 items = [e, self.expr(right)]
-                while toks[self.pos].kind == kind:
-                    self.pos += 1
+                while self.peek().kind == kind:
+                    self.next()
                     items.append(self.expr(right))
                 e = _CHAINS[kind](tuple(items), loc=loc)
             elif op == _CMP:  # e < rhs, or e > rhs read as rhs < e
@@ -703,45 +694,27 @@ class _Parser:
             elif op == _RESTRICT:
                 e = Restrict(e, self.expr(right), loc=loc)
             else:  # + - * /
-                # A numeral that no operator after it takes is the whole
-                # denominator: it is read without a call of ``expr``.
-                rhs = self._numeral(right) if kind == _QUOTIENT else None
-                if rhs is None:
-                    rhs = self.expr(right)
+                rhs = self.expr(right)
                 if (kind == _QUOTIENT and isinstance(e, RatLit)
                         and isinstance(rhs, RatLit) and rhs.value != 0):
                     e = RatLit(e.value / rhs.value, loc=loc)
                 else:
                     e = Arith(kind, e, rhs, loc=loc)
 
-    def _numeral(self, level):
-        """The operand at ``level`` as ``expr(level)`` reads it when that
-        is the next token alone, a numeral; else None."""
-        toks, pos = self.toks, self.pos
-        tok = toks[pos]
-        if tok.kind != "RAT":
-            return None
-        op = _FOLLOWING.get(toks[pos + 1].kind)  # a numeral is not the end
-        if op is not None and op >= level:
-            return None
-        self.pos = pos + 1
-        return RatLit(tok.value, loc=tok.loc)
-
     def primary_expr(self):
-        toks = self.toks
-        tok = toks[self.pos]
+        tok = self.peek()
         kind = tok.kind
         if kind == "IDENT":
-            self.pos += 1
+            self.next()
             return Var(tok.value, loc=tok.loc)
         if kind == "RAT":
-            self.pos += 1
+            self.next()
             return RatLit(tok.value, loc=tok.loc)
         if kind == "(":
-            self.pos += 1
+            self.next()
             items = [self.expr()]
-            while toks[self.pos].kind == ",":
-                self.pos += 1
+            while self.peek().kind == ",":
+                self.next()
                 items.append(self.expr())
             self.expect(")")
             if len(items) == 1:
