@@ -82,8 +82,9 @@ predicates (a supremum) converges.
 
 Refinement rewrites an expression without changing its meaning: decided
 props collapse to literals, cut ranges narrow by probes, quantifiers
-split at range midpoints -- a closed universal over one quadratic
-comparison at the stationary point of its difference instead, so that
+split at range midpoints -- a closed universal or existential over a
+quadratic comparison, alone or the first among the items of a
+connective, at the stationary point of its difference instead, so that
 it is monotone on both halves (``_split_point``) -- proven guards unwrap
 and refuted guards prune their branch: a refuted guard makes the whole
 disjunct undefined, so the sweep stops at it (``_Pruned``) and
@@ -739,10 +740,10 @@ def _log_witnesses(e, env, wlog):
 
 
 def _split_quantifier(e, st):
-    """Split ``e`` at its range's midpoint, or at the stationary point of
-    a closed universal's quadratic comparison (``_split_point``), into its
-    connective (``_PROBES``) of the two halves, refining its body once for
-    both.
+    """Split ``e`` at its range's midpoint, or, where ``e`` is closed, at
+    the stationary point of a quadratic comparison of its body
+    (``_split_point``), into its connective (``_PROBES``) of the two
+    halves, refining its body once for both.
 
     A closed quantifier gets here only when neither approximant decided
     it.  The ends a and b of its range are points of it like any other
@@ -799,10 +800,17 @@ def _split_quantifier(e, st):
 def _split_point(e, body, closed):
     """Where the quantifier ``e`` over [a, b] splits, its body refined to
     ``body``: at the midpoint m, or at the stationary point v of f = lhs
-    - rhs where ``e`` is a closed universal, ``body`` is one comparison
-    whose program is a polynomial of degree exactly 2, and a < v < b.
-    Any point inside the range is sound; v leaves f monotone on both
-    halves, so the corner test of ``_centred_decides`` decides each.
+    - rhs where ``e`` is closed, a < v < b, and f is read from a
+    quadratic comparison: ``body`` itself, or the first one among the
+    direct items of a ``body`` that is an ``And`` or ``Or``.  A
+    comparison is quadratic when its program is a polynomial of degree
+    exactly 2 (``_degree``).  Any point inside the range is sound: a
+    universal is the conjunction of its halves, an existential their
+    disjunction.  v leaves f monotone on both halves, so the corner test
+    of ``_centred_decides`` decides that comparison on each.  Every other
+    quantifier splits at m: an open one, one whose body holds no
+    quadratic comparison where it is looked for, and one whose vertex is
+    not inside its range.
 
     The degree is that of the program, a product adding its factors'.  f
     is then the parabola through its values at a, m and b, read exactly
@@ -810,18 +818,14 @@ def _split_point(e, body, closed):
     """
     a, b = e.range.lo.q, e.range.hi.q
     m = (a + b) / 2
-    if not (closed and type(e) is Forall and isinstance(body, Less)):
+    if not closed:
         return m
-    code, degree = compile_term(body), []
-    for op, x, y in code:
-        if op == "o" or op == "/":
-            return m
-        degree.append(1 if op == "v" else 0 if op == "q"
-                      else degree[x] * y if op == "^"
-                      else degree[x] + degree[y] if op == "*"
-                      else max(degree[x], degree[y]))
-    if degree[-1] != 2:
+    for item in body.items if isinstance(body, (And, Or)) else (body,):
+        if isinstance(item, Less) and _degree(compile_term(item)) == 2:
+            break
+    else:
         return m
+    code = compile_term(item)
     fa, fm, fb = (Fraction(*_at_point(code, {e.var: (q.numerator,
                                                      q.denominator)}))
                   for q in (a, m, b))
@@ -829,6 +833,20 @@ def _split_point(e, body, closed):
         return m  # f is linear
     v = m - (b - a) * (fb - fa) / (4 * (fa - 2 * fm + fb))
     return v if a < v < b else m
+
+
+def _degree(code):
+    """The degree of the polynomial ``code``, or None when it holds an
+    opaque leaf or a division."""
+    degree = []
+    for op, x, y in code:
+        if op == "o" or op == "/":
+            return None
+        degree.append(1 if op == "v" else 0 if op == "q"
+                      else degree[x] * y if op == "^"
+                      else degree[x] + degree[y] if op == "*"
+                      else max(degree[x], degree[y]))
+    return degree[-1]
 
 
 def _refine_shared(e, st):

@@ -509,8 +509,9 @@ _BINARY = {"||": _JOIN, "~>": _RESTRICT, "\\/": _OR, "/\\": _AND,
 #: The level of each prefix operator token.
 _PREFIX = {"-": _UNARY}
 
-#: The largest exponent of "^": a larger one is a located error, not a
-#: power of unbounded size computed before the first step.
+#: The largest exponent of "^", and of the product of the exponents of a
+#: power of a power: a larger one is a located error, not a power of
+#: unbounded size computed before the first step.
 MAX_EXPONENT = 100_000
 
 #: The operator whose literal operands the parser folds into one literal.
@@ -681,6 +682,13 @@ class _Parser:
                 if k > MAX_EXPONENT:
                     raise ParseError(
                         f"exponent must be at most {MAX_EXPONENT}", tok.loc)
+                total, base = k, e
+                while isinstance(base, Pow):  # a power of a power
+                    total, base = total * base.exp, base.base
+                if total > MAX_EXPONENT:
+                    raise ParseError(
+                        "exponents of a power of a power must multiply to "
+                        f"at most {MAX_EXPONENT}", tok.loc)
                 e = Pow(e, int(k), loc=tok.loc)
             elif kind in _CHAINS:  # one n-ary node for the whole chain
                 items = [e, self.expr(right)]

@@ -1244,15 +1244,29 @@ def test_a_quadratic_universal_reads_its_ends_then_its_vertex(monkeypatch):
     "forall x : [0, 1], x * x - x * x + x * x < 2",
     "forall x : [0, 1], 3 * x * x - 3 * x * x + (x + 1) * (x + 1) "
     "< 4 + 1/100",
-    # Not one comparison.
+    # A connective whose one quadratic comparison is not a direct item.
+    "forall x : [0, 1], x < 2 /\\ (exists y : [0, 1], "
+    "x * (2/3 - x) < 1/9 + 1/10^6 + y)",
+    # An open existential: it reads y, which the outer one binds.
+    "exists y : [0, 1], exists x : [0, 1], "
+    "x * (2/3 - x) > 1/9 + 1/10^6 + y / 10",
+])
+def test_other_quantifiers_split_at_the_midpoint(source):
+    assert [ends for ends in ends_after_one_sweep(source)
+            if ends[0] == "x"] == [("x", 0, F(1, 2)), ("x", F(1, 2), 1)]
+
+
+@pytest.mark.parametrize("source", [
+    # A connective: the first quadratic comparison among its items.
     "forall x : [0, 1], x * (2/3 - x) < 1/9 + 1/10^6 /\\ x < 2",
     "forall x : [0, 1], x * (2/3 - x) < 1/9 + 1/10^6 \\/ 2 < x",
+    "forall x : [0, 1], x < 2 /\\ x * (2/3 - x) < 1/9 + 1/10^6",
     # An existential.
     "exists x : [0, 1], x * (2/3 - x) > 1/9 - 1/10^6",
 ])
-def test_other_quantifiers_split_at_the_midpoint(source):
-    assert ends_after_one_sweep(source) == [("x", 0, F(1, 2)),
-                                            ("x", F(1, 2), 1)]
+def test_other_closed_quantifiers_split_at_their_vertex(source):
+    assert ends_after_one_sweep(source) == [("x", 0, F(1, 3)),
+                                            ("x", F(1, 3), 1)]
 
 
 def test_a_universal_under_another_binder_splits_at_the_midpoint():

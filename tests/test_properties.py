@@ -295,24 +295,23 @@ def test_total_booleans_terminate():
 
 def test_a_total_boolean_answers_the_side_proven_first():
     # p(x) = 2x^2 - x - 1/2 has its minimum -5/8 at x = 1/4, so both
-    # sides hold with margin 1/8.  The universal splits at 1/4 and is
-    # proven in the second sweep, before midpoint splitting finds the
-    # existential's witness: ff, where splitting the universal at its
-    # midpoints answered tt.
+    # sides hold with margin 1/8, and tt and ff are both right.  Both
+    # quantifiers split at 1/4 and are proven in the second sweep: the
+    # existential's left half reads its upper end 1/4 as a witness, and
+    # the universal's halves are monotone.  A boolean whose two sides are
+    # proven in one sweep answers tt.  Splitting the existential at its
+    # midpoints found its witness two sweeps later, and answered ff.
     poly = "2 * x * x + -1 * x + (-1/2)"
     exists = f"exists x : [0,3], {poly} < -1/2"
     forall = f"forall x : [0,3], {poly} > -1/2 - 1/2"
     for prop in (exists, forall):
-        assert run(parse_expression(prop)) == PropTrue()
-    assert run(parse_expression(f"mkbool ({exists}) ({forall})")) == BoolFF()
+        assert run(parse_expression(prop), max_steps=3) == PropTrue()
+    assert run(parse_expression(f"mkbool ({exists}) ({forall})")) == BoolTT()
 
 
-@settings(derandomize=True, max_examples=200, deadline=None)
-@given(st.data())
-def test_a_quadratic_universal_answers_within_three_steps(data):
-    """forall x : [lo, hi], A x^2 + B x + C < t, its vertex inside the
-    range, with t the exact maximum plus or minus a margin from 10^-2 to
-    10^-20: proven or refuted, as the maximum says, within 3 steps."""
+def draw_quadratic(data):
+    """A x^2 + B x + C over [lo, hi], its vertex inside the range: the
+    polynomial's source, lo, hi and its exact maximum over the range."""
     def rational(bound):
         return F(data.draw(st.integers(-bound, bound)),
                  data.draw(st.integers(1, 9)))
@@ -322,11 +321,57 @@ def test_a_quadratic_universal_answers_within_three_steps(data):
     hi = v + F(data.draw(st.integers(1, 99)), data.draw(st.integers(1, 9)))
     A = rational(9) or F(1)
     B, C = -2 * A * v, rational(9)
-    delta = F(1, 10 ** data.draw(st.integers(2, 20)))
+    poly = f"{A} * x * x + ({B}) * x + ({C})"
+    return poly, lo, hi, -_quad_min(-A, -B, -C, lo, hi)
+
+
+def draw_margin(data):
+    return F(1, 10 ** data.draw(st.integers(2, 20)))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.data())
+def test_a_quadratic_universal_answers_within_three_steps(data):
+    """forall x : [lo, hi], A x^2 + B x + C < t, its vertex inside the
+    range, with t the exact maximum plus or minus a margin from 10^-2 to
+    10^-20: proven or refuted, as the maximum says, within 3 steps."""
+    poly, lo, hi, mx = draw_quadratic(data)
+    delta = draw_margin(data)
     holds = data.draw(st.booleans())
-    mx = -_quad_min(-A, -B, -C, lo, hi)
     t = mx + delta if holds else mx - delta
-    e = parse_expression(f"forall x : [{lo}, {hi}], "
-                         f"{A} * x * x + ({B}) * x + ({C}) < {t}")
+    e = parse_expression(f"forall x : [{lo}, {hi}], {poly} < {t}")
+    assert run(e, max_steps=3) == (PropTrue() if holds
+                                   else PropFalseProven()), e
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.data())
+def test_a_quadratic_existential_answers_within_three_steps(data):
+    """exists x : [lo, hi], A x^2 + B x + C > t, its vertex inside the
+    range, with t the exact maximum minus or plus a margin from 10^-2 to
+    10^-20: affirmed or refuted, as the maximum says, within 3 steps."""
+    poly, lo, hi, mx = draw_quadratic(data)
+    delta = draw_margin(data)
+    holds = data.draw(st.booleans())
+    t = mx - delta if holds else mx + delta
+    e = parse_expression(f"exists x : [{lo}, {hi}], {poly} > {t}")
+    assert run(e, max_steps=3) == (PropTrue() if holds
+                                   else PropFalseProven()), e
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.data())
+def test_a_quadratic_universal_of_a_connective_answers_within_three_steps(
+        data):
+    """forall x : [lo, hi], q < t /\\ x < hi + 1, or q < t \\/ hi + 1 < x,
+    with the quadratic q and the bound t of the universal property:
+    proven or refuted, as the maximum says, within 3 steps."""
+    poly, lo, hi, mx = draw_quadratic(data)
+    delta = draw_margin(data)
+    holds = data.draw(st.booleans())
+    t = mx + delta if holds else mx - delta
+    other = data.draw(st.sampled_from([f"/\\ x < {hi + 1}",
+                                       f"\\/ {hi + 1} < x"]))
+    e = parse_expression(f"forall x : [{lo}, {hi}], {poly} < {t} {other}")
     assert run(e, max_steps=3) == (PropTrue() if holds
                                    else PropFalseProven()), e

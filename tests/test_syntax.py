@@ -143,6 +143,25 @@ def test_an_exponent_is_bounded():
         assert (err.value.loc, err.value.message) == (
             loc, "exponent must be at most 100000")
 
+
+def test_the_exponents_of_a_power_of_a_power_are_bounded():
+    # (2 ^ 100000) ^ 10000 is a power of 2 of 10^9 bits: it took 6 s to
+    # build before its first step.
+    assert parse_expression("(x ^ 1000) ^ 100") == Pow(
+        Pow(Var("x"), 1000), 100)
+    assert parse_expression("2 ^ 10 ^ 100 ^ 100") == Pow(
+        Pow(Pow(RatLit(F(2)), 10), 100), 100)
+    assert parse_expression("(2 ^ 0) ^ 100000") == Pow(
+        Pow(RatLit(F(2)), 0), 100_000)
+    for source, loc in (("(2 ^ 100000) ^ 10000 < 3", (1, 14)),
+                        ("(x ^ 1000) ^ 101", (1, 12)),
+                        ("1 +\n  2 ^ 10 ^ 100 ^ 101", (2, 16))):
+        with pytest.raises(ParseError) as err:
+            parse_expression(source)
+        assert (err.value.loc, err.value.message) == (
+            loc, "exponents of a power of a power must multiply to at most "
+            "100000")
+
 def test_parse_definition():
     items = parse_program("let a = fun x : real => x + 1;;")
     assert items == [Def("a", Lambda("x", REAL,
